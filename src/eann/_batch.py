@@ -221,73 +221,3 @@ class PairedFamily:
                     out[idx[j]] = f._gradients(pts[j][None, :])[0]
         return out
 
-
-def paired_values(fns: list[SiteFunction], X: np.ndarray) -> np.ndarray:
-    """Row-paired evaluation: result[i] = fns[i](X[i])."""
-    X = np.asarray(X, dtype=float)
-    out = np.empty(len(fns))
-    groups: dict[object, list[int]] = {}
-    for i, f in enumerate(fns):
-        groups.setdefault(_group_key(f), []).append(i)
-    for key, idxs in groups.items():
-        sub = [fns[i] for i in idxs]
-        pts = X[idxs]
-        P = np.stack([f.site for f in sub])
-        if key[0] == "minkowski":
-            k = sub[0].k
-            W = np.array([f.weight for f in sub])
-            V = np.abs(pts - P)
-            m = np.max(V, axis=1)
-            safe = np.where(m > 0.0, m, 1.0)
-            s = np.sum((V / safe[:, None]) ** k, axis=1)
-            out[idxs] = W * m * s ** (1.0 / k)
-        elif key[0] == "mahalanobis":
-            M = np.stack([f.matrix for f in sub])
-            V = pts - P
-            out[idxs] = np.sqrt(np.maximum(np.einsum("md,mde,me->m", V, M, V), 0.0))
-        elif key[0] == "bregman":
-            spec = sub[0].spec
-            if not np.all(spec.in_domain(pts)):
-                raise DomainError("query outside domain")
-            fX = spec.values(pts)
-            fP = spec.values(P)
-            gP = spec.gradients(P)
-            out[idxs] = fX - fP - np.einsum("md,md->m", gP, pts - P)
-        else:
-            out[idxs] = [f._values(pts[j][None, :])[0] for j, f in enumerate(sub)]
-    return out
-
-
-def paired_gradients(fns: list[SiteFunction], X: np.ndarray) -> np.ndarray:
-    """Row-paired gradients: result[i] = grad fns[i] at X[i]."""
-    X = np.asarray(X, dtype=float)
-    out = np.empty_like(X)
-    groups: dict[object, list[int]] = {}
-    for i, f in enumerate(fns):
-        groups.setdefault(_group_key(f), []).append(i)
-    for key, idxs in groups.items():
-        sub = [fns[i] for i in idxs]
-        pts = X[idxs]
-        P = np.stack([f.site for f in sub])
-        if key[0] == "minkowski":
-            k = sub[0].k
-            W = np.array([f.weight for f in sub])
-            V = pts - P
-            m = np.max(np.abs(V), axis=1)
-            t = V / m[:, None]
-            a = np.abs(t)
-            s = np.sum(a**k, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[idxs] = W[:, None] * s[:, None] ** (1.0 / k - 1.0) * a ** (k - 1.0) * np.sign(t)
-        elif key[0] == "mahalanobis":
-            M = np.stack([f.matrix for f in sub])
-            V = pts - P
-            mv = np.einsum("mde,me->md", M, V)
-            fv = np.sqrt(np.maximum(np.einsum("md,md->m", V, mv), 0.0))
-            out[idxs] = mv / fv[:, None]
-        elif key[0] == "bregman":
-            spec = sub[0].spec
-            out[idxs] = spec.gradients(pts) - spec.gradients(P)
-        else:
-            out[idxs] = [f._gradients(pts[j][None, :])[0] for j, f in enumerate(sub)]
-    return out

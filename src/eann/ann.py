@@ -22,8 +22,9 @@ from collections import Counter
 
 import numpy as np
 
-from ._batch import batch_values
+from ._batch import batch_value_bounds, batch_values
 from .avd import _LEAF, _PENDING, AvdConfig, AvdLeaf, AvdTree, build_avd
+from .convexify import _check_ball_in_domain, prune_screen
 from .distances import (
     BUILTIN_BREGMAN,
     BregmanDistance,
@@ -38,6 +39,9 @@ from .geom import EuclideanBall, enclosing_ball
 
 MAGIC = b"EANN"
 FORMAT_VERSION = 1
+# Relative widening of the outer-site screen: einsum and np.linalg.norm may
+# round a distance differently in the last bits.
+_SCREEN_SLACK = 1e-12
 
 
 def ray_to_hypercube_boundary(p_prime, q) -> np.ndarray:
@@ -130,13 +134,11 @@ class InnerPatchSet:
 
 
 class _Attachment:
-    __slots__ = ("single_fids", "inner_fids", "outer_fids", "outer_avr",
-                 "patchset", "inner_rep", "brute")
+    __slots__ = ("single_fids", "inner_fids", "outer_avr", "patchset", "inner_rep", "brute")
 
     def __init__(self):
         self.single_fids: list[int] = []
         self.inner_fids: list[int] = []
-        self.outer_fids: list[int] = []
         self.outer_avr: RelativeAvr | None = None
         self.patchset: InnerPatchSet | None = None
         self.inner_rep: int | None = None
@@ -186,12 +188,20 @@ class AnnIndex:
             self.beta = 4.0 * self.tau**2 / self.eps
         self.points = np.stack([f.site for f in sites])
         self.tree = build_avd(self.points, AvdConfig(self.alpha, self.beta))
+        self._init_runtime()
+
+    def _init_runtime(self) -> None:
+        """Lock, counters and per-site screen arrays, derived from the sites."""
         self._lock = threading.RLock()
         self.stats = Counter()
         c = self.points.mean(axis=0)
         r = float(np.max(np.linalg.norm(self.points - c[None, :], axis=1))) * (1.0 + 1e-9)
         self._site_ball = EuclideanBall(c, r)
         self._outside_patchset: InnerPatchSet | None = None
+        self._taus = np.array([f.tau for f in self.sites])
+        # Value bounds at unit distance; they scale linearly with distance for
+        # scaling kinds and quadratically for Bregman ones.
+        self._lo_coef, self._hi_coef = batch_value_bounds(self.sites, np.ones(self.n))
 
     @property
     def dim(self) -> int:
@@ -207,12 +217,6 @@ class AnnIndex:
 
     # -- per-leaf structures ------------------------------------------------
 
-    def _fids_of_positions(self, positions) -> list[int]:
-        out: list[int] = []
-        for pos in positions:
-            out.extend(self.tree.site_groups[pos].tolist())
-        return sorted(out)
-
     def _attachment(self, leaf: AvdLeaf) -> _Attachment:
         att = leaf.attachment
         if att is not None:
@@ -222,15 +226,16 @@ class AnnIndex:
             if att is not None:
                 return att
             att = _Attachment()
-            att.single_fids = self._fids_of_positions(leaf.in_cell)
-            att.inner_fids = self._fids_of_positions(leaf.inner)
-            att.outer_fids = self._fids_of_positions(leaf.outer_positions())
-            if att.outer_fids:
+            role = np.zeros(self.tree.n_positions, dtype=np.int8)  # 0: outer
+            role[leaf.in_cell] = 1
+            role[leaf.inner] = 2
+            site_role = role[self.tree.position_of_site]
+            att.single_fids = np.flatnonzero(site_role == 1).tolist()
+            att.inner_fids = np.flatnonzero(site_role == 2).tolist()
+            outer = site_role == 0
+            if np.any(outer):
                 try:
-                    att.outer_avr = build_relative(
-                        [self.sites[i] for i in att.outer_fids],
-                        enclosing_ball(leaf.cell), self.eps,
-                        indices=att.outer_fids, accuracy="fast")
+                    att.outer_avr = self._outer_avr(enclosing_ball(leaf.cell), outer)
                 except DomainError:
                     att.brute = True
                     self.stats["brute_leaves"] += 1
@@ -243,6 +248,31 @@ class AnnIndex:
                     att.inner_rep = att.inner_fids[0]
             leaf.attachment = att
             return att
+
+    def _outer_avr(self, ball: EuclideanBall, outer: np.ndarray) -> RelativeAvr:
+        """Envelope of the outer sites (mask over site ids) over the leaf ball.
+
+        One vectorized bound pass applies normalize's prune screen, slightly
+        widened, to every outer site, and only the survivors become the
+        family: normalize would prune the others unestimated, so the envelope
+        equals that of the full outer set.
+        """
+        diff = self.points - ball.center[None, :]
+        dists = np.maximum(0.0, np.sqrt(np.einsum("md,md->m", diff, diff)) - ball.radius)
+        bad = outer & (dists / ball.diameter < 2.0 * self._taus)
+        if np.any(bad):
+            raise ValueError(f"insufficient separation: site {int(np.argmax(bad))}")
+        lo, hi = self._lo_coef * dists, self._hi_coef * dists
+        if self.kind == "bregman":
+            lo, hi = lo * dists, hi * dists
+        lo, hi = np.where(outer, lo, np.inf), np.where(outer, hi, np.inf)
+        fids = np.flatnonzero(prune_screen(lo, hi, slack=_SCREEN_SLACK)).tolist()
+        if np.count_nonzero(outer) > 1:
+            # normalize decides Bregman brute leaves by this check on every
+            # family of two or more; a single survivor skips normalize.
+            _check_ball_in_domain(self.sites[fids[0]], ball)
+        return build_relative([self.sites[i] for i in fids], ball, self.eps,
+                              indices=fids, accuracy="fast")
 
     # -- queries --------------------------------------------------------------
 
@@ -483,10 +513,5 @@ def load_index(path: str) -> AnnIndex:
     base = build_avd(points, cfg)
     index.tree = AvdTree.from_bytes(tree_blob, base.positions, base.site_groups, cfg)
     index.tree.position_of_site = base.position_of_site
-    index._lock = threading.RLock()
-    index.stats = Counter()
-    c = points.mean(axis=0)
-    r = float(np.max(np.linalg.norm(points - c[None, :], axis=1))) * (1.0 + 1e-9)
-    index._site_ball = EuclideanBall(c, r)
-    index._outside_patchset = None
+    index._init_runtime()
     return index

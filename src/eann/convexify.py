@@ -331,6 +331,14 @@ class NormalizedFamily:
         return self.kept_fns[pos]._hessians(X) * (self.ball.radius**2 / self.scale_h)
 
 
+def prune_screen(lo: np.ndarray, hi: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    """Mask of the members ``normalize`` estimates, from per-member bounds
+    (lo, hi) on the ball minima: the rest provably exceed the prune threshold.
+    A relative ``slack`` widens the screen to a superset, for callers whose
+    bounds may differ from normalize's in the last bits."""
+    return lo <= 2.0 * (1.0 + PRUNE_DELTA) * 1.001 * float(np.min(hi)) * (1.0 + slack)
+
+
 def normalize(family: list[SiteFunction], ball: EuclideanBall, indices=None,
               check_separation: bool = True, accuracy: str = "high") -> NormalizedFamily:
     """Rescale a separated family over a ball, pruning members that cannot
@@ -357,9 +365,7 @@ def normalize(family: list[SiteFunction], ball: EuclideanBall, indices=None,
             offender = indices[int(np.argmax(bad))]
             raise ValueError(f"insufficient separation: site {offender}")
     lo, hi = batch_value_bounds(family, dists)
-    upper = float(np.min(hi))
-    screen = 2.0 * (1.0 + PRUNE_DELTA) * 1.001 * upper
-    est_positions = [i for i in range(len(family)) if lo[i] <= screen]
+    est_positions = np.flatnonzero(prune_screen(lo, hi)).tolist()
 
     if accuracy == "fast":
         estimates, refined, f1_min = _tiered_fast_estimates(family, ball, lo, est_positions)
