@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from ._batch import bregman_gradients, bregman_values
 from .distances import BregmanSpec, SiteFunction, admissibility_ratios
 from .geom import EuclideanBall, as_vector, is_separated, separation_ratio
 
@@ -110,15 +111,15 @@ def measure_bregman_complexity(spec: BregmanSpec, s: SampleSpec) -> ComplexityRe
     gp = spec.gradients(p)
     gq = spec.gradients(q)
     diff = q - p
-    d_qp = fq - fp - np.einsum("ad,ad->a", gp, diff)
-    d_pq = fp - fq + np.einsum("ad,ad->a", gq, diff)
+    d_qp = bregman_values(spec, q[None], diff[None], fp, gp)[0]
+    d_pq = bregman_values(spec, p[None], -diff[None], fq, gq)[0]
     sq_dist = np.einsum("ad,ad->a", diff, diff)
 
     ok = (d_qp >= VALUE_FLOOR) & (d_pq >= VALUE_FLOOR) & (sq_dist > 0.0)
     if not np.any(ok):
         raise ValueError("degenerate sample")
     d_qp, d_pq, sq_dist = d_qp[ok], d_pq[ok], sq_dist[ok]
-    gq, gp, diff = gq[ok], gp[ok], diff[ok]
+    q, gp, diff = q[ok], gp[ok], diff[ok]
 
     mu_asym = float(np.max(d_qp / d_pq))
     ratios = d_qp / sq_dist
@@ -134,7 +135,7 @@ def measure_bregman_complexity(spec: BregmanSpec, s: SampleSpec) -> ComplexityRe
         # Not 1-similar as given; report the ratio after the optimal rescaling.
         report.mu_sim = r_hi / r_lo
         report.sim_rescaled = True
-    grad_d = gq - gp
+    grad_d = bregman_gradients(spec, q[None], gp)[0]
     report.mu_dir = float(np.max(np.einsum("ad,ad->a", grad_d, diff) / d_qp))
     report.mu_asym = mu_asym
     return report
@@ -194,10 +195,9 @@ def check_three_point(spec: BregmanSpec, q, p1, p2) -> float:
     d_q_p2 = float(spec.divergence(q, p2)[0])
     d_p2_p1 = float(spec.divergence(p2, p1)[0])
     d_q_p1 = float(spec.divergence(q, p1)[0])
-    g1 = spec.gradients(p1[None, :])[0]
-    g2 = spec.gradients(p2[None, :])[0]
+    g12 = bregman_gradients(spec, p1[None, None, :], spec.gradients(p2[None, :]))[0, 0]
     lhs = d_q_p2 + d_p2_p1
-    rhs = d_q_p1 + float(np.dot(q - p2, g1 - g2))
+    rhs = d_q_p1 + float(np.dot(q - p2, g12))
     return abs(lhs - rhs)
 
 
@@ -222,7 +222,8 @@ def check_eigen_sandwich(spec: BregmanSpec, q, p, segment_samples: int = 64,
     lo = float(np.min(lam_lo))
     hi = float(np.max(lam_hi))
     d_val = float(spec.divergence(q, p)[0])
-    g_norm = float(np.linalg.norm(spec.gradients(q[None, :])[0] - spec.gradients(p[None, :])[0]))
+    grad = bregman_gradients(spec, q[None, None, :], spec.gradients(p[None, :]))
+    g_norm = float(np.linalg.norm(grad))
     tol = 1.0 + slack
     value_ok = (0.5 * lo * dist**2 <= d_val * tol) and (d_val <= 0.5 * hi * dist**2 * tol)
     grad_ok = (lo * dist <= g_norm * tol) and (g_norm <= hi * dist * tol)

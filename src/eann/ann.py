@@ -22,7 +22,7 @@ from collections import Counter
 
 import numpy as np
 
-from ._batch import batch_value_bounds, batch_values
+from ._batch import SiteFamily, batch_values
 from .avd import _LEAF, _PENDING, AvdConfig, AvdLeaf, AvdTree, build_avd
 from .convexify import _check_ball_in_domain, prune_screen
 from .distances import (
@@ -65,11 +65,11 @@ class InnerPatchSet:
     relative envelope at error eps/3.
     """
 
-    def __init__(self, fns: list[SiteFunction], indices: list[int],
+    def __init__(self, family, indices: list[int],
                  p_prime: np.ndarray, tau: float, eps: float):
         self.p_prime = np.asarray(p_prime, dtype=float)
         self.indices = list(indices)
-        self.perturbed = [f.resite(self.p_prime) for f in fns]
+        self.perturbed = SiteFamily.of(family).resite(self.p_prime)
         self.tau = float(tau)
         self.eps = float(eps)
         self.side = 1.0 / (2.0 * self.tau + 1.0)  # patch diameter
@@ -145,9 +145,10 @@ class _Attachment:
         self.brute = False
 
 
-def brute_force(sites: list[SiteFunction], q) -> tuple[int, float]:
-    """Exact argmin/min by full scan; ties go to the lowest index."""
-    vals = batch_values(sites, q)[0]
+def brute_force(sites, q) -> tuple[int, float]:
+    """Exact argmin/min by full scan of a ``SiteFamily`` or a list of site
+    functions; ties go to the lowest index."""
+    vals = batch_values(SiteFamily.of(sites), q)[0]
     idx = int(np.argmin(vals))
     return idx, float(vals[idx])
 
@@ -186,22 +187,21 @@ class AnnIndex:
             self.beta = 10.0 * self.tau / self.eps
         else:
             self.beta = 4.0 * self.tau**2 / self.eps
-        self.points = np.stack([f.site for f in sites])
+        if self.kind == "bregman" and (spec0.eig_low is None or spec0.eig_high is None):
+            raise ValueError("generator lacks Hessian eigenvalue bounds")
+        self.family = SiteFamily(self.sites)
+        self.points = self.family.P
         self.tree = build_avd(self.points, AvdConfig(self.alpha, self.beta))
         self._init_runtime()
 
     def _init_runtime(self) -> None:
-        """Lock, counters and per-site screen arrays, derived from the sites."""
+        """Lock, counters and the enclosing ball of the sites."""
         self._lock = threading.RLock()
         self.stats = Counter()
         c = self.points.mean(axis=0)
         r = float(np.max(np.linalg.norm(self.points - c[None, :], axis=1))) * (1.0 + 1e-9)
         self._site_ball = EuclideanBall(c, r)
         self._outside_patchset: InnerPatchSet | None = None
-        self._taus = np.array([f.tau for f in self.sites])
-        # Value bounds at unit distance; they scale linearly with distance for
-        # scaling kinds and quadratically for Bregman ones.
-        self._lo_coef, self._hi_coef = batch_value_bounds(self.sites, np.ones(self.n))
 
     @property
     def dim(self) -> int:
@@ -242,7 +242,7 @@ class AnnIndex:
             if att.inner_fids:
                 if self.kind == "scaling":
                     att.patchset = InnerPatchSet(
-                        [self.sites[i] for i in att.inner_fids], att.inner_fids,
+                        self.family.take(att.inner_fids), att.inner_fids,
                         leaf.inner_ball.center, self.tau, self.eps)
                 else:
                     att.inner_rep = att.inner_fids[0]
@@ -259,20 +259,18 @@ class AnnIndex:
         """
         diff = self.points - ball.center[None, :]
         dists = np.maximum(0.0, np.sqrt(np.einsum("md,md->m", diff, diff)) - ball.radius)
-        bad = outer & (dists / ball.diameter < 2.0 * self._taus)
+        bad = outer & (dists / ball.diameter < 2.0 * self.family.tau)
         if np.any(bad):
             raise ValueError(f"insufficient separation: site {int(np.argmax(bad))}")
-        lo, hi = self._lo_coef * dists, self._hi_coef * dists
-        if self.kind == "bregman":
-            lo, hi = lo * dists, hi * dists
+        lo, hi = self.family.value_bounds(dists)
         lo, hi = np.where(outer, lo, np.inf), np.where(outer, hi, np.inf)
         fids = np.flatnonzero(prune_screen(lo, hi, slack=_SCREEN_SLACK)).tolist()
+        survivors = self.family.take(fids)
         if np.count_nonzero(outer) > 1:
             # normalize decides Bregman brute leaves by this check on every
             # family of two or more; a single survivor skips normalize.
-            _check_ball_in_domain(self.sites[fids[0]], ball)
-        return build_relative([self.sites[i] for i in fids], ball, self.eps,
-                              indices=fids, accuracy="fast")
+            _check_ball_in_domain(survivors, ball)
+        return build_relative(survivors, ball, self.eps, indices=fids, accuracy="fast")
 
     # -- queries --------------------------------------------------------------
 
@@ -293,7 +291,7 @@ class AnnIndex:
         att = self._attachment(leaf)
         if att.brute:
             self._bump("brute_queries")
-            return brute_force(self.sites, q)
+            return brute_force(self.family, q)
         candidates: list[int] = list(att.single_fids)
         try:
             if att.outer_avr is not None:
@@ -307,14 +305,13 @@ class AnnIndex:
             elif att.inner_rep is not None:
                 candidates.append(att.inner_rep)
         except DomainError:
-            with self._lock:
-                att.brute = True
-                self.stats["brute_queries"] += 1
-                self.stats["brute_leaves"] += 1
-            return brute_force(self.sites, q)
+            # Only this query falls back; the leaf keeps its structures, so
+            # later answers do not depend on query order.
+            self._bump("brute_queries")
+            return brute_force(self.family, q)
         assert candidates, "leaf produced no candidates"
         candidates = sorted(set(candidates))
-        vals = batch_values([self.sites[i] for i in candidates], q)[0]
+        vals = batch_values(self.family.take(candidates), q)[0]
         best = int(np.argmin(vals))
         return candidates[best], float(vals[best])
 
@@ -324,19 +321,19 @@ class AnnIndex:
         gap = float(np.linalg.norm(q - ball.center)) - ball.radius
         if gap < self.beta * ball.diameter:
             self._bump("outside_brute")
-            return brute_force(self.sites, q)
+            return brute_force(self.family, q)
         if self.kind == "bregman":
             candidates = [0]
         else:
             with self._lock:
                 if self._outside_patchset is None:
                     self._outside_patchset = InnerPatchSet(
-                        self.sites, list(range(self.n)), ball.center, self.tau, self.eps)
+                        self.family, list(range(self.n)), ball.center, self.tau, self.eps)
             if np.all(q == ball.center):
                 candidates = [0]
             else:
                 candidates = [self._outside_patchset.query(q)]
-        vals = batch_values([self.sites[i] for i in candidates], q)[0]
+        vals = batch_values(self.family.take(candidates), q)[0]
         best = int(np.argmin(vals))
         return candidates[best], float(vals[best])
 
@@ -399,21 +396,27 @@ def save_index(index: AnnIndex, path: str) -> int:
     functions of the stored sites and tree), so the attachment section
     carries a zero blob count.
     """
-    fns = index.sites
-    fam = fns[0].kind
-    if fam == "gauge":
+    fam = index.family
+    kinds = {kern.kind for _, kern in fam.groups}
+    if "gauge" in kinds:
         raise ValueError("custom gauge functions are not serializable")
+    if len(kinds) != 1:
+        raise ValueError("families mixing distance kinds are not serializable")
+    (kind,) = kinds
     n, d = index.n, index.dim
     out = [MAGIC, struct.pack("<HBII", FORMAT_VERSION, _KIND_CODE[index.kind], d, n)]
     out.append(struct.pack("<dddd", index.eps, index.tau, index.alpha, index.beta))
-    out.append(struct.pack("<B", _FAMILY_CODE[fam]))
-    if fam == "minkowski":
-        out.append(np.array([f.k for f in fns], dtype="<f8").tobytes())
-        out.append(np.array([f.weight for f in fns], dtype="<f8").tobytes())
-    elif fam == "mahalanobis":
-        out.append(np.stack([f.matrix for f in fns]).astype("<f8").tobytes())
+    out.append(struct.pack("<B", _FAMILY_CODE[kind]))
+    if kind == "minkowski":
+        ks, ws = np.empty(n), np.empty(n)
+        for idx, kern in fam.groups:
+            ks[idx], ws[idx] = kern.k, kern.W
+        out.append(ks.astype("<f8").tobytes())
+        out.append(ws.astype("<f8").tobytes())
+    elif kind == "mahalanobis":
+        out.append(np.stack([f.matrix for f in fam.fns]).astype("<f8").tobytes())
     else:
-        spec = fns[0].spec
+        spec = fam.specs[0]
         name = spec.name.encode()
         out.append(struct.pack("<H", len(name)))
         out.append(name)
@@ -423,7 +426,7 @@ def save_index(index: AnnIndex, path: str) -> int:
         if spec.matrix is not None:
             out.append(np.asarray(spec.matrix, dtype="<f8").tobytes())
     out.append(index.points.astype("<f8").tobytes())
-    out.append(np.array([f.tau for f in fns], dtype="<f8").tobytes())
+    out.append(fam.tau.astype("<f8").tobytes())
     tree_blob = index.tree.to_bytes()
     out.append(struct.pack("<I", len(tree_blob)))
     out.append(tree_blob)
@@ -434,65 +437,70 @@ def save_index(index: AnnIndex, path: str) -> int:
     return len(blob)
 
 
+class _Reader:
+    """Bounds-checked reads from an index file: a short file raises
+    ``ValueError`` naming the offset, never ``struct.error``."""
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.off = 0
+
+    def take(self, size: int) -> bytes:
+        if self.off + size > len(self.blob):
+            raise ValueError(f"index file truncated at offset {self.off} "
+                             f"(needs {size} more bytes, has {len(self.blob) - self.off})")
+        chunk = self.blob[self.off : self.off + size]
+        self.off += size
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def floats(self, *shape: int) -> np.ndarray:
+        count = int(np.prod(shape))
+        return np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape).astype(float)
+
+
 def load_index(path: str) -> AnnIndex:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
+        rd = _Reader(fh.read())
+    if rd.take(4) != MAGIC:
         raise ValueError("not an index file")
-    off = 4
-    version, kind_code, d, n = struct.unpack_from("<HBII", blob, off)
-    off += struct.calcsize("<HBII")
+    version, kind_code, d, n = rd.unpack("<HBII")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
-    eps, tau, alpha, beta = struct.unpack_from("<dddd", blob, off)
-    off += 32
-    (fam_code,) = struct.unpack_from("<B", blob, off)
-    off += 1
+    eps, tau, alpha, beta = rd.unpack("<dddd")
+    (fam_code,) = rd.unpack("<B")
     if fam_code == 0:
-        ks = np.frombuffer(blob, dtype="<f8", count=n, offset=off)
-        off += 8 * n
-        ws = np.frombuffer(blob, dtype="<f8", count=n, offset=off)
-        off += 8 * n
-        params = ("minkowski", ks.copy(), ws.copy())
+        ks, ws = rd.floats(n), rd.floats(n)
     elif fam_code == 1:
-        mats = np.frombuffer(blob, dtype="<f8", count=n * d * d, offset=off).reshape(n, d, d)
-        off += 8 * n * d * d
-        params = ("mahalanobis", mats.copy())
+        mats = rd.floats(n, d, d)
+    elif fam_code == 2:
+        (name_len,) = rd.unpack("<H")
+        name = rd.take(name_len).decode()
+        lo, hi = rd.floats(d), rd.floats(d)
+        (has_mat,) = rd.unpack("<B")
+        mat = rd.floats(d, d) if has_mat else None
+        if name not in BUILTIN_BREGMAN:
+            raise ValueError(f"unknown Bregman generator '{name}'")
     else:
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + name_len].decode()
-        off += name_len
-        lo = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
-        off += 8 * d
-        hi = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
-        off += 8 * d
-        (has_mat,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        mat = None
-        if has_mat:
-            mat = np.frombuffer(blob, dtype="<f8", count=d * d, offset=off).reshape(d, d).copy()
-            off += 8 * d * d
-        params = ("bregman", name, lo, hi, mat)
-    points = np.frombuffer(blob, dtype="<f8", count=n * d, offset=off).reshape(n, d).copy()
-    off += 8 * n * d
-    taus = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    (tree_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    tree_blob = blob[off : off + tree_len]
-    off += tree_len
+        raise ValueError(f"unknown family code {fam_code}")
+    points = rd.floats(n, d)
+    taus = rd.floats(n)
+    (tree_len,) = rd.unpack("<I")
+    tree_blob = rd.take(tree_len)
+    (blob_count,) = rd.unpack("<I")
+    if blob_count != 0:
+        raise ValueError(f"unexpected attachment blobs at offset {rd.off - 4}")
+    if rd.off != len(rd.blob):
+        raise ValueError(f"trailing bytes at offset {rd.off}")
 
-    fns: list[SiteFunction] = []
-    if params[0] == "minkowski":
-        _, ks, ws = params
+    if fam_code == 0:
         fns = [MinkowskiDistance(points[i], float(ks[i]), float(ws[i]), tau=float(taus[i]))
                for i in range(n)]
-    elif params[0] == "mahalanobis":
-        _, mats = params
+    elif fam_code == 1:
         fns = [MahalanobisDistance(points[i], mats[i], tau=float(taus[i])) for i in range(n)]
     else:
-        _, name, lo, hi, mat = params
         if name == "squared-mahalanobis":
             spec = squared_mahalanobis_spec(mat, lo, hi)
         elif name == "squared-euclidean":
@@ -504,6 +512,7 @@ def load_index(path: str) -> AnnIndex:
     index = AnnIndex.__new__(AnnIndex)
     index.kind = "scaling" if kind_code == 0 else "bregman"
     index.sites = fns
+    index.family = SiteFamily(fns)
     index.eps = float(eps)
     index.tau = float(tau)
     index.alpha = float(alpha)

@@ -366,25 +366,6 @@ class AvdTree:
     def leaf_count(self) -> int:
         return len(self.leaves())
 
-    def node_count(self) -> int:
-        self.materialize()
-        n = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            n += 1
-            if node.kind != _LEAF:
-                stack.extend(c for c in node.children if c is not None)
-        return n
-
-    def depth_stats(self) -> dict:
-        depths = np.array([leaf.depth for leaf in self.leaves()])
-        return {
-            "max": int(depths.max()),
-            "mean": float(depths.mean()),
-            "count": int(len(depths)),
-        }
-
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -133,7 +131,7 @@ def cmd_query(args) -> int:
             continue
         line = f"{witness} {value:.17g}"
         if args.check:
-            _, best = brute_force(index.sites, q)
+            _, best = brute_force(index.family, q)
             ok = value <= (1.0 + index.eps) * best * (1.0 + 1e-10) + 1e-300
             if not ok:
                 failures += 1
@@ -218,7 +216,7 @@ def _run_bench_config(kind_tag: str, n: int, d: int, eps: float, seed: int,
         t0 = time.perf_counter()
         witness, value = index.query(q)
         latencies[i] = time.perf_counter() - t0
-        _, best = brute_force(index.sites, q)
+        _, best = brute_force(index.family, q)
         ratio = value / best if best > 0 else 1.0
         worst = max(worst, ratio)
         if value > (1.0 + eps) * best * (1.0 + 1e-10) + 1e-300:
@@ -295,19 +293,8 @@ def cmd_bench(args) -> int:
     n_queries = int(sweep.get("queries", 200))
 
     combos = [(k, n, d, e) for k in kinds for d in ds for n in ns for e in eps_list]
-    workers = max(1, int(os.environ.get("EANN_THREADS", "1")))
-    results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_bench_config, k, n, d, e,
-                            seed + 1000 * i, n_queries)
-                for i, (k, n, d, e) in enumerate(combos)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        for i, (k, n, d, e) in enumerate(combos):
-            results.append(_run_bench_config(k, n, d, e, seed + 1000 * i, n_queries))
+    results = [_run_bench_config(k, n, d, e, seed + 1000 * i, n_queries)
+               for i, (k, n, d, e) in enumerate(combos)]
 
     if sweep.get("fits", True):
         fits = {

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._batch import PairedFamily, batch_value_bounds, batch_values
-from .distances import BregmanDistance, DomainError, MahalanobisDistance, MinkowskiDistance, SiteFunction
+from ._batch import SiteFamily, batch_value_bounds, batch_values
+from .distances import DomainError, SiteFunction
 from .geom import EuclideanBall, is_separated
 
 PRUNE_DELTA = 0.01
@@ -29,49 +29,62 @@ class MinEstimate(NamedTuple):
     argmin: np.ndarray
 
 
-def _check_ball_in_domain(f: SiteFunction, ball: EuclideanBall) -> None:
-    if isinstance(f, BregmanDistance):
-        lo = f.spec.domain_low
-        hi = f.spec.domain_high
-        if np.any(ball.center - ball.radius <= lo) or np.any(ball.center + ball.radius >= hi):
+def _check_ball_in_domain(fam: SiteFamily, ball: EuclideanBall) -> None:
+    for spec in fam.specs:
+        if (np.any(ball.center - ball.radius <= spec.domain_low)
+                or np.any(ball.center + ball.radius >= spec.domain_high)):
             raise DomainError("ball outside domain")
 
 
-def _exact_min_weighted_l2(f: MinkowskiDistance, ball: EuclideanBall) -> MinEstimate:
-    v = f.site - ball.center
-    dist = float(np.linalg.norm(v))
-    arg = ball.center + ball.radius * v / dist
-    return MinEstimate(f.weight * (dist - ball.radius), arg)
+def _closed_form_minima(fam: SiteFamily, ball: EuclideanBall):
+    """Exact ball minima and minimizers of the weighted Euclidean and
+    Mahalanobis members: (values, argmins, mask of the members solved)."""
+    vals = np.full(len(fam), np.nan)
+    args = np.empty_like(fam.P)
+    solved = np.zeros(len(fam), dtype=bool)
+    for idx, kern in fam.groups:
+        if kern.kind == "minkowski" and kern.k == 2.0:
+            vals[idx] = kern.W * (np.linalg.norm(kern.P - ball.center[None, :], axis=1)
+                                  - ball.radius)
+            args[idx] = _face_seeds(kern.P, ball)
+        elif kern.kind == "mahalanobis":
+            vals[idx], args[idx] = _mahalanobis_minima(kern, ball)
+        else:
+            continue
+        solved[idx] = True
+    return vals, args, solved
 
 
-def _exact_min_mahalanobis(f: MahalanobisDistance, ball: EuclideanBall) -> MinEstimate:
-    # Trust-region subproblem: minimize (y-b)^T M (y-b) over ||y|| <= r.
-    b = f.site - ball.center
+def _mahalanobis_minima(kern, ball: EuclideanBall):
+    # Trust-region subproblem per member: minimize (y-b)^T M (y-b) over
+    # ||y|| <= r, by bisection on the multiplier in M's eigenbasis.
     r = ball.radius
-    w, Q = np.linalg.eigh(f.matrix)
-    bt = Q.T @ b
+    w, Q = np.linalg.eigh(kern.M)
+    b = kern.P - ball.center[None, :]
+    bt = np.einsum("mij,mi->mj", Q, b)
     target = r * r
 
-    def radius_sq(lam: float) -> float:
-        y = w * bt / (w + lam)
-        return float(np.dot(y, y))
+    def radius_sq(lam):
+        y = w * bt / (w + lam[:, None])
+        return np.einsum("md,md->m", y, y)
 
-    lo = 0.0
-    hi = max(1.0, float(w[-1]) * float(np.linalg.norm(b)) / r)
-    while radius_sq(hi) > target:
-        hi *= 2.0
-    for _ in range(200):
+    lo = np.zeros(len(b))
+    hi = np.maximum(1.0, w[:, -1] * np.linalg.norm(b, axis=1) / r)
+    for _ in range(60):
+        grow = radius_sq(hi) > target
+        if not np.any(grow):
+            break
+        hi = np.where(grow, hi * 2.0, hi)
+    for _ in range(120):
         mid = 0.5 * (lo + hi)
-        if radius_sq(mid) > target:
-            lo = mid
-        else:
-            hi = mid
+        over = radius_sq(mid) > target
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
     lam = 0.5 * (lo + hi)
-    y = w * bt / (w + lam)
-    x = ball.center + Q @ y
+    y = w * bt / (w + lam[:, None])
     diff = y - bt
-    val = float(np.sqrt(max(0.0, np.dot(diff * w, diff))))
-    return MinEstimate(val, x)
+    vals = np.sqrt(np.maximum(np.einsum("md,md,md->m", diff, w, diff), 0.0))
+    return vals, ball.center[None, :] + np.einsum("mij,mj->mi", Q, y)
 
 
 def _segment_argmin(f: SiteFunction, a: np.ndarray, b: np.ndarray, rounds: int = 26) -> np.ndarray:
@@ -154,12 +167,11 @@ def estimate_min_on_ball(f: SiteFunction, ball: EuclideanBall, budget: int | Non
     """
     if check_separation and not is_separated(f.site, ball, 2.0 * f.tau):
         raise ValueError("insufficient separation")
-    _check_ball_in_domain(f, ball)
-
-    if isinstance(f, MinkowskiDistance) and f.k == 2.0:
-        return _exact_min_weighted_l2(f, ball)
-    if isinstance(f, MahalanobisDistance):
-        return _exact_min_mahalanobis(f, ball)
+    fam = SiteFamily([f])
+    _check_ball_in_domain(fam, ball)
+    vals, args, solved = _closed_form_minima(fam, ball)
+    if solved[0]:
+        return MinEstimate(float(vals[0]), args[0])
 
     d = ball.center.size
     if budget is None:
@@ -177,7 +189,7 @@ def estimate_min_on_ball(f: SiteFunction, ball: EuclideanBall, budget: int | Non
     vn = float(np.linalg.norm(v))
     if vn > 0:
         seeds = np.vstack([seeds, ball.center + ball.radius * v / vn])
-    vals = batch_values([f], seeds)[:, 0]
+    vals = batch_values(fam, seeds)[:, 0]
     order = np.argsort(vals)
     best = MinEstimate(float(vals[order[0]]), seeds[order[0]])
     for idx in order[:3]:
@@ -187,148 +199,94 @@ def estimate_min_on_ball(f: SiteFunction, ball: EuclideanBall, budget: int | Non
     return best
 
 
-def _exact_min_weighted_l2_batch(fns, ball: EuclideanBall) -> np.ndarray:
-    P = np.stack([f.site for f in fns])
-    W = np.array([f.weight for f in fns])
-    dists = np.linalg.norm(P - ball.center[None, :], axis=1) - ball.radius
-    return W * dists
-
-
-def _exact_min_mahalanobis_batch(fns, ball: EuclideanBall) -> np.ndarray:
-    Ms = np.stack([f.matrix for f in fns])
-    P = np.stack([f.site for f in fns])
-    r = ball.radius
-    w, Q = np.linalg.eigh(Ms)
-    b = P - ball.center[None, :]
-    bt = np.einsum("mij,mi->mj", Q, b)
-    target = r * r
-
-    def radius_sq(lam):
-        y = w * bt / (w + lam[:, None])
-        return np.einsum("md,md->m", y, y)
-
-    m = len(fns)
-    lo = np.zeros(m)
-    hi = np.maximum(1.0, w[:, -1] * np.linalg.norm(b, axis=1) / r)
-    for _ in range(60):
-        grow = radius_sq(hi) > target
-        if not np.any(grow):
-            break
-        hi = np.where(grow, hi * 2.0, hi)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        over = radius_sq(mid) > target
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
-    lam = 0.5 * (lo + hi)
-    y = w * bt / (w + lam[:, None])
-    diff = y - bt
-    return np.sqrt(np.maximum(np.einsum("md,md,md->m", diff, w, diff), 0.0))
-
-
-def _face_seeds(fns, ball: EuclideanBall) -> np.ndarray:
+def _face_seeds(P: np.ndarray, ball: EuclideanBall) -> np.ndarray:
     """Ball-boundary points facing each site (exact minimizers for
     Euclidean-like gauges, good starts otherwise)."""
     c, r = ball.center, ball.radius
-    P = np.stack([f.site for f in fns])
     V = P - c[None, :]
     nv = np.linalg.norm(V, axis=1)
     nv = np.where(nv > 0, nv, 1.0)
     return c[None, :] + r * V / nv[:, None]
 
 
-def _fast_fw_refine(fam: PairedFamily, ball: EuclideanBall, X: np.ndarray,
+def _fast_fw_refine(fam: SiteFamily, ball: EuclideanBall, X: np.ndarray,
                     steps: int = 4, rounds: int = 3) -> np.ndarray:
     """Lockstep Frank-Wolfe from the given starts; batched line searches.
     Returned values upper-bound the true minima (each is a feasible value)."""
     c, r = ball.center, ball.radius
     grid = np.linspace(0.0, 1.0, 9)
+    m = len(fam)
     for _ in range(steps):
         G = fam.gradients(X)
         gn = np.linalg.norm(G, axis=1)
         gn = np.where(gn > 0, gn, 1.0)
         vertex = c[None, :] - r * G / gn[:, None]
         span = vertex - X
-        lo = np.zeros(fam.m)
-        hi = np.ones(fam.m)
+        lo = np.zeros(m)
+        hi = np.ones(m)
         for _ in range(rounds):
             ts = lo[None, :] + (hi - lo)[None, :] * grid[:, None]  # (9, m)
             pts = X[None, :, :] + ts[:, :, None] * span[None, :, :]
-            vals = fam.grid_values(pts)
+            vals = fam.paired(pts)
             j = np.argmin(vals, axis=0)
             lo_new = lo + (hi - lo) * grid[np.maximum(j - 1, 0)]
             hi_new = lo + (hi - lo) * grid[np.minimum(j + 1, 8)]
             lo, hi = lo_new, hi_new
         X = X + (0.5 * (lo + hi))[:, None] * span
-    return fam.values(X)
+    return fam.paired(X)
 
 
-def fast_min_estimates(fns: list[SiteFunction], ball: EuclideanBall) -> np.ndarray:
+def fast_min_estimates(family, ball: EuclideanBall) -> np.ndarray:
     """Vectorized per-member ball minima, exact for Euclidean-like kinds and
     slightly above-true for the rest; used by the index build path where a
     fraction of a percent of slack only shifts constants."""
-    if len(fns) == 0:
+    if len(family) == 0:
         return np.zeros(0)
-    _check_ball_in_domain(fns[0], ball)
-    vals = np.empty(len(fns))
-    groups: dict[str, list[int]] = {"l2": [], "mahal": [], "fw": []}
-    for i, f in enumerate(fns):
-        if isinstance(f, MinkowskiDistance) and f.k == 2.0:
-            groups["l2"].append(i)
-        elif isinstance(f, MahalanobisDistance):
-            groups["mahal"].append(i)
-        else:
-            groups["fw"].append(i)
-    if groups["l2"]:
-        idx = groups["l2"]
-        vals[idx] = _exact_min_weighted_l2_batch([fns[i] for i in idx], ball)
-    if groups["mahal"]:
-        idx = groups["mahal"]
-        vals[idx] = _exact_min_mahalanobis_batch([fns[i] for i in idx], ball)
-    if groups["fw"]:
-        idx = groups["fw"]
-        sub = [fns[i] for i in idx]
-        fam = PairedFamily(sub)
-        fam.trust_domain = True
-        vals[idx] = _fast_fw_refine(fam, ball, _face_seeds(sub, ball))
+    fam = SiteFamily.of(family)
+    _check_ball_in_domain(fam, ball)
+    vals, _, solved = _closed_form_minima(fam, ball)
+    fw = np.flatnonzero(~solved)
+    if fw.size:
+        sub = fam.take(fw)
+        vals[fw] = _fast_fw_refine(sub, ball, _face_seeds(sub.P, ball))
     return vals
 
 
 class NormalizedFamily:
     """Kept members rescaled to the unit ball: g_i(u) = f_i(c + r*u) / h."""
 
-    def __init__(self, ball: EuclideanBall, scale_h: float, kept_indices, kept_fns,
+    def __init__(self, ball: EuclideanBall, scale_h: float, kept_indices, kept: SiteFamily,
                  pruned_indices, pruned_estimates, f1_min: float):
         self.ball = ball
         self.scale_h = float(scale_h)
         self.kept_indices = list(kept_indices)
-        self.kept_fns = list(kept_fns)
+        self.family = kept
         self.pruned_indices = list(pruned_indices)
         self.pruned_estimates = list(pruned_estimates)
         self.f1_min = float(f1_min)
 
     @property
     def size(self) -> int:
-        return len(self.kept_fns)
+        return len(self.family)
 
     def world_points(self, U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         return self.ball.center[None, :] + self.ball.radius * U
 
     def values_matrix(self, U: np.ndarray) -> np.ndarray:
-        return batch_values(self.kept_fns, self.world_points(U)) / self.scale_h
+        return batch_values(self.family, self.world_points(U)) / self.scale_h
 
     def member_values(self, pos: int, U: np.ndarray) -> np.ndarray:
         X = self.world_points(U)
-        return self.kept_fns[pos]._values(X) / self.scale_h
+        return self.family.fns[pos]._values(X) / self.scale_h
 
     def member_gradients(self, pos: int, U: np.ndarray) -> np.ndarray:
         X = self.world_points(U)
-        return self.kept_fns[pos]._gradients(X) * (self.ball.radius / self.scale_h)
+        return self.family.fns[pos]._gradients(X) * (self.ball.radius / self.scale_h)
 
     def member_hessians(self, pos: int, U: np.ndarray) -> np.ndarray:
         X = self.world_points(U)
-        return self.kept_fns[pos]._hessians(X) * (self.ball.radius**2 / self.scale_h)
+        return self.family.fns[pos]._hessians(X) * (self.ball.radius**2 / self.scale_h)
 
 
 def prune_screen(lo: np.ndarray, hi: np.ndarray, slack: float = 0.0) -> np.ndarray:
@@ -339,10 +297,11 @@ def prune_screen(lo: np.ndarray, hi: np.ndarray, slack: float = 0.0) -> np.ndarr
     return lo <= 2.0 * (1.0 + PRUNE_DELTA) * 1.001 * float(np.min(hi)) * (1.0 + slack)
 
 
-def normalize(family: list[SiteFunction], ball: EuclideanBall, indices=None,
+def normalize(family, ball: EuclideanBall, indices=None,
               check_separation: bool = True, accuracy: str = "high") -> NormalizedFamily:
-    """Rescale a separated family over a ball, pruning members that cannot
-    touch the lower envelope there.
+    """Rescale a separated family (a ``SiteFamily`` or a list of site
+    functions) over a ball, pruning members that cannot touch the lower
+    envelope there.
 
     A member is pruned when its estimated ball minimum exceeds twice the
     family minimum (with 1% slack); such members exceed the smallest member
@@ -351,47 +310,44 @@ def normalize(family: list[SiteFunction], ball: EuclideanBall, indices=None,
     land beyond the prune threshold. ``accuracy="fast"`` switches to the
     vectorized estimator used during index construction.
     """
-    if len(family) == 0:
-        raise ValueError("empty family")
+    family = SiteFamily.of(family)
     if indices is None:
         indices = list(range(len(family)))
 
-    sites = np.stack([f.site for f in family])
-    dists = np.maximum(0.0, np.linalg.norm(sites - ball.center[None, :], axis=1) - ball.radius)
+    dists = np.maximum(0.0, np.linalg.norm(family.P - ball.center[None, :], axis=1) - ball.radius)
     if check_separation:
-        taus = np.array([f.tau for f in family])
-        bad = dists / ball.diameter < 2.0 * taus
+        bad = dists / ball.diameter < 2.0 * family.tau
         if np.any(bad):
             offender = indices[int(np.argmax(bad))]
             raise ValueError(f"insufficient separation: site {offender}")
     lo, hi = batch_value_bounds(family, dists)
-    est_positions = np.flatnonzero(prune_screen(lo, hi)).tolist()
+    est_positions = np.flatnonzero(prune_screen(lo, hi))
+    _check_ball_in_domain(family, ball)
 
     if accuracy == "fast":
         estimates, refined, f1_min = _tiered_fast_estimates(family, ball, lo, est_positions)
     else:
         estimates = {}
-        for i in est_positions:
-            estimates[i] = estimate_min_on_ball(family[i], ball, check_separation=False).value
+        for i in est_positions.tolist():
+            estimates[i] = estimate_min_on_ball(family.fns[i], ball, check_separation=False).value
         refined = set(estimates)
         f1_min = min(estimates.values())
     threshold = 2.0 * (1.0 + PRUNE_DELTA) * f1_min
     keep_cap = 2.0 * threshold  # unrefined upper estimates below this stay concave-safe
 
-    kept_idx, kept_fns, pruned_idx, pruned_est = [], [], [], []
-    for i, (idx, f) in enumerate(zip(indices, family)):
+    kept_pos, pruned_idx, pruned_est = [], [], []
+    for i, idx in enumerate(indices):
         est = estimates.get(i, float(lo[i]))
         if i in estimates and (est <= threshold or (i not in refined and est <= keep_cap)):
-            kept_idx.append(idx)
-            kept_fns.append(f)
+            kept_pos.append(i)
         else:
             pruned_idx.append(idx)
             pruned_est.append(est)
-    return NormalizedFamily(ball, 5.0 * f1_min, kept_idx, kept_fns, pruned_idx,
-                            pruned_est, f1_min)
+    return NormalizedFamily(ball, 5.0 * f1_min, [indices[i] for i in kept_pos],
+                            family.take(kept_pos), pruned_idx, pruned_est, f1_min)
 
 
-def _tiered_fast_estimates(family, ball, lo_bounds, est_positions):
+def _tiered_fast_estimates(family: SiteFamily, ball, lo_bounds, est_positions):
     """Index-build estimates with minimal refinement work.
 
     Closed-form kinds are exact. Other kinds get one batched seed value per
@@ -399,35 +355,20 @@ def _tiered_fast_estimates(family, ball, lo_bounds, est_positions):
     for the family minimum or whose keep/prune call is ambiguous. Returns
     (estimates, refined-position set, family minimum).
     """
-    exact_pos, fw_pos = [], []
-    for i in est_positions:
-        f = family[i]
-        if isinstance(f, MahalanobisDistance) or (
-                isinstance(f, MinkowskiDistance) and f.k == 2.0):
-            exact_pos.append(i)
-        else:
-            fw_pos.append(i)
-    estimates: dict[int, float] = {}
-    refined: set[int] = set(exact_pos)
-    if exact_pos:
-        vals = fast_min_estimates([family[i] for i in exact_pos], ball)
-        estimates.update(zip(exact_pos, vals.tolist()))
+    vals, _, solved = _closed_form_minima(family.take(est_positions), ball)
+    estimates: dict[int, float] = dict(zip(est_positions[solved].tolist(),
+                                           vals[solved].tolist()))
+    refined: set[int] = set(estimates)
+    fw_pos = est_positions[~solved].tolist()
     if fw_pos:
-        sub = [family[i] for i in fw_pos]
-        _check_ball_in_domain(sub[0], ball)
-        fam = PairedFamily(sub)
-        fam.trust_domain = True
-        seeds = _face_seeds(sub, ball)
-        seed_vals = fam.values(seeds)
-        estimates.update(zip(fw_pos, seed_vals.tolist()))
+        fw = family.take(fw_pos)
+        estimates.update(zip(fw_pos, fw.paired(_face_seeds(fw.P, ball)).tolist()))
 
         def refine(positions):
             if not positions:
                 return
-            subsub = [family[i] for i in positions]
-            f2 = PairedFamily(subsub)
-            f2.trust_domain = True
-            vals = _fast_fw_refine(f2, ball, _face_seeds(subsub, ball))
+            sub = family.take(positions)
+            vals = _fast_fw_refine(sub, ball, _face_seeds(sub.P, ball))
             estimates.update(zip(positions, vals.tolist()))
             refined.update(positions)
 
@@ -463,10 +404,6 @@ class ConvexifiedFamily:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         return (1.0 - np.einsum("ad,ad->a", U, U)) / 8.0
 
-    @staticmethod
-    def offset_gradient(u: np.ndarray) -> np.ndarray:
-        return -np.asarray(u, dtype=float) / 4.0
-
     def values_matrix(self, U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         return self.normalized.values_matrix(U) + self.offset(U)[:, None]
@@ -488,9 +425,8 @@ class ConvexifiedFamily:
 
     def values_at_point(self, u: np.ndarray, positions) -> np.ndarray:
         """Convexified values of selected members at one normalized point."""
-        fns = [self.normalized.kept_fns[p] for p in positions]
-        x = self.normalized.world_points(u)
-        vals = batch_values(fns, x)[0] / self.normalized.scale_h
+        nf = self.normalized
+        vals = batch_values(nf.family, nf.world_points(u))[0, positions] / nf.scale_h
         return vals + float(self.offset(u)[0])
 
     def check_invariants(self, n_samples: int = 10000, seed: int = 0) -> dict:

@@ -13,14 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._batch import (  # DomainError lives with the kernels; re-exported here
+    DomainError,
+    bregman_gradients,
+    bregman_values,
+    mahalanobis_gradients,
+    mahalanobis_values,
+    minkowski_gradients,
+    minkowski_values,
+)
 from .geom import as_vector
 
 _DIRECTION_SEED = 20240601
 _TAU_INFLATION = 1.10
-
-
-class DomainError(ValueError):
-    """Raised when a point falls outside a divergence's open domain."""
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,6 @@ class SiteFunction:
         """Same distance shape translated to a new site."""
         raise NotImplementedError
 
-    def euclid_value_bounds(self, dist: float) -> tuple[float, float]:
-        """Bounds (lo, hi) on the minimum of f over any region whose
-        Euclidean distance from the site is exactly ``dist``."""
-        raise NotImplementedError
-
     def in_domain(self, x) -> bool:
         return True
 
@@ -187,36 +187,14 @@ class MinkowskiDistance(SiteFunction):
     def resite(self, new_site):
         return MinkowskiDistance(new_site, self.k, self.weight, tau=self.tau)
 
-    def euclid_value_bounds(self, dist):
-        d = self.dim
-        ratio = d ** abs(0.5 - 1.0 / self.k)  # max of ||v||_k / ||v||_2 or its inverse
-        if self.k >= 2.0:
-            lo, hi = self.weight / ratio, self.weight
-        else:
-            lo, hi = self.weight, self.weight * ratio
-        return lo * dist, hi * dist
-
     def _rel(self, pts):
         return pts - self.site[None, :]
 
     def _values(self, pts):
-        v = self._rel(pts)
-        m = np.max(np.abs(v), axis=1)
-        safe = np.where(m > 0.0, m, 1.0)
-        t = np.abs(v) / safe[:, None]
-        s = np.sum(t**self.k, axis=1)
-        return self.weight * m * s ** (1.0 / self.k)
+        return minkowski_values(self._rel(pts)[:, None, :], self.k, self.weight)[:, 0]
 
     def _gradients(self, pts):
-        k = self.k
-        v = self._rel(pts)
-        m = np.max(np.abs(v), axis=1)
-        t = v / m[:, None]
-        a = np.abs(t)
-        s = np.sum(a**k, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = s[:, None] ** (1.0 / k - 1.0) * a ** (k - 1.0) * np.sign(t)
-        return self.weight * g
+        return minkowski_gradients(self._rel(pts)[:, None, :], self.k, self.weight)[:, 0]
 
     def _hessians(self, pts):
         k = self.k
@@ -272,26 +250,16 @@ class MahalanobisDistance(SiteFunction):
     def resite(self, new_site):
         return MahalanobisDistance(new_site, self.matrix, tau=self.tau)
 
-    def euclid_value_bounds(self, dist):
-        return self.sqrt_eig_min * dist, self.sqrt_eig_max * dist
-
     def _values(self, pts):
-        v = pts - self.site[None, :]
-        q = np.einsum("ad,de,ae->a", v, self.matrix, v)
-        return np.sqrt(np.maximum(q, 0.0))
+        return mahalanobis_values((pts - self.site)[:, None, :], self.matrix[None])[:, 0]
 
     def _gradients(self, pts):
-        v = pts - self.site[None, :]
-        mv = v @ self.matrix
-        f = np.sqrt(np.maximum(np.einsum("ad,ad->a", v, mv), 0.0))
-        return mv / f[:, None]
+        return mahalanobis_gradients((pts - self.site)[:, None, :], self.matrix[None])[:, 0]
 
     def _hessians(self, pts):
-        v = pts - self.site[None, :]
-        mv = v @ self.matrix
-        f = np.sqrt(np.maximum(np.einsum("ad,ad->a", v, mv), 0.0))
-        outer = mv[:, :, None] * mv[:, None, :]
-        return self.matrix[None, :, :] / f[:, None, None] - outer / (f**3)[:, None, None]
+        # (M - g g^T) / f with g = M v / f the gradient.
+        f, g = self._values(pts), self._gradients(pts)
+        return (self.matrix[None, :, :] - g[:, :, None] * g[:, None, :]) / f[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +296,6 @@ class CustomGaugeDistance(SiteFunction):
     def resite(self, new_site):
         return CustomGaugeDistance(new_site, self._gv, self._gg, self._gh,
                                    self.params, tau=self.tau, value_bounds=self._bounds)
-
-    def euclid_value_bounds(self, dist):
-        return self._bounds[0] * dist, self._bounds[1] * dist
 
     def _values(self, pts):
         return np.asarray(self._gv(pts - self.site[None, :]), dtype=float)
@@ -386,14 +351,6 @@ class BregmanSpec:
     def gradients(self, pts):
         return np.asarray(self.grad(pts), dtype=float)
 
-    def hessian_at(self, x) -> np.ndarray:
-        pts, _ = _as_points(x, self.dim)
-        if self.hess_kind == "const":
-            return np.asarray(self.hess, dtype=float)
-        if self.hess_kind == "diag":
-            return np.diag(np.asarray(self.hess(pts), dtype=float)[0])
-        return np.asarray(self.hess(pts), dtype=float)[0]
-
     def hessian_norms(self, pts) -> np.ndarray:
         """Spectral norms of the Hessian at each point."""
         if self.hess_kind == "const":
@@ -420,10 +377,9 @@ class BregmanSpec:
     def divergence(self, q, p) -> np.ndarray:
         """D(q, p) batched over rows of q (p a single point)."""
         qp, _ = _as_points(q, self.dim)
-        p = as_vector(p)
-        fp = float(self.values(p[None, :])[0])
-        gp = self.gradients(p[None, :])[0]
-        return self.values(qp) - fp - (qp - p[None, :]) @ gp
+        p = as_vector(p)[None, :]
+        X = qp[:, None, :]
+        return bregman_values(self, X, X - p, self.values(p), self.gradients(p))[:, 0]
 
 
 def _expand_bound(val, dim, default):
@@ -546,26 +502,17 @@ class BregmanDistance(SiteFunction):
     def in_domain(self, x):
         return self.spec.in_domain(x)
 
-    def euclid_value_bounds(self, dist):
-        lo = self.spec.eig_low
-        hi = self.spec.eig_high
-        if lo is None or hi is None:
-            raise ValueError("generator lacks Hessian eigenvalue bounds")
-        return 0.5 * lo * dist * dist, 0.5 * hi * dist * dist
-
     def _check_domain(self, pts):
-        ok = np.all(pts > self.spec.domain_low[None, :], axis=1) & np.all(
-            pts < self.spec.domain_high[None, :], axis=1
-        )
-        if not np.all(ok):
+        if not np.all(self.spec.in_domain(pts)):
             raise DomainError("query outside domain")
 
     def _values(self, pts):
-        rel = pts - self.site[None, :]
-        return self.spec.values(pts) - self._site_value - rel @ self._site_grad
+        X = pts[:, None, :]
+        return bregman_values(self.spec, X, X - self.site, self._site_value,
+                              self._site_grad[None])[:, 0]
 
     def _gradients(self, pts):
-        return self.spec.gradients(pts) - self._site_grad[None, :]
+        return bregman_gradients(self.spec, pts[:, None, :], self._site_grad)[:, 0]
 
     def _hessians(self, pts):
         if self.spec.hess_kind == "const":

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._batch import SiteFamily
 from .convexify import ConvexifiedFamily, convexify, normalize
 from .geom import EuclideanBall
-from .distances import SiteFunction
 
 SPACING_SAFETY = 0.8
 
@@ -261,25 +261,25 @@ class RelativeAvr:
     points into the unit ball and witness values back out.
     """
 
-    def __init__(self, family: list[SiteFunction], ball: EuclideanBall, eps: float,
+    def __init__(self, family, ball: EuclideanBall, eps: float,
                  indices=None, check_separation: bool = True, accuracy: str = "high"):
         if not (0.0 < eps <= 1.0):
             raise ValueError("eps out of range")
-        if len(family) == 0:
-            raise ValueError("empty family")
+        family = SiteFamily.of(family)
         self.ball = ball
         self.eps = float(eps)
         if indices is None:
             indices = list(range(len(family)))
         self.indices = list(indices)
-        self.family = list(family)
         if len(family) == 1:
             self.trivial = True
+            self.family = family
             self.normalized = None
             self.convexified = None
             self.env = None
             return
         self.trivial = False
+        self.family = None  # the kept members live in self.normalized.family
         self.normalized = normalize(family, ball, indices=indices,
                                     check_separation=check_separation, accuracy=accuracy)
         self.convexified = convexify(self.normalized)
@@ -290,7 +290,7 @@ class RelativeAvr:
         (1+eps) times the family minimum for x inside the ball."""
         x = np.asarray(x, dtype=float)
         if self.trivial:
-            return float(self.family[0].value(x)), self.indices[0]
+            return float(self.family.values(x)[0, 0]), self.indices[0]
         u = (x - self.ball.center) / self.ball.radius
         norm = float(np.linalg.norm(u))
         if norm > 1.0 + 1e-9:
@@ -307,7 +307,7 @@ class RelativeAvr:
         return 0 if self.trivial else self.env.sample_count
 
 
-def build_relative(family: list[SiteFunction], ball: EuclideanBall, eps: float,
+def build_relative(family, ball: EuclideanBall, eps: float,
                    indices=None, check_separation: bool = True,
                    accuracy: str = "high") -> RelativeAvr:
     return RelativeAvr(family, ball, eps, indices=indices,

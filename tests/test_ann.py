@@ -12,9 +12,12 @@ from eann.ann import (
 from eann.cli import gen_family, gen_queries, gen_sites
 from eann.distances import (
     DomainError,
+    GaugeParams,
     generalized_kl_spec,
     itakura_saito_spec,
     make_bregman,
+    make_custom_gauge,
+    make_mahalanobis,
     make_minkowski,
 )
 
@@ -294,3 +297,81 @@ def test_persistence_roundtrip(tmp_path, rng):
             w, v = loaded.query(q)
             assert w == w_exp
             assert v == v_exp  # bit-for-bit
+
+
+def test_domain_error_while_answering_leaves_the_leaf_alone(rng):
+    """A DomainError inside one answer sends that query to brute force; the
+    leaf keeps its envelope, so later answers do not depend on query order."""
+    pts = gen_sites(rng, 60, 2, "kl")
+    fns = gen_family("kl", pts, rng)
+    index = build_index(fns, 0.25)
+    queries = gen_queries(rng, 200, 2, "kl")
+    for q in queries:
+        leaf, _ = index.tree.locate(q)
+        att = index._attachment(leaf)
+        if att.outer_avr is not None and not att.outer_avr.trivial and not att.brute:
+            break
+    else:
+        pytest.fail("no leaf with an outer envelope")
+    real = att.outer_avr.query
+    calls = []
+
+    def flaky(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise DomainError("injected")
+        return real(x)
+
+    att.outer_avr.query = flaky
+    before = index.stats["brute_leaves"]
+    assert index.query(q) == brute_force(fns, q)
+    assert index.stats["brute_queries"] == 1
+    assert index.stats["brute_leaves"] == before
+    assert not att.brute
+    fresh = build_index(fns, 0.25)
+    assert index.query(q) == fresh.query(q)
+    assert len(calls) == 2  # the envelope answered the second query
+    assert index.stats["brute_queries"] == 1
+
+
+def _mixed_scaling(rng, order):
+    pts = rng.random((6, 2))
+    mat = np.array([[2.0, 0.3], [0.3, 1.0]])
+    make = {"minkowski": lambda p: make_minkowski(p, 2.0),
+            "mahalanobis": lambda p: make_mahalanobis(p, mat)}
+    return [make[order[i % 2]](p) for i, p in enumerate(pts)]
+
+
+@pytest.mark.parametrize("order", [("minkowski", "mahalanobis"), ("mahalanobis", "minkowski")])
+def test_save_rejects_mixed_scaling_family(tmp_path, rng, order):
+    index = build_index(_mixed_scaling(rng, order), 0.25)
+    index.query(rng.random(2))
+    with pytest.raises(ValueError, match="mixing distance kinds"):
+        save_index(index, str(tmp_path / "mixed.eann"))
+
+
+def test_save_rejects_custom_gauge_at_any_position(tmp_path, rng):
+    fns = [make_minkowski(p, 2.0) for p in rng.random((5, 2))]
+    fns[1] = make_custom_gauge(fns[1].site, lambda v: np.linalg.norm(v, axis=1),
+                               lambda v: v / np.linalg.norm(v, axis=1)[:, None],
+                               lambda v: np.zeros((len(v), 2, 2)), GaugeParams(1.0, 1.0))
+    index = build_index(fns, 0.25)
+    with pytest.raises(ValueError, match="custom gauge"):
+        save_index(index, str(tmp_path / "gauge.eann"))
+
+
+def test_load_rejects_every_truncation(tmp_path, rng):
+    pts = gen_sites(rng, 10, 2, "l2")
+    path = tmp_path / "full.eann"
+    size = save_index(build_index(gen_family("l2", pts, rng), 0.25), str(path))
+    blob = path.read_bytes()
+    assert len(blob) == size
+    cut_path = tmp_path / "cut.eann"
+    for cut in list(range(0, size, max(1, size // 64))) + [size - 1]:
+        cut_path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="offset"):
+            load_index(str(cut_path))
+    cut_path.write_bytes(blob + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes at offset"):
+        load_index(str(cut_path))
+    assert load_index(str(path)).n == 10

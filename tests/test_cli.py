@@ -64,6 +64,19 @@ def test_build_error_paths(workspace, capsys):
     assert "eps out of range" in capsys.readouterr().err
 
 
+def test_query_truncated_index_fails_cleanly(workspace, capsys):
+    tmp, points, config, queries = workspace
+    out = tmp / "index.eann"
+    assert main(["build", str(points), str(config), "0.25", str(out)]) == 0
+    blob = out.read_bytes()
+    cut = tmp / "cut.eann"
+    for size in (3, 60, len(blob) // 2, len(blob) - 1):
+        cut.write_bytes(blob[:size])
+        capsys.readouterr()
+        assert main(["query", str(cut), str(queries)]) == 1
+        assert "offset" in capsys.readouterr().err
+
+
 def test_query_dimension_mismatch(workspace, capsys):
     tmp, points, config, queries = workspace
     out = tmp / "index.eann"
@@ -113,7 +126,7 @@ def test_verify_squared_euclidean(tmp_path, capsys):
             assert float(line.split("=")[1]) == pytest.approx(2.0, abs=1e-6)
 
 
-def test_bench_thread_cap_is_deterministic(tmp_path, capsys, monkeypatch):
+def test_bench_repeat_gives_equal_ratios_and_failures(tmp_path, capsys):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({
         "kinds": ["l2", "wl2"], "n": [30], "d": [2], "eps": [0.25],
@@ -121,13 +134,12 @@ def test_bench_thread_cap_is_deterministic(tmp_path, capsys, monkeypatch):
     }))
     out_seq = tmp_path / "seq.json"
     out_par = tmp_path / "par.json"
-    monkeypatch.setenv("EANN_THREADS", "1")
     assert main(["bench", str(sweep), "--json", str(out_seq)]) == 0
-    monkeypatch.setenv("EANN_THREADS", "4")
     assert main(["bench", str(sweep), "--json", str(out_par)]) == 0
     capsys.readouterr()
     seq = json.loads(out_seq.read_text())["configs"]
     par = json.loads(out_par.read_text())["configs"]
+    assert len(seq) == len(par) == 2
     for a, b in zip(seq, par):
         assert a["worst_ratio"] == b["worst_ratio"]
         assert a["failures"] == b["failures"] == 0

@@ -1,0 +1,196 @@
+"""SiteFamily, the struct-of-arrays evaluation kernel, against the per-site
+SiteFunction objects it is built from.
+
+Both call the same array formulas, so cross values, row-paired values and
+gradients must agree bit for bit; value bounds must bracket every value at
+the given distance.
+"""
+
+import numpy as np
+import pytest
+
+from eann._batch import SiteFamily, batch_value_bounds, batch_values
+from eann.ann import brute_force
+from eann.cli import gen_family, gen_sites
+from eann.distances import (
+    DomainError,
+    GaugeParams,
+    make_bregman,
+    make_custom_gauge,
+    make_mahalanobis,
+    make_minkowski,
+    squared_mahalanobis_spec,
+)
+
+_ELLIPSE = np.array([1.0, 2.0])
+
+
+def _gauge_value(v):
+    return np.sqrt(np.einsum("ad,d,ad->a", v, _ELLIPSE, v))
+
+
+def _gauge_gradient(v):
+    return v * _ELLIPSE[None, :] / _gauge_value(v)[:, None]
+
+
+def _gauge_hessian(v):
+    f = _gauge_value(v)
+    av = v * _ELLIPSE[None, :]
+    return (np.diag(_ELLIPSE)[None] / f[:, None, None]
+            - av[:, :, None] * av[:, None, :] / (f**3)[:, None, None])
+
+
+def _ellipse(p):
+    params = GaugeParams(float(np.sqrt(_ELLIPSE.min() / _ELLIPSE.max())), 0.5)
+    return make_custom_gauge(p, _gauge_value, _gauge_gradient, _gauge_hessian, params)
+
+
+# (tag, d, Bregman?) for every kind the kernel covers.
+KINDS = [
+    ("l1.5", 2, False),
+    ("l2", 2, False),
+    ("l3", 2, False),
+    ("wl2", 2, False),
+    ("mahalanobis", 3, False),
+    ("ellipse", 2, False),
+    ("kl", 2, True),
+    ("is", 3, True),
+    ("sq-mahalanobis", 2, True),
+]
+
+
+def _family(tag, d, rng, n=7):
+    if tag == "ellipse":
+        return [_ellipse(p) for p in rng.random((n, d))]
+    if tag == "sq-mahalanobis":
+        spec = squared_mahalanobis_spec(np.array([[2.0, 0.5], [0.5, 1.0]]), 0.1, 1.0)
+        return [make_bregman(spec, p) for p in gen_sites(rng, n, d, "kl")]
+    return gen_family(tag, gen_sites(rng, n, d, tag), rng)
+
+
+def _points(rng, count, d, bregman):
+    return rng.uniform(0.15, 0.95, size=(count, d)) if bregman else rng.random((count, d))
+
+
+def _per_site_values(fns, X):
+    return np.column_stack([f.value(X) for f in fns])
+
+
+def _assert_rows_equal(tag, actual, desired):
+    """Equal bit for bit, except that the squared-Mahalanobis generator F is
+    an einsum whose rounding depends on how many rows it gets at once."""
+    if tag == "sq-mahalanobis":
+        np.testing.assert_allclose(actual, desired, rtol=1e-14, atol=0.0)
+    else:
+        np.testing.assert_array_equal(actual, desired)
+
+
+@pytest.mark.parametrize("tag,d,bregman", KINDS, ids=[k[0] for k in KINDS])
+def test_kernel_matches_per_site_functions(tag, d, bregman, rng):
+    fns = _family(tag, d, rng)
+    fam = SiteFamily(fns)
+    X = _points(rng, 5, d, bregman)
+    np.testing.assert_array_equal(fam.values(X), _per_site_values(fns, X))
+    np.testing.assert_array_equal(batch_values(fns, X), fam.values(X))
+    np.testing.assert_array_equal(fam.values(X[0]), fam.values(X[:1]))
+
+    Xp = _points(rng, len(fns), d, bregman)
+    _assert_rows_equal(tag, fam.paired(Xp), [f.value(x) for f, x in zip(fns, Xp)])
+    _assert_rows_equal(tag, fam.gradients(Xp), [f.gradient(x) for f, x in zip(fns, Xp)])
+    grid = np.stack([Xp, _points(rng, len(fns), d, bregman)])
+    _assert_rows_equal(tag, fam.paired(grid), np.stack([fam.paired(g) for g in grid]))
+
+    np.testing.assert_array_equal(fam.P, np.stack([f.site for f in fns]))
+    np.testing.assert_array_equal(fam.tau, [f.tau for f in fns])
+
+
+@pytest.mark.parametrize("tag,d,bregman", KINDS, ids=[k[0] for k in KINDS])
+def test_value_bounds_bracket_values_at_distance(tag, d, bregman, rng):
+    fns = _family(tag, d, rng)
+    fam = SiteFamily(fns)
+    dists = rng.uniform(0.01, 0.05, size=len(fns))
+    lo, hi = fam.value_bounds(dists)
+    lo_l, hi_l = batch_value_bounds(fns, dists)
+    np.testing.assert_array_equal(lo, lo_l)
+    np.testing.assert_array_equal(hi, hi_l)
+    u = rng.standard_normal((256, d))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    for i, f in enumerate(fns):
+        pts = f.site[None, :] + dists[i] * u
+        vals = f.value(pts[np.broadcast_to(f.in_domain(pts), len(pts))])
+        assert np.all(lo[i] <= vals * (1.0 + 1e-12))
+        assert np.all(vals <= hi[i] * (1.0 + 1e-12))
+    # Bounds scale linearly with distance for gauges, quadratically for Bregman.
+    lo2, hi2 = fam.value_bounds(2.0 * dists)
+    np.testing.assert_allclose(lo2, lo * (4.0 if bregman else 2.0), rtol=1e-14)
+    np.testing.assert_allclose(hi2, hi * (4.0 if bregman else 2.0), rtol=1e-14)
+
+
+@pytest.mark.parametrize("tag,d,bregman", KINDS, ids=[k[0] for k in KINDS])
+def test_take_and_resite_match_rebuilt_families(tag, d, bregman, rng):
+    fns = _family(tag, d, rng)
+    fam = SiteFamily(fns)
+    idx = [5, 0, 3, 3]
+    sub, ref = fam.take(idx), SiteFamily([fns[i] for i in idx])
+    X = _points(rng, 4, d, bregman)
+    np.testing.assert_array_equal(sub.values(X), ref.values(X))
+    np.testing.assert_array_equal(sub.paired(X), ref.paired(X))
+    np.testing.assert_array_equal(sub.gradients(X), ref.gradients(X))
+    np.testing.assert_array_equal(sub.P, ref.P)
+    np.testing.assert_array_equal(sub.tau, ref.tau)
+    dists = rng.uniform(0.1, 0.2, size=len(idx))
+    for a, b in zip(sub.value_bounds(dists), ref.value_bounds(dists)):
+        np.testing.assert_array_equal(a, b)
+
+    p = _points(rng, 1, d, bregman)[0]
+    moved = fam.resite(p)
+    np.testing.assert_array_equal(moved.P, np.tile(p, (len(fns), 1)))
+    np.testing.assert_array_equal(moved.values(X), _per_site_values([f.resite(p) for f in fns], X))
+
+
+@pytest.mark.parametrize("tag,d", [("kl", 2), ("is", 3), ("sq-mahalanobis", 2)])
+def test_bregman_cross_values_reject_points_outside_domain(tag, d, rng):
+    fam = SiteFamily(_family(tag, d, rng))
+    X = _points(rng, 3, d, True)
+    X[1, 0] = 0.05
+    with pytest.raises(DomainError, match="query outside domain"):
+        fam.values(X)
+    with pytest.raises(DomainError):
+        brute_force(fam, X[1])
+
+
+def test_mixed_family_keeps_member_order(rng):
+    """Several kernels in one family: every method answers in member order."""
+    d = 2
+    fns = []
+    for i, p in enumerate(rng.random((12, d))):
+        if i % 4 == 0:
+            fns.append(make_minkowski(p, 2.0, 1.5))
+        elif i % 4 == 1:
+            fns.append(make_minkowski(p, 3.0))
+        elif i % 4 == 2:
+            fns.append(make_mahalanobis(p, np.array([[2.0, 0.3], [0.3, 1.0]])))
+        else:
+            fns.append(_ellipse(p))
+    fam = SiteFamily(fns)
+    assert len(fam.groups) == 4
+    X = rng.random((6, d))
+    np.testing.assert_array_equal(fam.values(X), _per_site_values(fns, X))
+    Xp = rng.random((len(fns), d))
+    np.testing.assert_array_equal(fam.paired(Xp), [f.value(x) for f, x in zip(fns, Xp)])
+    np.testing.assert_array_equal(fam.gradients(Xp), [f.gradient(x) for f, x in zip(fns, Xp)])
+    idx = [11, 2, 7, 0, 5]
+    sub, ref = fam.take(idx), SiteFamily([fns[i] for i in idx])
+    np.testing.assert_array_equal(sub.values(X), ref.values(X))
+    np.testing.assert_array_equal(sub.gradients(Xp[:5]), ref.gradients(Xp[:5]))
+    dists = rng.uniform(0.1, 0.2, size=len(idx))
+    for a, b in zip(sub.value_bounds(dists), ref.value_bounds(dists)):
+        np.testing.assert_array_equal(a, b)
+    w, v = brute_force(fam, X[0])
+    assert (w, v) == brute_force(fns, X[0])
+    assert v == fns[w].value(X[0])
+
+
+def test_empty_family_rejected():
+    with pytest.raises(ValueError, match="empty family"):
+        SiteFamily([])
