@@ -51,7 +51,7 @@ from .distances import (
     squared_mahalanobis_spec,
     tau_for_gauge,
 )
-from .envelope import ConcaveEnvelope, RelativeAvr, TangentSample, build_envelope, build_relative
+from .envelope import ConcaveEnvelope, RelativeAvr, build_envelope, build_relative
 from .geom import (
     AlignedBox,
     BbdCell,

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import struct
 import threading
+import zlib
 from collections import Counter
 
 import numpy as np
 
 from ._batch import SiteFamily, batch_values
-from .avd import _LEAF, _PENDING, AvdConfig, AvdLeaf, AvdTree, build_avd
+from .avd import _LEAF, _PENDING, AvdConfig, AvdLeaf, AvdTree, _Reader, build_avd
 from .convexify import _check_ball_in_domain, prune_screen
 from .distances import (
     BUILTIN_BREGMAN,
@@ -38,7 +39,7 @@ from .envelope import RelativeAvr, build_relative
 from .geom import EuclideanBall, enclosing_ball
 
 MAGIC = b"EANN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # Relative widening of the outer-site screen: einsum and np.linalg.norm may
 # round a distance differently in the last bits.
 _SCREEN_SLACK = 1e-12
@@ -192,10 +193,6 @@ class AnnIndex:
         self.family = SiteFamily(self.sites)
         self.points = self.family.P
         self.tree = build_avd(self.points, AvdConfig(self.alpha, self.beta))
-        self._init_runtime()
-
-    def _init_runtime(self) -> None:
-        """Lock, counters and the enclosing ball of the sites."""
         self._lock = threading.RLock()
         self.stats = Counter()
         c = self.points.mean(axis=0)
@@ -385,16 +382,16 @@ def build_index(sites: list[SiteFunction], eps: float, kind: str | None = None) 
 # Persistence
 # ---------------------------------------------------------------------------
 
-_KIND_CODE = {"scaling": 0, "bregman": 1}
 _FAMILY_CODE = {"minkowski": 0, "mahalanobis": 1, "bregman": 2}
 
 
 def save_index(index: AnnIndex, path: str) -> int:
     """Write the index to a single binary file; returns bytes written.
 
-    Envelope attachments are rebuilt on demand after loading (they are pure
-    functions of the stored sites and tree), so the attachment section
-    carries a zero blob count.
+    The file holds eps, the sites and the materialized tree, followed by a
+    CRC32 of everything before it. The index constants are derived again
+    from the sites on load, and envelopes are rebuilt on demand (they are
+    pure functions of the sites and the tree).
     """
     fam = index.family
     kinds = {kern.kind for _, kern in fam.groups}
@@ -404,8 +401,7 @@ def save_index(index: AnnIndex, path: str) -> int:
         raise ValueError("families mixing distance kinds are not serializable")
     (kind,) = kinds
     n, d = index.n, index.dim
-    out = [MAGIC, struct.pack("<HBII", FORMAT_VERSION, _KIND_CODE[index.kind], d, n)]
-    out.append(struct.pack("<dddd", index.eps, index.tau, index.alpha, index.beta))
+    out = [MAGIC, struct.pack("<HIId", FORMAT_VERSION, d, n, index.eps)]
     out.append(struct.pack("<B", _FAMILY_CODE[kind]))
     if kind == "minkowski":
         ks, ws = np.empty(n), np.empty(n)
@@ -430,46 +426,24 @@ def save_index(index: AnnIndex, path: str) -> int:
     tree_blob = index.tree.to_bytes()
     out.append(struct.pack("<I", len(tree_blob)))
     out.append(tree_blob)
-    out.append(struct.pack("<I", 0))  # attachment blobs: rebuilt lazily
     blob = b"".join(out)
+    blob += struct.pack("<I", zlib.crc32(blob))
     with open(path, "wb") as fh:
         fh.write(blob)
     return len(blob)
 
 
-class _Reader:
-    """Bounds-checked reads from an index file: a short file raises
-    ``ValueError`` naming the offset, never ``struct.error``."""
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.off = 0
-
-    def take(self, size: int) -> bytes:
-        if self.off + size > len(self.blob):
-            raise ValueError(f"index file truncated at offset {self.off} "
-                             f"(needs {size} more bytes, has {len(self.blob) - self.off})")
-        chunk = self.blob[self.off : self.off + size]
-        self.off += size
-        return chunk
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def floats(self, *shape: int) -> np.ndarray:
-        count = int(np.prod(shape))
-        return np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape).astype(float)
-
-
 def load_index(path: str) -> AnnIndex:
+    """Read a file written by ``save_index``. A truncated, corrupt or
+    malformed file raises ``ValueError``."""
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
     if rd.take(4) != MAGIC:
         raise ValueError("not an index file")
-    version, kind_code, d, n = rd.unpack("<HBII")
+    (version,) = rd.unpack("<H")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
-    eps, tau, alpha, beta = rd.unpack("<dddd")
+    d, n, eps = rd.unpack("<IId")
     (fam_code,) = rd.unpack("<B")
     if fam_code == 0:
         ks, ws = rd.floats(n), rd.floats(n)
@@ -489,11 +463,11 @@ def load_index(path: str) -> AnnIndex:
     taus = rd.floats(n)
     (tree_len,) = rd.unpack("<I")
     tree_blob = rd.take(tree_len)
-    (blob_count,) = rd.unpack("<I")
-    if blob_count != 0:
-        raise ValueError(f"unexpected attachment blobs at offset {rd.off - 4}")
+    (crc,) = rd.unpack("<I")
     if rd.off != len(rd.blob):
         raise ValueError(f"trailing bytes at offset {rd.off}")
+    if crc != zlib.crc32(rd.blob[:-4]):
+        raise ValueError("index file checksum mismatch")
 
     if fam_code == 0:
         fns = [MinkowskiDistance(points[i], float(ks[i]), float(ws[i]), tau=float(taus[i]))
@@ -508,19 +482,6 @@ def load_index(path: str) -> AnnIndex:
         else:
             spec = BUILTIN_BREGMAN[name](d, lo, hi)
         fns = [BregmanDistance(spec, points[i], tau=float(taus[i])) for i in range(n)]
-
-    index = AnnIndex.__new__(AnnIndex)
-    index.kind = "scaling" if kind_code == 0 else "bregman"
-    index.sites = fns
-    index.family = SiteFamily(fns)
-    index.eps = float(eps)
-    index.tau = float(tau)
-    index.alpha = float(alpha)
-    index.beta = float(beta)
-    index.points = points
-    cfg = AvdConfig(index.alpha, index.beta)
-    base = build_avd(points, cfg)
-    index.tree = AvdTree.from_bytes(tree_blob, base.positions, base.site_groups, cfg)
-    index.tree.position_of_site = base.position_of_site
-    index._init_runtime()
+    index = AnnIndex(fns, eps)
+    index.tree = AvdTree.from_bytes(tree_blob, index.tree)
     return index

@@ -16,6 +16,8 @@ for statistics, invariant checks, and serialization.
 
 from __future__ import annotations
 
+import copy
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -411,84 +413,107 @@ class AvdTree:
         return b"".join(out)
 
     @classmethod
-    def from_bytes(cls, blob: bytes, positions: np.ndarray, site_groups,
-                   cfg: AvdConfig) -> "AvdTree":
-        tree = cls.__new__(cls)
-        tree.cfg = cfg
-        tree.positions = positions
-        tree.site_groups = site_groups
-        tree.n_positions = len(positions)
-        tree.position_of_site = None
+    def from_bytes(cls, blob: bytes, base: "AvdTree") -> "AvdTree":
+        """Decode ``to_bytes`` output for the sites of ``base``, a lazily
+        built tree over the same sites and configuration. A malformed blob
+        raises ``ValueError``."""
+        rd = _Reader(blob, "tree blob")
+        (d,) = rd.unpack("<I")
+        if d != base.dim:
+            raise ValueError(f"tree blob has dimension {d}, sites have {base.dim}")
+        tree = copy.copy(base)
         tree._lock = threading.RLock()
         tree._expansions = 0
-        off = 0
-        (d,) = struct.unpack_from("<I", blob, off)
-        off += 4
-
-        def read_vec():
-            nonlocal off
-            v = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
-            off += 8 * d
-            return v
 
         def read_box():
-            return AlignedBox(read_vec(), read_vec())
+            return AlignedBox(rd.floats(d), rd.floats(d))
+
+        def read_ids():
+            (count,) = rd.unpack("<I")
+            ids = rd.unpack(f"<{count}I")
+            if ids and max(ids) >= tree.n_positions:
+                raise ValueError(f"site id out of range before offset {rd.off}")
+            return np.array(ids, dtype=int)
 
         tree.root_box = read_box()
 
         def read_node(depth) -> _Node:
-            nonlocal off
-            (kind,) = struct.unpack_from("<B", blob, off)
-            off += 1
+            if depth > tree.cfg.max_depth:
+                raise ValueError(f"tree deeper than {tree.cfg.max_depth} at offset {rd.off}")
+            (kind,) = rd.unpack("<B")
             if kind == 2:
-                (leaf_depth,) = struct.unpack_from("<H", blob, off)
-                off += 2
-                (has_inner,) = struct.unpack_from("<B", blob, off)
-                off += 1
+                leaf_depth, has_inner = rd.unpack("<HB")
+                if leaf_depth != depth:
+                    raise ValueError(f"leaf depth {leaf_depth} at tree depth {depth}")
                 outer = read_box()
                 inner = read_box() if has_inner else None
-                (n_in,) = struct.unpack_from("<I", blob, off)
-                off += 4
-                in_cell = np.frombuffer(blob, dtype="<u4", count=n_in, offset=off).astype(int)
-                off += 4 * n_in
-                (n_inner,) = struct.unpack_from("<I", blob, off)
-                off += 4
-                inner_ids = np.frombuffer(blob, dtype="<u4", count=n_inner, offset=off).astype(int)
-                off += 4 * n_inner
-                (has_ball,) = struct.unpack_from("<B", blob, off)
-                off += 1
-                ball = None
-                if has_ball:
-                    c = read_vec()
-                    (r,) = struct.unpack_from("<d", blob, off)
-                    off += 8
-                    ball = EuclideanBall(c, r)
-                node = _Node(BbdCell(outer, inner), leaf_depth,
+                in_cell, inner_ids = read_ids(), read_ids()
+                (has_ball,) = rd.unpack("<B")
+                ball = EuclideanBall(rd.floats(d), rd.unpack("<d")[0]) if has_ball else None
+                node = _Node(BbdCell(outer, inner), depth,
                              np.zeros(0, dtype=int), np.zeros(0, dtype=int))
                 node.kind = _LEAF
-                node.leaf = AvdLeaf(node.cell, leaf_depth, in_cell, inner_ids,
-                                    ball, tree.n_positions)
+                node.leaf = AvdLeaf(node.cell, depth, in_cell, inner_ids, ball, tree.n_positions)
                 return node
             node = _Node(BbdCell(tree.root_box, None), depth,
                          np.zeros(0, dtype=int), np.zeros(0, dtype=int))
             if kind == 0:
-                axis, mid = struct.unpack_from("<Hd", blob, off)
-                off += 10
+                axis, mid = rd.unpack("<Hd")
+                if axis >= d:
+                    raise ValueError(f"split axis {axis} out of range at offset {rd.off}")
                 node.kind = _SPLIT
                 node.axis = int(axis)
                 node.mid = float(mid)
-            else:
+            elif kind == 1:
                 node.kind = _SHRINK
                 node.qbox = read_box()
-            node.children = []
-            for _ in range(2):
-                (present,) = struct.unpack_from("<B", blob, off)
-                off += 1
-                node.children.append(read_node(depth + 1) if present else None)
+            else:
+                raise ValueError(f"unknown node kind {kind} at offset {rd.off - 1}")
+            node.children = [read_node(depth + 1) if rd.unpack("<B")[0] else None
+                             for _ in range(2)]
+            if node.children == [None, None]:
+                raise ValueError(f"node without children before offset {rd.off}")
             return node
 
         tree._root = read_node(0)
+        if rd.off != len(blob):
+            raise ValueError(f"trailing bytes in tree blob at offset {rd.off}")
         return tree
+
+
+class _Reader:
+    """Bounds-checked reads from a byte string: a short input raises
+    ``ValueError`` naming the offset, never ``struct.error``."""
+
+    def __init__(self, blob: bytes, what: str = "index file"):
+        self.blob = blob
+        self.what = what
+        self.off = 0
+
+    def _advance(self, size: int) -> int:
+        """Offset of the next ``size`` bytes, which the reader then skips."""
+        if self.off + size > len(self.blob):
+            raise ValueError(f"{self.what} truncated at offset {self.off} "
+                             f"(needs {size} more bytes, has {len(self.blob) - self.off})")
+        self.off += size
+        return self.off - size
+
+    def take(self, size: int) -> bytes:
+        return self.blob[self._advance(size) : self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        try:
+            values = struct.unpack_from(fmt, self.blob, self.off)
+        except struct.error:
+            self._advance(struct.calcsize(fmt))  # raises, naming the offset
+            raise
+        self.off += struct.calcsize(fmt)
+        return values
+
+    def floats(self, *shape: int) -> np.ndarray:
+        count = math.prod(shape)
+        start = self._advance(8 * count)
+        return np.frombuffer(self.blob, "<f8", count, start).reshape(shape).astype(float)
 
 
 def build_avd(sites, cfg: AvdConfig) -> AvdTree:

@@ -20,8 +20,6 @@ from .geom import EuclideanBall, is_separated
 
 PRUNE_DELTA = 0.01
 LAMBDA_PLUS = 0.25  # curvature of the concavifying offset
-CURVATURE_LOW = -5.0 / 16.0
-CURVATURE_HIGH = -3.0 / 16.0
 
 
 class MinEstimate(NamedTuple):
@@ -388,8 +386,6 @@ class ConvexifiedFamily:
 
     def __init__(self, normalized: NormalizedFamily):
         self.normalized = normalized
-        self.curvature_low = CURVATURE_LOW
-        self.curvature_high = CURVATURE_HIGH
 
     @property
     def size(self) -> int:
@@ -411,17 +407,6 @@ class ConvexifiedFamily:
     def member_values(self, pos: int, U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         return self.normalized.member_values(pos, U) + self.offset(U)
-
-    def member_gradients(self, pos: int, U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return self.normalized.member_gradients(pos, U) - U / 4.0
-
-    def member_hessians(self, pos: int, U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        hs = self.normalized.member_hessians(pos, U)
-        idx = np.arange(hs.shape[1])
-        hs[:, idx, idx] -= LAMBDA_PLUS
-        return hs
 
     def values_at_point(self, u: np.ndarray, positions) -> np.ndarray:
         """Convexified values of selected members at one normalized point."""

@@ -375,3 +375,42 @@ def test_load_rejects_every_truncation(tmp_path, rng):
     with pytest.raises(ValueError, match="trailing bytes at offset"):
         load_index(str(cut_path))
     assert load_index(str(path)).n == 10
+
+
+def _small_l2_file(tmp_path, rng):
+    pts = gen_sites(rng, 10, 2, "l2")
+    path = tmp_path / "small.eann"
+    save_index(build_index(gen_family("l2", pts, rng), 0.25), str(path))
+    return path
+
+
+def test_load_rejects_every_single_bit_flip(tmp_path, rng):
+    path = _small_l2_file(tmp_path, rng)
+    blob = path.read_bytes()
+    flipped_path = tmp_path / "flipped.eann"
+    for bit in np.random.default_rng(7).integers(0, 8 * len(blob), 200):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        flipped_path.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError):
+            load_index(str(flipped_path))
+
+
+def test_load_rejects_format_version_1(tmp_path, rng):
+    path = _small_l2_file(tmp_path, rng)
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = (1).to_bytes(2, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unsupported format version 1"):
+        load_index(str(path))
+
+
+def test_load_rejects_out_of_range_leaf_id_with_valid_checksum(tmp_path, rng):
+    pts = gen_sites(rng, 10, 2, "l2")
+    index = build_index(gen_family("l2", pts, rng), 0.25)
+    leaf = next(leaf for leaf in index.tree.leaves() if len(leaf.in_cell))
+    leaf.in_cell = np.array([index.tree.n_positions])
+    path = str(tmp_path / "bad_id.eann")
+    save_index(index, path)  # the checksum covers the bad id
+    with pytest.raises(ValueError, match="site id out of range"):
+        load_index(path)
