@@ -16,6 +16,7 @@ functions of the leaf), so results do not depend on query order.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 import zlib
@@ -24,7 +25,7 @@ from collections import Counter
 import numpy as np
 
 from ._batch import SiteFamily, batch_values
-from .avd import _LEAF, _PENDING, AvdConfig, AvdLeaf, AvdTree, _Reader, build_avd
+from .avd import _LEAF, _PENDING, CONFIG_RECORD, AvdConfig, AvdLeaf, AvdTree, build_avd
 from .convexify import _check_ball_in_domain, prune_screen
 from .distances import (
     BUILTIN_BREGMAN,
@@ -39,7 +40,7 @@ from .envelope import RelativeAvr, build_relative
 from .geom import EuclideanBall, enclosing_ball
 
 MAGIC = b"EANN"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # Relative widening of the outer-site screen: einsum and np.linalg.norm may
 # round a distance differently in the last bits.
 _SCREEN_SLACK = 1e-12
@@ -157,7 +158,7 @@ def brute_force(sites, q) -> tuple[int, float]:
 class AnnIndex:
     """Approximate nearest-neighbor index over a uniform-kind family."""
 
-    def __init__(self, sites: list[SiteFunction], eps: float, kind: str | None = None):
+    def __init__(self, sites: list[SiteFunction], eps: float):
         if len(sites) == 0:
             raise ValueError("no sites")
         if not (0.0 < eps <= 1.0):
@@ -165,10 +166,7 @@ class AnnIndex:
         kinds = {("bregman" if isinstance(f, BregmanDistance) else "scaling") for f in sites}
         if len(kinds) != 1:
             raise ValueError("mixed kinds")
-        inferred = kinds.pop()
-        if kind is not None and kind != inferred:
-            raise ValueError("mixed kinds")
-        self.kind = inferred
+        self.kind = kinds.pop()
         if self.kind == "bregman":
             spec0 = sites[0].spec
             for f in sites[1:]:
@@ -374,13 +372,47 @@ def _same_bregman_spec(a, b) -> bool:
             and (a.matrix is None or np.array_equal(a.matrix, b.matrix)))
 
 
-def build_index(sites: list[SiteFunction], eps: float, kind: str | None = None) -> AnnIndex:
-    return AnnIndex(sites, eps, kind=kind)
+def build_index(sites: list[SiteFunction], eps: float) -> AnnIndex:
+    return AnnIndex(sites, eps)
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+
+class _Reader:
+    """Bounds-checked reads from a byte string: a short input raises
+    ``ValueError`` naming the offset, never ``struct.error``."""
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.off = 0
+
+    def _advance(self, size: int) -> int:
+        """Offset of the next ``size`` bytes, which the reader then skips."""
+        if self.off + size > len(self.blob):
+            raise ValueError(f"index file truncated at offset {self.off} "
+                             f"(needs {size} more bytes, has {len(self.blob) - self.off})")
+        self.off += size
+        return self.off - size
+
+    def take(self, size: int) -> bytes:
+        return self.blob[self._advance(size) : self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        try:
+            values = struct.unpack_from(fmt, self.blob, self.off)
+        except struct.error:
+            self._advance(struct.calcsize(fmt))  # raises, naming the offset
+            raise
+        self.off += struct.calcsize(fmt)
+        return values
+
+    def floats(self, *shape: int) -> np.ndarray:
+        count = math.prod(shape)
+        start = self._advance(8 * count)
+        return np.frombuffer(self.blob, "<f8", count, start).reshape(shape).astype(float)
+
 
 _FAMILY_CODE = {"minkowski": 0, "mahalanobis": 1, "bregman": 2}
 
@@ -388,10 +420,11 @@ _FAMILY_CODE = {"minkowski": 0, "mahalanobis": 1, "bregman": 2}
 def save_index(index: AnnIndex, path: str) -> int:
     """Write the index to a single binary file; returns bytes written.
 
-    The file holds eps, the sites and the materialized tree, followed by a
-    CRC32 of everything before it. The index constants are derived again
-    from the sites on load, and envelopes are rebuilt on demand (they are
-    pure functions of the sites and the tree).
+    The file holds eps, the distance parameters, the sites, their ``tau``
+    and the tree's configuration record, followed by a CRC32 of everything
+    before it. Nothing derived is stored: the tree and the envelopes are
+    pure functions of the sites and the configuration, so saving expands
+    no tree node, and the loaded index rebuilds both lazily.
     """
     fam = index.family
     kinds = {kern.kind for _, kern in fam.groups}
@@ -423,9 +456,7 @@ def save_index(index: AnnIndex, path: str) -> int:
             out.append(np.asarray(spec.matrix, dtype="<f8").tobytes())
     out.append(index.points.astype("<f8").tobytes())
     out.append(fam.tau.astype("<f8").tobytes())
-    tree_blob = index.tree.to_bytes()
-    out.append(struct.pack("<I", len(tree_blob)))
-    out.append(tree_blob)
+    out.append(index.tree.to_bytes())
     blob = b"".join(out)
     blob += struct.pack("<I", zlib.crc32(blob))
     with open(path, "wb") as fh:
@@ -435,7 +466,8 @@ def save_index(index: AnnIndex, path: str) -> int:
 
 def load_index(path: str) -> AnnIndex:
     """Read a file written by ``save_index``. A truncated, corrupt or
-    malformed file raises ``ValueError``."""
+    malformed file, or one whose tree configuration record differs from the
+    one derived from its sites, raises ``ValueError``."""
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
     if rd.take(4) != MAGIC:
@@ -461,8 +493,7 @@ def load_index(path: str) -> AnnIndex:
         raise ValueError(f"unknown family code {fam_code}")
     points = rd.floats(n, d)
     taus = rd.floats(n)
-    (tree_len,) = rd.unpack("<I")
-    tree_blob = rd.take(tree_len)
+    record = rd.take(CONFIG_RECORD.size)
     (crc,) = rd.unpack("<I")
     if rd.off != len(rd.blob):
         raise ValueError(f"trailing bytes at offset {rd.off}")
@@ -483,5 +514,9 @@ def load_index(path: str) -> AnnIndex:
             spec = BUILTIN_BREGMAN[name](d, lo, hi)
         fns = [BregmanDistance(spec, points[i], tau=float(taus[i])) for i in range(n)]
     index = AnnIndex(fns, eps)
-    index.tree = AvdTree.from_bytes(tree_blob, index.tree)
+    stored = AvdTree.from_bytes(record)
+    derived = (index.dim, index.tree.cfg)
+    if stored != derived:
+        raise ValueError(f"tree configuration record {stored} differs from {derived} "
+                         "derived from the sites")
     return index

@@ -11,13 +11,13 @@ dense site clusters, and cells are boxes with at most one box-shaped hole.
 Nodes expand on demand (locating a point only materializes the root-to-leaf
 path); the structure is a pure function of the sites and configuration, so
 results never depend on query order. ``materialize()`` forces the full tree
-for statistics, invariant checks, and serialization.
+for statistics and invariant checks. For the same reason a tree is
+serialized as its configuration record alone (``to_bytes``): a loader
+rebuilds the lazy tree from the sites and checks the record against it.
 """
 
 from __future__ import annotations
 
-import copy
-import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -37,6 +37,8 @@ from .geom import (
 )
 
 _PENDING, _SPLIT, _SHRINK, _LEAF = 0, 1, 2, 3
+# Serialized tree configuration: dimension (u32), alpha, beta (f64), max_depth (u32).
+CONFIG_RECORD = struct.Struct("<IddI")
 
 
 @dataclass(frozen=True)
@@ -371,149 +373,21 @@ class AvdTree:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        self.materialize()
-        out = [struct.pack("<I", self.dim)]
-        out.append(np.asarray(self.root_box.low, dtype="<f8").tobytes())
-        out.append(np.asarray(self.root_box.high, dtype="<f8").tobytes())
-
-        def pack_box(box: AlignedBox):
-            return (np.asarray(box.low, dtype="<f8").tobytes()
-                    + np.asarray(box.high, dtype="<f8").tobytes())
-
-        def walk(node: _Node):
-            if node.kind == _LEAF:
-                leaf = node.leaf
-                out.append(struct.pack("<BH", 2, leaf.depth))
-                out.append(struct.pack("<B", leaf.cell.inner is not None))
-                out.append(pack_box(leaf.cell.outer))
-                if leaf.cell.inner is not None:
-                    out.append(pack_box(leaf.cell.inner))
-                out.append(struct.pack("<I", len(leaf.in_cell)))
-                out.append(np.asarray(leaf.in_cell, dtype="<u4").tobytes())
-                out.append(struct.pack("<I", len(leaf.inner)))
-                out.append(np.asarray(leaf.inner, dtype="<u4").tobytes())
-                if leaf.inner_ball is not None:
-                    out.append(struct.pack("<B", 1))
-                    out.append(np.asarray(leaf.inner_ball.center, dtype="<f8").tobytes())
-                    out.append(struct.pack("<d", leaf.inner_ball.radius))
-                else:
-                    out.append(struct.pack("<B", 0))
-                return
-            if node.kind == _SPLIT:
-                out.append(struct.pack("<BHd", 0, node.axis, node.mid))
-            else:
-                out.append(struct.pack("<B", 1))
-                out.append(pack_box(node.qbox))
-            for child in node.children:
-                out.append(struct.pack("<B", child is not None))
-                if child is not None:
-                    walk(child)
-
-        walk(self._root)
-        return b"".join(out)
+        """The configuration record: dimension, alpha, beta and max_depth.
+        With the sites it determines the whole tree."""
+        cfg = self.cfg
+        return CONFIG_RECORD.pack(self.dim, cfg.alpha, cfg.beta, cfg.max_depth)
 
     @classmethod
-    def from_bytes(cls, blob: bytes, base: "AvdTree") -> "AvdTree":
-        """Decode ``to_bytes`` output for the sites of ``base``, a lazily
-        built tree over the same sites and configuration. A malformed blob
-        raises ``ValueError``."""
-        rd = _Reader(blob, "tree blob")
-        (d,) = rd.unpack("<I")
-        if d != base.dim:
-            raise ValueError(f"tree blob has dimension {d}, sites have {base.dim}")
-        tree = copy.copy(base)
-        tree._lock = threading.RLock()
-        tree._expansions = 0
-
-        def read_box():
-            return AlignedBox(rd.floats(d), rd.floats(d))
-
-        def read_ids():
-            (count,) = rd.unpack("<I")
-            ids = rd.unpack(f"<{count}I")
-            if ids and max(ids) >= tree.n_positions:
-                raise ValueError(f"site id out of range before offset {rd.off}")
-            return np.array(ids, dtype=int)
-
-        tree.root_box = read_box()
-
-        def read_node(depth) -> _Node:
-            if depth > tree.cfg.max_depth:
-                raise ValueError(f"tree deeper than {tree.cfg.max_depth} at offset {rd.off}")
-            (kind,) = rd.unpack("<B")
-            if kind == 2:
-                leaf_depth, has_inner = rd.unpack("<HB")
-                if leaf_depth != depth:
-                    raise ValueError(f"leaf depth {leaf_depth} at tree depth {depth}")
-                outer = read_box()
-                inner = read_box() if has_inner else None
-                in_cell, inner_ids = read_ids(), read_ids()
-                (has_ball,) = rd.unpack("<B")
-                ball = EuclideanBall(rd.floats(d), rd.unpack("<d")[0]) if has_ball else None
-                node = _Node(BbdCell(outer, inner), depth,
-                             np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-                node.kind = _LEAF
-                node.leaf = AvdLeaf(node.cell, depth, in_cell, inner_ids, ball, tree.n_positions)
-                return node
-            node = _Node(BbdCell(tree.root_box, None), depth,
-                         np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-            if kind == 0:
-                axis, mid = rd.unpack("<Hd")
-                if axis >= d:
-                    raise ValueError(f"split axis {axis} out of range at offset {rd.off}")
-                node.kind = _SPLIT
-                node.axis = int(axis)
-                node.mid = float(mid)
-            elif kind == 1:
-                node.kind = _SHRINK
-                node.qbox = read_box()
-            else:
-                raise ValueError(f"unknown node kind {kind} at offset {rd.off - 1}")
-            node.children = [read_node(depth + 1) if rd.unpack("<B")[0] else None
-                             for _ in range(2)]
-            if node.children == [None, None]:
-                raise ValueError(f"node without children before offset {rd.off}")
-            return node
-
-        tree._root = read_node(0)
-        if rd.off != len(blob):
-            raise ValueError(f"trailing bytes in tree blob at offset {rd.off}")
-        return tree
-
-
-class _Reader:
-    """Bounds-checked reads from a byte string: a short input raises
-    ``ValueError`` naming the offset, never ``struct.error``."""
-
-    def __init__(self, blob: bytes, what: str = "index file"):
-        self.blob = blob
-        self.what = what
-        self.off = 0
-
-    def _advance(self, size: int) -> int:
-        """Offset of the next ``size`` bytes, which the reader then skips."""
-        if self.off + size > len(self.blob):
-            raise ValueError(f"{self.what} truncated at offset {self.off} "
-                             f"(needs {size} more bytes, has {len(self.blob) - self.off})")
-        self.off += size
-        return self.off - size
-
-    def take(self, size: int) -> bytes:
-        return self.blob[self._advance(size) : self.off]
-
-    def unpack(self, fmt: str) -> tuple:
-        try:
-            values = struct.unpack_from(fmt, self.blob, self.off)
-        except struct.error:
-            self._advance(struct.calcsize(fmt))  # raises, naming the offset
-            raise
-        self.off += struct.calcsize(fmt)
-        return values
-
-    def floats(self, *shape: int) -> np.ndarray:
-        count = math.prod(shape)
-        start = self._advance(8 * count)
-        return np.frombuffer(self.blob, "<f8", count, start).reshape(shape).astype(float)
+    def from_bytes(cls, blob: bytes) -> tuple[int, AvdConfig]:
+        """Decode a ``to_bytes`` record into (dimension, configuration). A
+        record of the wrong size or with an invalid configuration raises
+        ``ValueError``."""
+        if len(blob) != CONFIG_RECORD.size:
+            raise ValueError(f"tree configuration record has {len(blob)} bytes, "
+                             f"expected {CONFIG_RECORD.size}")
+        d, alpha, beta, max_depth = CONFIG_RECORD.unpack(blob)
+        return d, AvdConfig(alpha, beta, max_depth)
 
 
 def build_avd(sites, cfg: AvdConfig) -> AvdTree:

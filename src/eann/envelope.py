@@ -83,11 +83,6 @@ class ConcaveEnvelope:
                 self.anchors.append(x)
                 self.witnesses.append(int(self.members.kept_indices[p]))
 
-    def _materialize(self, key: tuple) -> int | None:
-        if key not in self._lattice:
-            self._materialize_batch([key])
-        return self._lattice.get(key)
-
     def _window_keys(self, q: np.ndarray):
         base = np.floor(q / self.spacing + 1e-9).astype(int)
         w = self.window
@@ -98,16 +93,9 @@ class ConcaveEnvelope:
         keys = list(self._window_keys(q))
         self._materialize_batch(keys)
         ids = [i for i in map(self._lattice.get, keys) if i is not None]
-        if not ids:
-            # Coarse lattices at large eps: widen until something is in range.
-            w = self.window + 1
-            while not ids and w <= self._kmax + 1:
-                base = np.floor(q / self.spacing + 1e-9).astype(int)
-                for key in itertools.product(*[range(int(b) - w, int(b) + w + 2) for b in base]):
-                    i = self._materialize(key)
-                    if i is not None:
-                        ids.append(i)
-                w += 1
+        # For |q| <= 1 the lattice point nearest to q is in the window and
+        # within cover_radius of q, so inside the ball widened by it.
+        assert ids, "no anchor in the gather window"
         return ids
 
     def materialize_all(self) -> None:

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -405,12 +408,48 @@ def test_load_rejects_format_version_1(tmp_path, rng):
         load_index(str(path))
 
 
-def test_load_rejects_out_of_range_leaf_id_with_valid_checksum(tmp_path, rng):
-    pts = gen_sites(rng, 10, 2, "l2")
-    index = build_index(gen_family("l2", pts, rng), 0.25)
-    leaf = next(leaf for leaf in index.tree.leaves() if len(leaf.in_cell))
-    leaf.in_cell = np.array([index.tree.n_positions])
-    path = str(tmp_path / "bad_id.eann")
-    save_index(index, path)  # the checksum covers the bad id
-    with pytest.raises(ValueError, match="site id out of range"):
-        load_index(path)
+def test_load_rejects_format_version_2(tmp_path, rng):
+    path = _small_l2_file(tmp_path, rng)
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = (2).to_bytes(2, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unsupported format version 2"):
+        load_index(str(path))
+
+
+def test_l2_file_holds_only_sites_and_configuration(tmp_path, rng):
+    n, d = 10, 2
+    path = _small_l2_file(tmp_path, rng)
+    header = 4 + 2 + 4 + 4 + 8 + 1  # magic, version, d, n, eps, family code
+    params = 2 * n * 8  # Minkowski k and weight per site
+    sites = n * d * 8 + n * 8  # coordinates and tau
+    record = 4 + 8 + 8 + 4  # d, alpha, beta, max_depth
+    assert len(path.read_bytes()) == header + params + sites + record + 4
+
+
+def test_save_expands_no_tree_node(tmp_path, rng):
+    pts = gen_sites(rng, 40, 2, "kl")
+    index = build_index(gen_family("kl", pts, rng), 0.1)
+    path = str(tmp_path / "fresh.eann")
+    save_index(index, path)
+    assert index.storage_stats()["tree_expansions"] == 0
+    loaded = load_index(path)
+    assert loaded.storage_stats() == index.storage_stats()
+    q = gen_queries(rng, 1, 2, "kl")[0]
+    assert loaded.query(q) == index.query(q)
+    assert loaded.storage_stats()["tree_expansions"] == index.storage_stats()["tree_expansions"]
+
+
+@pytest.mark.parametrize("offset,fmt,value", [
+    (-28, "<I", 3), (-24, "<d", 5.0), (-16, "<d", 1e3), (-8, "<I", 95),
+], ids=["d", "alpha", "beta", "max_depth"])
+def test_load_rejects_configuration_record_unlike_the_sites(tmp_path, rng, offset, fmt, value):
+    """A record that disagrees with the configuration derived from the sites
+    is refused even when the checksum matches."""
+    path = _small_l2_file(tmp_path, rng)
+    blob = bytearray(path.read_bytes()[:-4])
+    struct.pack_into(fmt, blob, len(blob) + 4 + offset, value)  # offset from the file end
+    blob += struct.pack("<I", zlib.crc32(blob))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="derived from the sites"):
+        load_index(str(path))

@@ -131,51 +131,16 @@ def test_cover_partition(rng):
 
 
 def test_serialization_roundtrip(rng):
-    sites = rng.random((60, 2))
-    cfg = AvdConfig(2.83, 60.0)
-    tree = build_avd(sites, cfg)
-    blob = tree.to_bytes()
-    base = build_avd(sites, cfg)
-    tree2 = AvdTree.from_bytes(blob, base)
-    assert tree2.position_of_site is base.position_of_site
-    assert tree2.leaf_count() == tree.leaf_count()
-    for _ in range(500):
-        q = rng.uniform(-0.1, 1.1, size=2)
-        leaf1, v1 = tree.locate(q)
-        leaf2, v2 = tree2.locate(q)
-        if leaf1 is None:
-            assert leaf2 is None
-            continue
-        assert v1 == v2
-        assert np.array_equal(leaf1.in_cell, leaf2.in_cell)
-        assert np.array_equal(leaf1.inner, leaf2.inner)
-        assert np.array_equal(leaf1.cell.outer.low, leaf2.cell.outer.low)
-
-
-def test_from_bytes_rejects_malformed_blobs(rng):
-    sites = rng.random((60, 2))
-    cfg = AvdConfig(2.83, 60.0)
-    blob = build_avd(sites, cfg).to_bytes()
-    base = build_avd(sites, cfg)
-    root = 4 + 16 * 2  # dimension, root box
-    assert blob[root] == 0  # the root is a midpoint split
-
-    def patched(offset, value: bytes):
-        return blob[:offset] + value + blob[offset + len(value):]
-
-    cases = [
-        (patched(root, b"\x07"), "unknown node kind 7"),
-        (patched(root + 1, (2).to_bytes(2, "little")), "split axis 2 out of range"),
-        (patched(0, (3).to_bytes(4, "little")), "dimension 3"),
-        (blob[:-1], "truncated"),
-        (blob + b"\0", "trailing bytes"),
-    ]
-    for bad, message in cases:
-        with pytest.raises(ValueError, match=message):
-            AvdTree.from_bytes(bad, base)
-    shallow = build_avd(sites, AvdConfig(2.83, 60.0, max_depth=2))
-    with pytest.raises(ValueError, match="tree deeper than 2"):
-        AvdTree.from_bytes(blob, shallow)
+    """A tree serializes as its configuration record, without expanding."""
+    sites = rng.random((60, 3))
+    for cfg in (AvdConfig(2.83, 60.0), AvdConfig(2.0, 1e6, max_depth=40)):
+        tree = build_avd(sites, cfg)
+        blob = tree.to_bytes()
+        assert len(blob) == 24
+        assert tree._expansions == 0
+        assert AvdTree.from_bytes(blob) == (3, cfg)
+    with pytest.raises(ValueError, match="23 bytes"):
+        AvdTree.from_bytes(blob[:-1])
 
 
 def test_integer_grid_sites(rng):

@@ -156,19 +156,16 @@ def test_answers_independent_of_query_order():
 
 
 def test_loaded_index_answers_like_lazy_index(tmp_path):
-    """Saving materializes the whole tree, which takes minutes for kl at
-    n=400 and eps=0.1, so this round trip runs on a smaller index."""
+    """A copy loaded from a file answers shuffled queries like the lazy
+    index it was saved from and sends the same leaves to brute force."""
     rng = np.random.default_rng(21)
-    fns = gen_family("kl", gen_sites(rng, 40, 2, "kl"), rng)
+    fns = gen_family("kl", gen_sites(rng, 400, 2, "kl"), rng)
     queries = gen_queries(rng, 500, 2, "kl")
-    in_order = build_index(fns, 0.25)
+    in_order = build_index(fns, 0.1)
     expected = _answers(in_order, queries, range(len(queries)))
     assert in_order.stats["brute_leaves"] > 0
-    shuffled = build_index(fns, 0.25)
-    assert _answers(shuffled, queries, rng.permutation(len(queries))) == expected
     path = str(tmp_path / "kl.eann")
     save_index(in_order, path)
     loaded = load_index(path)
     assert _answers(loaded, queries, rng.permutation(len(queries))) == expected
-    for index in (shuffled, loaded):
-        assert index.stats["brute_leaves"] == in_order.stats["brute_leaves"]
+    assert loaded.stats["brute_leaves"] == in_order.stats["brute_leaves"]

@@ -1,6 +1,6 @@
-"""Property tests of point location and of the hypercube ray exit over
-generated inputs. Runs are derandomized and keep no example database, so
-they are reproducible."""
+"""Property tests of point location, of the hypercube ray exit and of the
+envelope's gather window over generated inputs. Runs are derandomized and
+keep no example database, so they are reproducible."""
 
 import tempfile
 from pathlib import Path
@@ -12,6 +12,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from eann.ann import ray_to_hypercube_boundary
 from eann.avd import AvdConfig, build_avd, check_leaf
+from eann.envelope import ConcaveEnvelope
 
 # Hypothesis caches constants scanned from the source while tests are
 # collected; keep that cache in the temp directory, not in the working tree.
@@ -78,3 +79,38 @@ def test_locate_finds_a_valid_containing_leaf(data):
     assert (twin.cell.inner is None) == (leaf.cell.inner is None)
     np.testing.assert_array_equal(twin.in_cell, leaf.in_cell)
     np.testing.assert_array_equal(twin.inner, leaf.inner)
+
+
+class _OneMember:
+    """A one-member family: every lattice point in range is an anchor with
+    witness 0."""
+
+    kept_indices = [0]
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    @staticmethod
+    def values_matrix(X):
+        return np.zeros((len(X), 1))
+
+
+@SETTINGS
+@given(st.data())
+def test_gather_window_holds_an_anchor_within_the_covering_radius(data):
+    """For any |u| <= 1 the first gather window holds the lattice point
+    nearest to u, which lies within 1 + cover_radius of the origin, so no
+    wider search is ever needed."""
+    d = data.draw(st.integers(1, 4), label="d")
+    env = ConcaveEnvelope(_OneMember(d), data.draw(st.floats(1e-6, 1.0), label="eps_abs"))
+    vec = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=d, max_size=d)
+    v = np.array(data.draw(vec, label="direction"))
+    norm = float(np.linalg.norm(v))
+    assume(norm > 1e-6)
+    # Half of the points lie on the sphere, where the window reaches furthest out.
+    r = data.draw(st.one_of(st.just(1.0), unit), label="radius")
+    u = v / norm * r
+    ids = env.gather(u)
+    assert ids
+    nearest = min(float(np.linalg.norm(env.anchors[i] - u)) for i in ids)
+    assert nearest <= env.cover_radius * (1.0 + 1e-9)
