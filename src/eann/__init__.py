@@ -23,10 +23,8 @@ from .ann import (
 from .avd import AvdConfig, AvdLeaf, AvdTree, build_avd, check_leaf
 from .convexify import (
     ConvexifiedFamily,
-    MinEstimate,
     NormalizedFamily,
     convexify,
-    estimate_min_on_ball,
     normalize,
 )
 from .distances import (

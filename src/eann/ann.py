@@ -119,8 +119,7 @@ class InnerPatchSet:
                 avr = self._patches.get(key)
                 if avr is None:
                     avr = build_relative(self.perturbed, self.patch_ball(key),
-                                         self.eps / 3.0, indices=self.indices,
-                                         accuracy="fast")
+                                         self.eps / 3.0, indices=self.indices)
                     self._patches[key] = avr
         return avr
 
@@ -265,7 +264,7 @@ class AnnIndex:
             # normalize decides Bregman brute leaves by this check on every
             # family of two or more; a single survivor skips normalize.
             _check_ball_in_domain(survivors, ball)
-        return build_relative(survivors, ball, self.eps, indices=fids, accuracy="fast")
+        return build_relative(survivors, ball, self.eps, indices=fids)
 
     # -- queries --------------------------------------------------------------
 
@@ -334,11 +333,8 @@ class AnnIndex:
 
     # -- statistics -----------------------------------------------------------
 
-    def storage_stats(self, materialize: bool = False) -> dict:
-        """Structure sizes. With ``materialize`` the whole tree is expanded
-        (envelope samples still count only what queries touched)."""
-        if materialize:
-            self.tree.materialize()
+    def storage_stats(self) -> dict:
+        """Sizes of the structures built so far; expands no node."""
         env_samples = 0
         patches = 0
         stack = [self.tree._root]

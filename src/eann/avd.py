@@ -268,8 +268,12 @@ class AvdTree:
             ]
         else:
             outer = node.cell.outer
-            axis = int(np.argmax(outer.high - outer.low))
-            mid = float(0.5 * (outer.low[axis] + outer.high[axis]))
+            lo, hi = outer.low.tolist(), outer.high.tolist()
+            # Split the longest axis whose midpoint falls strictly inside:
+            # an axis one float wide has its midpoint rounded onto an end.
+            axis = max((a for a in range(len(lo)) if lo[a] < 0.5 * (lo[a] + hi[a]) < hi[a]),
+                       key=lambda a: hi[a] - lo[a], default=0)
+            mid = 0.5 * (lo[axis] + hi[axis])
             lo_hi = outer.high.copy()
             lo_hi[axis] = mid
             hi_lo = outer.low.copy()

@@ -104,14 +104,13 @@ def cmd_build(args) -> int:
     fns = build_site_functions(cfg, points)
     index = build_index(fns, args.eps)
     nbytes = save_index(index, args.out)
-    leaves = index.tree.leaf_count()
     print(f"n = {index.n}")
     print(f"d = {index.dim}")
     print(f"kind = {index.kind}")
     print(f"tau = {index.tau:.17g}")
     print(f"alpha = {index.alpha:.17g}")
     print(f"beta = {index.beta:.17g}")
-    print(f"leaves = {leaves}")
+    print(f"leaves = {index.storage_stats()['leaves']}")
     print(f"bytes = {nbytes}")
     return 0
 

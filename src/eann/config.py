@@ -113,6 +113,8 @@ def build_site_functions(cfg: dict, points: np.ndarray) -> list[SiteFunction]:
     if name == "squared-euclidean":
         spec = BUILTIN_BREGMAN[name](d)
     elif name == "squared-mahalanobis":
+        if "matrix" not in cfg:
+            raise ValueError("squared-mahalanobis generator needs 'matrix'")
         entries = _floats(cfg["matrix"])
         spec = squared_mahalanobis_spec(entries.reshape(d, d), lo, hi)
     else:

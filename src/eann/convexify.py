@@ -6,25 +6,26 @@ by the common offset phi(x) = (1 - ||x||^2)/8. The rescaled members then
 have values in [1/5, 4/5], gradient norms at most 1/4, and Hessian norms at
 most 1/16, so the offset makes every member concave while leaving argmins
 and vertical gaps untouched.
+
+One batched estimator supplies the ball minima. Weighted Euclidean members
+are solved in closed form and Mahalanobis members by bisection on the
+trust-region multiplier. Every other kind starts at the boundary point
+facing its site and takes a few lockstep Frank-Wolfe steps with batched
+line searches. Each estimate is a member value at a point of the ball, so
+it never falls below the true minimum; for the iterative kinds it may sit a
+small fraction above it, which shifts the value bounds by that fraction.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from ._batch import SiteFamily, batch_value_bounds, batch_values
-from .distances import DomainError, SiteFunction
-from .geom import EuclideanBall, is_separated
+from .distances import DomainError
+from .geom import EuclideanBall
 
 PRUNE_DELTA = 0.01
 LAMBDA_PLUS = 0.25  # curvature of the concavifying offset
-
-
-class MinEstimate(NamedTuple):
-    value: float
-    argmin: np.ndarray
 
 
 def _check_ball_in_domain(fam: SiteFamily, ball: EuclideanBall) -> None:
@@ -35,22 +36,20 @@ def _check_ball_in_domain(fam: SiteFamily, ball: EuclideanBall) -> None:
 
 
 def _closed_form_minima(fam: SiteFamily, ball: EuclideanBall):
-    """Exact ball minima and minimizers of the weighted Euclidean and
-    Mahalanobis members: (values, argmins, mask of the members solved)."""
+    """Exact ball minima of the weighted Euclidean and Mahalanobis members:
+    (values, mask of the members solved)."""
     vals = np.full(len(fam), np.nan)
-    args = np.empty_like(fam.P)
     solved = np.zeros(len(fam), dtype=bool)
     for idx, kern in fam.groups:
         if kern.kind == "minkowski" and kern.k == 2.0:
             vals[idx] = kern.W * (np.linalg.norm(kern.P - ball.center[None, :], axis=1)
                                   - ball.radius)
-            args[idx] = _face_seeds(kern.P, ball)
         elif kern.kind == "mahalanobis":
-            vals[idx], args[idx] = _mahalanobis_minima(kern, ball)
+            vals[idx] = _mahalanobis_minima(kern, ball)
         else:
             continue
         solved[idx] = True
-    return vals, args, solved
+    return vals, solved
 
 
 def _mahalanobis_minima(kern, ball: EuclideanBall):
@@ -81,120 +80,7 @@ def _mahalanobis_minima(kern, ball: EuclideanBall):
     lam = 0.5 * (lo + hi)
     y = w * bt / (w + lam[:, None])
     diff = y - bt
-    vals = np.sqrt(np.maximum(np.einsum("md,md,md->m", diff, w, diff), 0.0))
-    return vals, ball.center[None, :] + np.einsum("mij,mj->mi", Q, y)
-
-
-def _segment_argmin(f: SiteFunction, a: np.ndarray, b: np.ndarray, rounds: int = 26) -> np.ndarray:
-    """Grid-bracketing search for the min of a convex function on a segment,
-    batching the evaluations of each refinement round."""
-    lo, hi = 0.0, 1.0
-    span = b - a
-    grid = np.linspace(0.0, 1.0, 9)
-    for _ in range(rounds):
-        ts = lo + (hi - lo) * grid
-        vals = f.value(a[None, :] + ts[:, None] * span[None, :])
-        j = int(np.argmin(vals))
-        lo_new = lo + (hi - lo) * grid[max(j - 1, 0)]
-        hi_new = lo + (hi - lo) * grid[min(j + 1, 8)]
-        lo, hi = lo_new, hi_new
-    return a + 0.5 * (lo + hi) * span
-
-
-def _descend_on_ball(f: SiteFunction, ball: EuclideanBall, x0: np.ndarray) -> MinEstimate:
-    c, r = ball.center, ball.radius
-
-    def proj(x):
-        v = x - c
-        n = float(np.linalg.norm(v))
-        return x if n <= r else c + v * (r / n)
-
-    x = proj(x0)
-    fx = f.value(x)
-    ladder = 0.5 ** np.arange(40)
-    stalls = 0
-    for _ in range(25):
-        f_prev = fx
-        g = f.gradient(x)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-300:
-            break
-        steps = (r / gn) * ladder
-        cand = x[None, :] - steps[:, None] * g[None, :]
-        v = cand - c[None, :]
-        nv = np.linalg.norm(v, axis=1)
-        scale = np.minimum(1.0, r / np.where(nv > 0, nv, 1.0))
-        cand = c[None, :] + v * scale[:, None]
-        vals = f.value(cand)
-        j = int(np.argmin(vals))
-        if vals[j] >= fx:
-            break
-        x, fx = cand[j], float(vals[j])
-        if abs(f_prev - fx) <= 1e-16 * (1.0 + abs(fx)):
-            stalls += 1
-            if stalls >= 2:
-                break
-        else:
-            stalls = 0
-
-    # The minimizer sits on the boundary (the site is outside the ball), so
-    # finish with Frank-Wolfe steps: line search toward the boundary vertex
-    # minimizing the linear model.
-    for _ in range(25):
-        g = f.gradient(x)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-300:
-            break
-        vertex = c - r * g / gn
-        xn = _segment_argmin(f, x, vertex)
-        fn = f.value(xn)
-        if fn >= fx - 1e-17 * (1.0 + abs(fx)):
-            break
-        x, fx = xn, fn
-    return MinEstimate(fx, x)
-
-
-def estimate_min_on_ball(f: SiteFunction, ball: EuclideanBall, budget: int | None = None,
-                         check_separation: bool = True) -> MinEstimate:
-    """Estimate of min f over the ball, within a (1 + 0.01) factor above it.
-
-    The returned value is f evaluated at the returned point, so it always
-    upper-bounds the true minimum. Weighted Euclidean and Mahalanobis kinds
-    are solved in closed form; other kinds use grid seeding plus projected
-    descent (the objectives are convex, so descent reaches the ball optimum).
-    """
-    if check_separation and not is_separated(f.site, ball, 2.0 * f.tau):
-        raise ValueError("insufficient separation")
-    fam = SiteFamily([f])
-    _check_ball_in_domain(fam, ball)
-    vals, args, solved = _closed_form_minima(fam, ball)
-    if solved[0]:
-        return MinEstimate(float(vals[0]), args[0])
-
-    d = ball.center.size
-    if budget is None:
-        budget = max(256, 4**d)
-    per_axis = max(2, int(np.ceil(budget ** (1.0 / d))))
-    axes = [np.linspace(ball.center[i] - ball.radius, ball.center[i] + ball.radius, per_axis)
-            for i in range(d)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    rel = grid - ball.center[None, :]
-    norms = np.linalg.norm(rel, axis=1)
-    scale = np.minimum(1.0, ball.radius / np.where(norms > 0, norms, 1.0))
-    seeds = ball.center[None, :] + rel * scale[:, None]
-    # Extra seed facing the site: the minimizer of any gauge lies there.
-    v = f.site - ball.center
-    vn = float(np.linalg.norm(v))
-    if vn > 0:
-        seeds = np.vstack([seeds, ball.center + ball.radius * v / vn])
-    vals = batch_values(fam, seeds)[:, 0]
-    order = np.argsort(vals)
-    best = MinEstimate(float(vals[order[0]]), seeds[order[0]])
-    for idx in order[:3]:
-        cand = _descend_on_ball(f, ball, seeds[idx])
-        if cand.value < best.value:
-            best = cand
-    return best
+    return np.sqrt(np.maximum(np.einsum("md,md,md->m", diff, w, diff), 0.0))
 
 
 def _face_seeds(P: np.ndarray, ball: EuclideanBall) -> np.ndarray:
@@ -236,13 +122,13 @@ def _fast_fw_refine(fam: SiteFamily, ball: EuclideanBall, X: np.ndarray,
 
 def fast_min_estimates(family, ball: EuclideanBall) -> np.ndarray:
     """Vectorized per-member ball minima, exact for Euclidean-like kinds and
-    slightly above-true for the rest; used by the index build path where a
-    fraction of a percent of slack only shifts constants."""
+    slightly above-true for the rest: the estimator ``normalize`` runs, with
+    every member refined (``normalize`` refines only the contenders)."""
     if len(family) == 0:
         return np.zeros(0)
     fam = SiteFamily.of(family)
     _check_ball_in_domain(fam, ball)
-    vals, _, solved = _closed_form_minima(fam, ball)
+    vals, solved = _closed_form_minima(fam, ball)
     fw = np.flatnonzero(~solved)
     if fw.size:
         sub = fam.take(fw)
@@ -296,7 +182,7 @@ def prune_screen(lo: np.ndarray, hi: np.ndarray, slack: float = 0.0) -> np.ndarr
 
 
 def normalize(family, ball: EuclideanBall, indices=None,
-              check_separation: bool = True, accuracy: str = "high") -> NormalizedFamily:
+              check_separation: bool = True) -> NormalizedFamily:
     """Rescale a separated family (a ``SiteFamily`` or a list of site
     functions) over a ball, pruning members that cannot touch the lower
     envelope there.
@@ -305,8 +191,10 @@ def normalize(family, ball: EuclideanBall, indices=None,
     family minimum (with 1% slack); such members exceed the smallest member
     throughout the ball. The scale is h = 5 * min_i estimate_i. Cheap
     distance-sandwich bounds skip the estimation of members that provably
-    land beyond the prune threshold. ``accuracy="fast"`` switches to the
-    vectorized estimator used during index construction.
+    land beyond the prune threshold. The estimates come from the closed
+    forms where they exist and from batched Frank-Wolfe otherwise, refined
+    only for members near the family minimum or the prune threshold (see
+    ``_tiered_fast_estimates``).
     """
     family = SiteFamily.of(family)
     if indices is None:
@@ -322,14 +210,7 @@ def normalize(family, ball: EuclideanBall, indices=None,
     est_positions = np.flatnonzero(prune_screen(lo, hi))
     _check_ball_in_domain(family, ball)
 
-    if accuracy == "fast":
-        estimates, refined, f1_min = _tiered_fast_estimates(family, ball, lo, est_positions)
-    else:
-        estimates = {}
-        for i in est_positions.tolist():
-            estimates[i] = estimate_min_on_ball(family.fns[i], ball, check_separation=False).value
-        refined = set(estimates)
-        f1_min = min(estimates.values())
+    estimates, refined, f1_min = _tiered_fast_estimates(family, ball, lo, est_positions)
     threshold = 2.0 * (1.0 + PRUNE_DELTA) * f1_min
     keep_cap = 2.0 * threshold  # unrefined upper estimates below this stay concave-safe
 
@@ -353,7 +234,7 @@ def _tiered_fast_estimates(family: SiteFamily, ball, lo_bounds, est_positions):
     for the family minimum or whose keep/prune call is ambiguous. Returns
     (estimates, refined-position set, family minimum).
     """
-    vals, _, solved = _closed_form_minima(family.take(est_positions), ball)
+    vals, solved = _closed_form_minima(family.take(est_positions), ball)
     estimates: dict[int, float] = dict(zip(est_positions[solved].tolist(),
                                            vals[solved].tolist()))
     refined: set[int] = set(estimates)

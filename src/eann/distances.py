@@ -9,6 +9,7 @@ parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,10 +165,12 @@ class MinkowskiDistance(SiteFunction):
     is_scaling = True
 
     def __init__(self, site, k: float, weight: float = 1.0, tau: float | None = None):
+        if not math.isfinite(k):
+            raise ValueError("Minkowski exponent must be finite")
         if k <= 1.0:
             raise ValueError("not smooth: Minkowski exponent must exceed 1")
-        if weight <= 0.0:
-            raise ValueError("weight must be positive")
+        if not (math.isfinite(weight) and weight > 0.0):
+            raise ValueError("weight must be finite and positive")
         site = as_vector(site)
         self.site = site  # needed by the sampled-tau fallback below
         self.k = float(k)

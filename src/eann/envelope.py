@@ -148,8 +148,7 @@ class RelativeAvr:
     points into the unit ball and witness values back out.
     """
 
-    def __init__(self, family, ball: EuclideanBall, eps: float,
-                 indices=None, check_separation: bool = True, accuracy: str = "high"):
+    def __init__(self, family, ball: EuclideanBall, eps: float, indices=None):
         if not (0.0 < eps <= 1.0):
             raise ValueError("eps out of range")
         family = SiteFamily.of(family)
@@ -167,8 +166,7 @@ class RelativeAvr:
             return
         self.trivial = False
         self.family = None  # the kept members live in self.normalized.family
-        self.normalized = normalize(family, ball, indices=indices,
-                                    check_separation=check_separation, accuracy=accuracy)
+        self.normalized = normalize(family, ball, indices=indices)
         self.convexified = convexify(self.normalized)
         self.env = build_envelope(self.convexified, eps / 5.0)
 
@@ -194,8 +192,5 @@ class RelativeAvr:
         return 0 if self.trivial else self.env.sample_count
 
 
-def build_relative(family, ball: EuclideanBall, eps: float,
-                   indices=None, check_separation: bool = True,
-                   accuracy: str = "high") -> RelativeAvr:
-    return RelativeAvr(family, ball, eps, indices=indices,
-                       check_separation=check_separation, accuracy=accuracy)
+def build_relative(family, ball: EuclideanBall, eps: float, indices=None) -> RelativeAvr:
+    return RelativeAvr(family, ball, eps, indices=indices)

@@ -5,6 +5,7 @@ lines alongside the pytest verdicts.
 """
 
 import numpy as np
+import pytest
 
 from eann._batch import batch_values
 from eann.admissibility import (
@@ -276,11 +277,17 @@ def test_criterion_09_divergence_validators():
            f"sandwich violations={sandwich_bad} of 4000")
 
 
-def test_criterion_10_storage_proxy():
+@pytest.fixture(scope="module")
+def leaf_fit():
+    """The l2 leaf-scaling sweep that criteria 10 and 11 both read, run once:
+    it materializes whole trees up to n=1600."""
+    return leaf_scaling_fit(d=2, n_values=(100, 400, 1600))
+
+
+def test_criterion_10_storage_proxy(leaf_fit):
     fits = [storage_exponent_fit(d) for d in (2, 3)]
     ok = all(f["exponent"] <= f["d"] / 2.0 + 0.5 for f in fits)
-    leaves = leaf_scaling_fit(d=2, n_values=(100, 400, 1600))
-    per_n = [row["leaves_per_n"] for row in leaves["rows"]]
+    per_n = [row["leaves_per_n"] for row in leaf_fit["rows"]]
     spread = max(per_n) / min(per_n)
     ok = ok and spread <= 2.0
     detail = ", ".join(f"d={f['d']}: exp={f['exponent']:.2f} (cap {f['d'] / 2 + 0.5})"
@@ -289,9 +296,8 @@ def test_criterion_10_storage_proxy():
            f"{detail}; leaf density spread x{spread:.2f} over n in (100,400,1600)")
 
 
-def test_criterion_11_query_time_proxy():
-    leaves = leaf_scaling_fit(d=2, n_values=(100, 400, 1600))
-    visits = [row["locate_visits_mean"] for row in leaves["rows"]]
+def test_criterion_11_query_time_proxy(leaf_fit):
+    visits = [row["locate_visits_mean"] for row in leaf_fit["rows"]]
     growth = [visits[i + 1] - visits[i] for i in range(len(visits) - 1)]
     ok = all(g <= 4.0 for g in growth)
     # The asymptotic query-time bound itself is not certified here; this is

@@ -166,6 +166,18 @@ def test_collinear_and_clustered_sites(rng):
         assert check_leaf(tree, leaf) == []
 
 
+def test_split_skips_an_axis_too_thin_to_halve():
+    """Sites 4e-219 apart on a shared x: shrinks squeeze x to one float of
+    width, where its midpoint rounds onto an end, so splits must halve y.
+    Splitting the wider x forever used to exceed the maximum depth."""
+    sites = np.array([[0.125, 0.0], [0.125, 4.276574004239104e-219]])
+    tree = build_avd(sites, AvdConfig(2.0, 4.0))
+    for p in sites:
+        leaf, _ = tree.locate(p)
+        assert leaf.cell.contains(p, tol=0.0)
+        assert check_leaf(tree, leaf) == []
+
+
 def test_lazy_matches_materialized(rng):
     """Expansion order does not change the leaves a query reaches."""
     sites = rng.random((40, 2))

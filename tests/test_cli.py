@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from eann.cli import main
+from eann.ann import load_index
+from eann.cli import gen_sites, main
+from eann.config import build_site_functions, parse_distance_config
 
 
 @pytest.fixture
@@ -62,6 +65,43 @@ def test_build_error_paths(workspace, capsys):
     rc = main(["build", str(points), str(config), "0.0", str(tmp / "x.eann")])
     assert rc == 1
     assert "eps out of range" in capsys.readouterr().err
+
+
+def test_build_expands_no_leaf(tmp_path, capsys):
+    """`build` reports the leaves expanded so far, which is none: it never
+    materializes the tree (a whole `kl` n=400 tree has ~380,000 leaves)."""
+    rng = np.random.default_rng(400)
+    points = tmp_path / "kl.txt"
+    points.write_text("\n".join(f"{p[0]:.17g} {p[1]:.17g}" for p in gen_sites(rng, 400, 2, "kl")))
+    config = tmp_path / "kl.cfg"
+    config.write_text("kind = bregman\ngenerator = generalized-kl\n"
+                      "domain_low = 0.1 0.1\ndomain_high = 1 1\n")
+    out = tmp_path / "kl.eann"
+    assert main(["build", str(points), str(config), "0.1", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "n = 400" in lines and "leaves = 0" in lines
+    index = load_index(str(out))
+    assert index.n == 400 and index.eps == 0.1
+    assert index.storage_stats()["leaves"] == 0
+
+
+MALFORMED_CONFIGS = [
+    "kind = minkowski\nk = nan\n",
+    "kind = minkowski\nk = inf\n",
+    "kind = minkowski\nweight = nan\n",
+    "kind = minkowski\nweight = inf\n",
+    "kind = bregman\ngenerator = squared-mahalanobis\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_CONFIGS)
+def test_malformed_distance_parameters_raise_value_error(text, workspace, capsys):
+    tmp, points, config, queries = workspace
+    with pytest.raises(ValueError):
+        build_site_functions(parse_distance_config(text), np.full((3, 2), 0.5))
+    config.write_text(text)
+    assert main(["build", str(points), str(config), "0.25", str(tmp / "x.eann")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_query_truncated_index_fails_cleanly(workspace, capsys):

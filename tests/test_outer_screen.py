@@ -85,7 +85,7 @@ def _compare_leaf(index, leaf) -> str:
         assert not att.brute and att.outer_avr.indices == outer
         return "one outer"
     try:
-        ref = normalize([index.sites[i] for i in outer], ball, indices=outer, accuracy="fast")
+        ref = normalize([index.sites[i] for i in outer], ball, indices=outer)
     except DomainError:
         assert att.brute and att.outer_avr is None
         return "brute"

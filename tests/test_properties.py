@@ -114,3 +114,29 @@ def test_gather_window_holds_an_anchor_within_the_covering_radius(data):
     assert ids
     nearest = min(float(np.linalg.norm(env.anchors[i] - u)) for i in ids)
     assert nearest <= env.cover_radius * (1.0 + 1e-9)
+
+
+@SETTINGS
+@given(st.data())
+def test_locate_routes_a_point_on_a_cell_low_face_to_that_cell(data):
+    """Cells are half-open, low <= q < high, so a point on a leaf's low face
+    (a split plane, unless it is the root box's face) belongs to that leaf
+    and not to the neighbor below it."""
+    d = data.draw(st.integers(2, 3), label="d")
+    sites = np.array(data.draw(points(d, 2, 30), label="sites"))
+    cfg = AvdConfig(2.0, data.draw(st.sampled_from([4.0, 12.0]), label="beta"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    tree = build_avd(sites, cfg)
+    box = tree.root_box
+    # Leaves at the sites and anywhere in the root box.
+    for q0 in np.concatenate([sites, rng.uniform(box.low, box.high, size=(20, d))]):
+        leaf, _ = tree.locate(q0)
+        outer, hole = leaf.cell.outer, leaf.cell.inner
+        # Point i lies inside the cell with coordinate i on the low face.
+        Q = rng.uniform(outer.low, outer.high, size=(d, d))
+        Q[np.arange(d), np.arange(d)] = outer.low
+        keep = np.all(Q < outer.high, axis=1)
+        if hole is not None:
+            keep &= ~(np.all(Q >= hole.low, axis=1) & np.all(Q < hole.high, axis=1))
+        for q in Q[keep]:
+            assert tree.locate(q)[0] is leaf
