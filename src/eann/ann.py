@@ -34,6 +34,7 @@ from .distances import (
     MahalanobisDistance,
     MinkowskiDistance,
     SiteFunction,
+    resolve_tau,
     squared_mahalanobis_spec,
 )
 from .envelope import RelativeAvr, build_relative
@@ -176,6 +177,7 @@ class AnnIndex:
             raise ValueError("sites must share one dimension")
         self.sites = list(sites)
         self.eps = float(eps)
+        resolve_tau(self.sites)
         tau = max(f.tau for f in sites)
         if not np.isfinite(tau):
             raise ValueError("admissibility gate: unbounded ratio")

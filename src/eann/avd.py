@@ -37,6 +37,9 @@ from .geom import (
 )
 
 _PENDING, _SPLIT, _SHRINK, _LEAF = 0, 1, 2, 3
+# Site and position ids. Pending frontier nodes keep their id arrays, so a
+# cold index holds many of them; int32 halves that memory.
+_ID = np.int32
 # Serialized tree configuration: dimension (u32), alpha, beta (f64), max_depth (u32).
 CONFIG_RECORD = struct.Struct("<IddI")
 
@@ -130,11 +133,11 @@ class AvdTree:
             raise ValueError("sites must be finite")
         self.cfg = cfg
         self.positions, inverse = np.unique(sites, axis=0, return_inverse=True)
-        self.position_of_site = inverse.astype(int)
+        self.position_of_site = inverse.astype(_ID)
         groups: list[list[int]] = [[] for _ in range(len(self.positions))]
         for site_id, pos in enumerate(self.position_of_site):
             groups[pos].append(site_id)
-        self.site_groups = [np.array(g, dtype=int) for g in groups]
+        self.site_groups = [np.array(g, dtype=_ID) for g in groups]
         self.n_positions = len(self.positions)
 
         center = 0.5 * (sites.min(axis=0) + sites.max(axis=0))
@@ -143,7 +146,7 @@ class AvdTree:
         half = np.full(sites.shape[1], side / 2.0)
         self.root_box = AlignedBox(center - half, center + half)
         self._root = _Node(BbdCell(self.root_box, None), 0,
-                           np.arange(self.n_positions), np.zeros(0, dtype=int))
+                           np.arange(self.n_positions, dtype=_ID), np.zeros(0, dtype=_ID))
         self._lock = threading.RLock()
         self._expansions = 0
 
@@ -233,12 +236,12 @@ class AvdTree:
         subtree below the child."""
         cand = np.concatenate([node.near, moved])
         if len(cand) == 0:
-            return cand.astype(int)
+            return cand
         box = child_cell.outer
         ball_r = float(np.linalg.norm(box.sides) / 2.0)
         dists = box_distances(box.low, box.high, self.positions[cand])
         keep = dists < (2.0 * self.cfg.alpha + 1.0) * ball_r
-        return cand[keep].astype(int)
+        return cand[keep]
 
     def _expand(self, node: _Node) -> None:
         if node.kind != _PENDING:
@@ -300,7 +303,7 @@ class AvdTree:
             for i in (0, 1):
                 if cells[i].is_empty() and len(parts[i]) > 0:
                     parts[1 - i] = np.sort(np.concatenate([parts[1 - i], parts[i]]))
-                    parts[i] = np.zeros(0, dtype=int)
+                    parts[i] = np.zeros(0, dtype=_ID)
             node.kind = _SPLIT
             node.axis = axis
             node.mid = mid
@@ -314,8 +317,8 @@ class AvdTree:
                     _Node(cells[i], node.depth + 1, parts[i],
                           self._split_near(node, cells[i], moved))
                 )
-        node.assigned = np.zeros(0, dtype=int)
-        node.near = np.zeros(0, dtype=int)
+        node.assigned = np.zeros(0, dtype=_ID)
+        node.near = np.zeros(0, dtype=_ID)
 
     # -- queries -----------------------------------------------------------
 

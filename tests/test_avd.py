@@ -192,3 +192,20 @@ def test_lazy_matches_materialized(rng):
         assert v1 == v2
         assert np.array_equal(l1.in_cell, l2.in_cell)
         assert np.array_equal(np.sort(l1.inner), np.sort(l2.inner))
+
+
+def test_site_id_arrays_are_int32(rng):
+    """Pending frontier nodes keep their id arrays, so they stay 32-bit."""
+    sites = np.vstack([rng.random((150, 2)), rng.random((10, 2))[[0, 0, 1]]])
+    tree = build_avd(sites, AvdConfig(2.0, 40.0))
+    for q in rng.random((30, 2)):
+        tree.locate(q)
+    arrays = [tree.position_of_site, *tree.site_groups]
+    stack = [tree._root]
+    while stack:
+        node = stack.pop()
+        arrays += [node.assigned, node.near]
+        if node.leaf is not None:
+            arrays += [node.leaf.in_cell, node.leaf.inner]
+        stack.extend(c for c in node.children if c is not None)
+    assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
