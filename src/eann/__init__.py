@@ -21,12 +21,7 @@ from .ann import (
     save_index,
 )
 from .avd import AvdConfig, AvdLeaf, AvdTree, build_avd, check_leaf
-from .convexify import (
-    ConvexifiedFamily,
-    NormalizedFamily,
-    convexify,
-    normalize,
-)
+from .convexify import NormalizedFamily, check_invariants, convexify, normalize
 from .distances import (
     BregmanDistance,
     BregmanSpec,
@@ -49,7 +44,7 @@ from .distances import (
     squared_mahalanobis_spec,
     tau_for_gauge,
 )
-from .envelope import ConcaveEnvelope, RelativeAvr, build_envelope, build_relative
+from .envelope import ConcaveEnvelope, build_relative
 from .geom import (
     AlignedBox,
     BbdCell,

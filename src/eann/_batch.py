@@ -1,84 +1,32 @@
-"""The evaluation kernel: one array formula per distance kind.
+"""The evaluation kernel: families of site functions as struct-of-arrays.
 
-Every value and gradient of a Minkowski, Mahalanobis or Bregman site
-function is computed by the functions below, on ``(T, m, d)`` stacks of
-points ``X`` and offsets ``V = X - P`` against ``m`` sites ``P``. The
-per-site ``SiteFunction`` classes call them on one-member stacks.
-
-``SiteFamily`` holds a family as struct-of-arrays: positions, and one
-kernel object per kind with its parameter arrays, from which it also bounds
-each member's minimum at a given Euclidean distance from its site. It is
-built once per index and evaluates every member at every point (cross
-values) or each member at its own row (row-paired values and gradients, for
-points the caller keeps inside the domain). Custom gauges keep their own
-callables and are evaluated one member at a time.
+``SiteFamily`` holds a family as positions and one kernel object per kind
+with its parameter arrays, which evaluates the array formulas of
+``distances`` for all its members at once and also bounds each member's
+minimum at a given Euclidean distance from its site. It is built once per
+index and evaluates every member at every point (cross values) or each
+member at its own row (row-paired values and gradients, for points the
+caller keeps inside the domain). Custom gauges keep their own callables and
+are evaluated one member at a time. Building a family samples the deferred
+Bregman ``tau`` of its members in one pass per generator.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 
 import numpy as np
 
-
-class DomainError(ValueError):
-    """Raised when a point falls outside a divergence's open domain."""
-
-
-# ---------------------------------------------------------------------------
-# Kernels
-# ---------------------------------------------------------------------------
-
-
-def _columns(a):
-    """Views of the last-axis entries. Folding them in order reduces over a
-    short coordinate axis far faster than ``np.max``/``np.sum(axis=-1)``,
-    with the same left-to-right sums for d < 8."""
-    return [a[..., j] for j in range(a.shape[-1])]
-
-
-def minkowski_values(V, k, W):
-    """W * ||v||_k over the last axis, scaled by max |v_i| against overflow."""
-    cols = _columns(np.abs(V))
-    mx = functools.reduce(np.maximum, cols)
-    safe = np.where(mx > 0.0, mx, 1.0)
-    s = sum((c / safe) ** k for c in cols)
-    return W * mx * s ** (1.0 / k)
-
-
-def minkowski_gradients(V, k, W):
-    mx = functools.reduce(np.maximum, _columns(np.abs(V)))
-    t = V / mx[..., None]
-    a = np.abs(t)
-    s = sum(c**k for c in _columns(a))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = s[..., None] ** (1.0 / k - 1.0) * a ** (k - 1.0) * np.sign(t)
-    return np.reshape(W, (-1, 1)) * g
-
-
-def mahalanobis_values(V, M):
-    """sqrt(v^T M v) for (T, m, d) offsets and an (m, d, d) matrix stack."""
-    return np.sqrt(np.maximum(np.einsum("tmd,mde,tme->tm", V, M, V), 0.0))
-
-
-def mahalanobis_gradients(V, M):
-    return np.einsum("tmd,mde->tme", V, M) / mahalanobis_values(V, M)[..., None]
-
-
-def _rows(fn, X):
-    """A batched ``(A, d)`` callable applied to every row of a (T, m, d) stack."""
-    out = np.asarray(fn(X.reshape(-1, X.shape[-1])), dtype=float)
-    return out.reshape(X.shape[:-1] + out.shape[1:])
-
-
-def bregman_values(spec, X, V, fP, gP):
-    """D_F(x, p) = F(x) - F(p) - <grad F(p), x - p>, with V = X - P."""
-    return _rows(spec.values, X) - fP - np.einsum("tmd,md->tm", V, gP)
-
-
-def bregman_gradients(spec, X, gP):
-    return _rows(spec.gradients, X) - gP
+from .distances import (
+    DomainError,
+    bregman_gradients,
+    bregman_values,
+    mahalanobis_gradients,
+    mahalanobis_values,
+    minkowski_gradients,
+    minkowski_values,
+    resolve_tau,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +181,8 @@ class SiteFamily:
         if not self.fns:
             raise ValueError("empty family")
         self.P = np.stack([f.site for f in self.fns])
-        self.tau = np.array([f.tau for f in self.fns])
+        resolve_tau(self.fns)
+        self.tau = np.array([f._tau for f in self.fns])
         by_key: dict[tuple, list[int]] = {}
         for i, f in enumerate(self.fns):
             by_key.setdefault(_kernel_key(f), []).append(i)

@@ -11,8 +11,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from ._batch import bregman_gradients, bregman_values
-from .distances import BregmanSpec, SiteFunction, admissibility_ratios
+from .distances import (
+    BregmanSpec,
+    SiteFunction,
+    admissibility_ratios,
+    bregman_gradients,
+    bregman_values,
+)
 from .geom import EuclideanBall, as_vector, is_separated, separation_ratio
 
 CERTIFY_INFLATION = 1.10

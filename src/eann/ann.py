@@ -34,10 +34,9 @@ from .distances import (
     MahalanobisDistance,
     MinkowskiDistance,
     SiteFunction,
-    resolve_tau,
     squared_mahalanobis_spec,
 )
-from .envelope import RelativeAvr, build_relative
+from .envelope import ConcaveEnvelope, build_relative
 from .geom import EuclideanBall, enclosing_ball
 
 MAGIC = b"EANN"
@@ -83,7 +82,7 @@ class InnerPatchSet:
         else:
             self.face_side = 2.0
             self.cells_per_axis = 1
-        self._patches: dict[tuple, RelativeAvr] = {}
+        self._patches: dict[tuple, ConcaveEnvelope] = {}
         self._lock = threading.Lock()
 
     def patch_key(self, q_prime: np.ndarray) -> tuple:
@@ -113,22 +112,24 @@ class InnerPatchSet:
         d = self.p_prime.size
         return 2 * d * self.cells_per_axis ** (d - 1)
 
-    def _patch(self, key: tuple) -> RelativeAvr:
-        avr = self._patches.get(key)
-        if avr is None:
+    def _patch(self, key: tuple) -> ConcaveEnvelope:
+        env = self._patches.get(key)
+        if env is None:
             with self._lock:
-                avr = self._patches.get(key)
-                if avr is None:
-                    avr = build_relative(self.perturbed, self.patch_ball(key),
+                env = self._patches.get(key)
+                if env is None:
+                    env = build_relative(self.perturbed, self.patch_ball(key),
                                          self.eps / 3.0, indices=self.indices)
-                    self._patches[key] = avr
-        return avr
+                    self._patches[key] = env
+        return env
 
     def query(self, q: np.ndarray) -> int:
-        """Candidate original function id for a query anywhere off p'."""
+        """Candidate original function id for a query; at p' itself, where
+        every perturbed function is zero, the first id."""
+        if np.all(q == self.p_prime):
+            return self.indices[0]
         q_prime = ray_to_hypercube_boundary(self.p_prime, q)
-        _, witness = self._patch(self.patch_key(q_prime)).query(q_prime)
-        return witness
+        return self._patch(self.patch_key(q_prime)).query(q_prime)
 
     @property
     def sample_count(self) -> int:
@@ -136,14 +137,19 @@ class InnerPatchSet:
 
 
 class _Attachment:
-    __slots__ = ("single_fids", "inner_fids", "outer_avr", "patchset", "inner_rep", "brute")
+    """A leaf's candidates: ``fixed_fids`` (the cell's sites, a lone outer
+    survivor of the prune screen, a lone inner site or a Bregman cluster's
+    first site), plus the witnesses of ``outer_env`` (two or more outer
+    survivors) and ``patchset`` (a scaling cluster of two or more sites). A
+    ``brute`` leaf, whose ball leaves a Bregman domain, answers by full scan.
+    """
+
+    __slots__ = ("fixed_fids", "outer_env", "patchset", "brute")
 
     def __init__(self):
-        self.single_fids: list[int] = []
-        self.inner_fids: list[int] = []
-        self.outer_avr: RelativeAvr | None = None
+        self.fixed_fids: list[int] = []
+        self.outer_env: ConcaveEnvelope | None = None
         self.patchset: InnerPatchSet | None = None
-        self.inner_rep: int | None = None
         self.brute = False
 
 
@@ -177,11 +183,9 @@ class AnnIndex:
             raise ValueError("sites must share one dimension")
         self.sites = list(sites)
         self.eps = float(eps)
-        resolve_tau(self.sites)
-        tau = max(f.tau for f in sites)
-        if not np.isfinite(tau):
-            raise ValueError("admissibility gate: unbounded ratio")
-        self.tau = max(1.0, float(tau))
+        self.family = SiteFamily(self.sites)
+        # Every site's tau is finite and at least 1 (``_admissible_tau``).
+        self.tau = float(np.max(self.family.tau))
         self.alpha = 2.0 * self.tau
         if self.kind == "scaling":
             self.beta = 10.0 * self.tau / self.eps
@@ -189,7 +193,6 @@ class AnnIndex:
             self.beta = 4.0 * self.tau**2 / self.eps
         if self.kind == "bregman" and (spec0.eig_low is None or spec0.eig_high is None):
             raise ValueError("generator lacks Hessian eigenvalue bounds")
-        self.family = SiteFamily(self.sites)
         self.points = self.family.P
         self.tree = build_avd(self.points, AvdConfig(self.alpha, self.beta))
         self._lock = threading.RLock()
@@ -226,32 +229,37 @@ class AnnIndex:
             role[leaf.in_cell] = 1
             role[leaf.inner] = 2
             site_role = role[self.tree.position_of_site]
-            att.single_fids = np.flatnonzero(site_role == 1).tolist()
-            att.inner_fids = np.flatnonzero(site_role == 2).tolist()
+            att.fixed_fids = np.flatnonzero(site_role == 1).tolist()
+            inner_fids = np.flatnonzero(site_role == 2).tolist()
             outer = site_role == 0
             if np.any(outer):
+                ball = enclosing_ball(leaf.cell)
                 try:
-                    att.outer_avr = self._outer_avr(enclosing_ball(leaf.cell), outer)
+                    fids = self._outer_survivors(ball, outer)
+                    if len(fids) == 1:
+                        att.fixed_fids += fids
+                    else:
+                        att.outer_env = build_relative(self.family.take(fids), ball,
+                                                       self.eps, indices=fids)
                 except DomainError:
                     att.brute = True
                     self.stats["brute_leaves"] += 1
-            if att.inner_fids:
-                if self.kind == "scaling":
-                    att.patchset = InnerPatchSet(
-                        self.family.take(att.inner_fids), att.inner_fids,
-                        leaf.inner_ball.center, self.tau, self.eps)
-                else:
-                    att.inner_rep = att.inner_fids[0]
+            if len(inner_fids) == 1 or (inner_fids and self.kind == "bregman"):
+                att.fixed_fids.append(inner_fids[0])
+            elif inner_fids:
+                att.patchset = InnerPatchSet(self.family.take(inner_fids), inner_fids,
+                                             leaf.inner_ball.center, self.tau, self.eps)
             leaf.attachment = att
             return att
 
-    def _outer_avr(self, ball: EuclideanBall, outer: np.ndarray) -> RelativeAvr:
-        """Envelope of the outer sites (mask over site ids) over the leaf ball.
+    def _outer_survivors(self, ball: EuclideanBall, outer: np.ndarray) -> list[int]:
+        """Ids of the outer sites (mask over site ids) that can touch the
+        lower envelope over the leaf ball.
 
         One vectorized bound pass applies normalize's prune screen, slightly
-        widened, to every outer site, and only the survivors become the
-        family: normalize would prune the others unestimated, so the envelope
-        equals that of the full outer set.
+        widened, to every outer site: normalize would prune the others
+        unestimated, so the envelope of the survivors equals that of the
+        full outer set.
         """
         diff = self.points - ball.center[None, :]
         dists = np.maximum(0.0, np.sqrt(np.einsum("md,md->m", diff, diff)) - ball.radius)
@@ -260,13 +268,11 @@ class AnnIndex:
             raise ValueError(f"insufficient separation: site {int(np.argmax(bad))}")
         lo, hi = self.family.value_bounds(dists)
         lo, hi = np.where(outer, lo, np.inf), np.where(outer, hi, np.inf)
-        fids = np.flatnonzero(prune_screen(lo, hi, slack=_SCREEN_SLACK)).tolist()
-        survivors = self.family.take(fids)
         if np.count_nonzero(outer) > 1:
             # normalize decides Bregman brute leaves by this check on every
             # family of two or more; a single survivor skips normalize.
-            _check_ball_in_domain(survivors, ball)
-        return build_relative(survivors, ball, self.eps, indices=fids)
+            _check_ball_in_domain(self.family, ball)
+        return np.flatnonzero(prune_screen(lo, hi, slack=_SCREEN_SLACK)).tolist()
 
     # -- queries --------------------------------------------------------------
 
@@ -288,18 +294,12 @@ class AnnIndex:
         if att.brute:
             self._bump("brute_queries")
             return brute_force(self.family, q)
-        candidates: list[int] = list(att.single_fids)
+        candidates = list(att.fixed_fids)
         try:
-            if att.outer_avr is not None:
-                _, w = att.outer_avr.query(q)
-                candidates.append(w)
+            if att.outer_env is not None:
+                candidates.append(att.outer_env.query(q))
             if att.patchset is not None:
-                if np.all(q == att.patchset.p_prime):
-                    candidates.append(att.inner_fids[0])
-                else:
-                    candidates.append(att.patchset.query(q))
-            elif att.inner_rep is not None:
-                candidates.append(att.inner_rep)
+                candidates.append(att.patchset.query(q))
         except DomainError:
             # Only this query falls back; the leaf keeps its structures, so
             # later answers do not depend on query order.
@@ -318,20 +318,15 @@ class AnnIndex:
         if gap < self.beta * ball.diameter:
             self._bump("outside_brute")
             return brute_force(self.family, q)
-        if self.kind == "bregman":
-            candidates = [0]
+        if self.kind == "bregman" or self.n == 1:
+            fid = 0
         else:
             with self._lock:
                 if self._outside_patchset is None:
                     self._outside_patchset = InnerPatchSet(
                         self.family, list(range(self.n)), ball.center, self.tau, self.eps)
-            if np.all(q == ball.center):
-                candidates = [0]
-            else:
-                candidates = [self._outside_patchset.query(q)]
-        vals = batch_values(self.family.take(candidates), q)[0]
-        best = int(np.argmin(vals))
-        return candidates[best], float(vals[best])
+            fid = self._outside_patchset.query(q)
+        return fid, float(batch_values(self.family.take([fid]), q)[0, 0])
 
     # -- statistics -----------------------------------------------------------
 
@@ -347,8 +342,8 @@ class AnnIndex:
                 leaf_count += 1
                 att = node.leaf.attachment
                 if att is not None:
-                    if att.outer_avr is not None:
-                        env_samples += att.outer_avr.sample_count
+                    if att.outer_env is not None:
+                        env_samples += att.outer_env.sample_count
                     if att.patchset is not None:
                         env_samples += att.patchset.sample_count
                         patches += len(att.patchset._patches)

@@ -254,9 +254,9 @@ def storage_exponent_fit(d: int, eps_values=(0.4, 0.2, 0.1, 0.05), seed: int = 1
         fns.append(make_minkowski(u * dist, 2.0, float(rng.uniform(1.0, 2.0))))
     counts = []
     for eps in eps_values:
-        avr = build_relative(fns, ball, eps)
-        avr.env.materialize_all()
-        counts.append(avr.env.sample_count)
+        env = build_relative(fns, ball, eps)
+        env.materialize_all()
+        counts.append(env.sample_count)
     x = np.log(1.0 / np.asarray(eps_values))
     y = np.log(np.asarray(counts, dtype=float))
     slope = float(np.polyfit(x, y, 1)[0])

@@ -1,11 +1,13 @@
 """Prune, rescale, and concavify a family of separated distance functions.
 
-Over a ball whose sites are all (2*tau)-separated, the family is divided by
-five times its smallest ball minimum, mapped to the unit ball, and shifted
-by the common offset phi(x) = (1 - ||x||^2)/8. The rescaled members then
-have values in [1/5, 4/5], gradient norms at most 1/4, and Hessian norms at
-most 1/16, so the offset makes every member concave while leaving argmins
-and vertical gaps untouched.
+Over a ball whose sites are all (2*tau)-separated, ``normalize`` divides
+the family by five times its smallest ball minimum and maps it to the unit
+ball; the result, a ``NormalizedFamily``, records the kept members and the
+scale. ``convexify`` adds the common offset phi(u) = (1 - ||u||^2)/8 to
+their values. The rescaled members have values in [1/5, 4/5], gradient
+norms at most 1/4, and Hessian norms at most 1/16, so the offset makes
+every member concave while leaving argmins and vertical gaps untouched;
+``check_invariants`` samples these bounds.
 
 One batched estimator supplies the ball minima. Weighted Euclidean members
 are solved in closed form and Mahalanobis members by bisection on the
@@ -160,10 +162,6 @@ class NormalizedFamily:
     def values_matrix(self, U: np.ndarray) -> np.ndarray:
         return batch_values(self.family, self.world_points(U)) / self.scale_h
 
-    def member_values(self, pos: int, U: np.ndarray) -> np.ndarray:
-        X = self.world_points(U)
-        return self.family.fns[pos]._values(X) / self.scale_h
-
     def member_gradients(self, pos: int, U: np.ndarray) -> np.ndarray:
         X = self.world_points(U)
         return self.family.fns[pos]._gradients(X) * (self.ball.radius / self.scale_h)
@@ -262,75 +260,42 @@ def _tiered_fast_estimates(family: SiteFamily, ball, lo_bounds, est_positions):
     return estimates, refined, min(estimates.values())
 
 
-class ConvexifiedFamily:
-    """Normalized members with the common concavifying offset added."""
-
-    def __init__(self, normalized: NormalizedFamily):
-        self.normalized = normalized
-
-    @property
-    def size(self) -> int:
-        return self.normalized.size
-
-    @property
-    def kept_indices(self):
-        return self.normalized.kept_indices
-
-    @staticmethod
-    def offset(U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return (1.0 - np.einsum("ad,ad->a", U, U)) / 8.0
-
-    def values_matrix(self, U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return self.normalized.values_matrix(U) + self.offset(U)[:, None]
-
-    def member_values(self, pos: int, U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return self.normalized.member_values(pos, U) + self.offset(U)
-
-    def values_at_point(self, u: np.ndarray, positions) -> np.ndarray:
-        """Convexified values of selected members at one normalized point."""
-        nf = self.normalized
-        vals = batch_values(nf.family, nf.world_points(u))[0, positions] / nf.scale_h
-        return vals + float(self.offset(u)[0])
-
-    def check_invariants(self, n_samples: int = 10000, seed: int = 0) -> dict:
-        """Sampled extremes of the normalized and convexified members."""
-        rng = np.random.default_rng(seed)
-        d = self.normalized.ball.dim
-        u = rng.standard_normal((n_samples, d))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        radii = rng.random(n_samples) ** (1.0 / d)
-        U = u * radii[:, None]
-        g_vals = self.normalized.values_matrix(U)
-        report = {
-            "g_min": float(np.min(g_vals)),
-            "g_max": float(np.max(g_vals)),
-            "grad_max": 0.0,
-            "hess_max": 0.0,
-            "conc_eig_max": -np.inf,
-            "conc_eig_min": np.inf,
-            "ghat_min": np.inf,
-            "ghat_max": -np.inf,
-        }
-        phi = self.offset(U)
-        for pos in range(self.size):
-            grads = self.normalized.member_gradients(pos, U)
-            report["grad_max"] = max(report["grad_max"],
-                                     float(np.max(np.linalg.norm(grads, axis=1))))
-            hs = self.normalized.member_hessians(pos, U)
-            eigs = np.linalg.eigvalsh(hs)
-            report["hess_max"] = max(report["hess_max"], float(np.max(np.abs(eigs))))
-            report["conc_eig_max"] = max(report["conc_eig_max"],
-                                         float(np.max(eigs[:, -1] - LAMBDA_PLUS)))
-            report["conc_eig_min"] = min(report["conc_eig_min"],
-                                         float(np.min(eigs[:, 0] - LAMBDA_PLUS)))
-            ghat = g_vals[:, pos] + phi
-            report["ghat_min"] = min(report["ghat_min"], float(np.min(ghat)))
-            report["ghat_max"] = max(report["ghat_max"], float(np.max(ghat)))
-        return report
+def convexify(g: np.ndarray, U) -> np.ndarray:
+    """Normalized values ``g`` (one row per point of ``U`` in the unit ball)
+    plus the common concavifying offset phi(u) = (1 - ||u||^2)/8."""
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    return g + ((1.0 - np.einsum("ad,ad->a", U, U)) / 8.0)[:, None]
 
 
-def convexify(nf: NormalizedFamily) -> ConvexifiedFamily:
-    return ConvexifiedFamily(nf)
+def check_invariants(nf: NormalizedFamily, n_samples: int = 10000, seed: int = 0) -> dict:
+    """Sampled extremes of the normalized members and of their convexified
+    values over the unit ball."""
+    rng = np.random.default_rng(seed)
+    d = nf.ball.dim
+    u = rng.standard_normal((n_samples, d))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    radii = rng.random(n_samples) ** (1.0 / d)
+    U = u * radii[:, None]
+    g_vals = nf.values_matrix(U)
+    ghat = convexify(g_vals, U)
+    report = {
+        "g_min": float(np.min(g_vals)),
+        "g_max": float(np.max(g_vals)),
+        "grad_max": 0.0,
+        "hess_max": 0.0,
+        "conc_eig_max": -np.inf,
+        "conc_eig_min": np.inf,
+        "ghat_min": float(np.min(ghat)),
+        "ghat_max": float(np.max(ghat)),
+    }
+    for pos in range(nf.size):
+        grads = nf.member_gradients(pos, U)
+        report["grad_max"] = max(report["grad_max"],
+                                 float(np.max(np.linalg.norm(grads, axis=1))))
+        eigs = np.linalg.eigvalsh(nf.member_hessians(pos, U))
+        report["hess_max"] = max(report["hess_max"], float(np.max(np.abs(eigs))))
+        report["conc_eig_max"] = max(report["conc_eig_max"],
+                                     float(np.max(eigs[:, -1] - LAMBDA_PLUS)))
+        report["conc_eig_min"] = min(report["conc_eig_min"],
+                                     float(np.min(eigs[:, 0] - LAMBDA_PLUS)))
+    return report

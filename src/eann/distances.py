@@ -6,12 +6,17 @@ accepts single points ``(d,)`` or batches ``(A, d)``, and carries a certified
 growth constant ``tau`` used by the search structures to size separation
 parameters.
 
+One array formula per kind computes the values and gradients, on
+``(T, m, d)`` stacks of points ``X`` and offsets ``V = X - P`` against ``m``
+sites ``P``: the site classes call it on one member, ``SiteFamily`` on many.
+
 Gauge constructors compute ``tau`` at once. A Bregman site built without a
 declared ``tau`` samples it later, at seeded points of the domain box (or
 unit directions about the site, for a quadratic generator on an unbounded
-domain): ``build_index`` resolves every such site of a family in one batched
-pass per generator (``resolve_tau``), and a lone site does so on its first
-``.tau`` read. A sample that fails the admissibility checks raises
+domain): building a ``SiteFamily`` (as ``build_index``, ``brute_force`` and
+``normalize`` do) resolves every such member in one batched pass per
+generator (``resolve_tau``), and a lone site does so on its first ``.tau``
+read. A sample that fails the admissibility checks raises
 ``ValueError`` there, naming the site; the checks that need no sample (site
 in domain, a declared ``tau`` for a non-quadratic generator on an unbounded
 domain) still raise in the constructor.
@@ -19,20 +24,12 @@ domain) still raise in the constructor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import (  # DomainError lives with the kernels; re-exported here
-    DomainError,
-    bregman_gradients,
-    bregman_values,
-    mahalanobis_gradients,
-    mahalanobis_values,
-    minkowski_gradients,
-    minkowski_values,
-)
 from .geom import as_vector
 
 _DIRECTION_SEED = 20240601
@@ -65,8 +62,10 @@ class GaugeParams:
 
 
 def tau_for_gauge(params: GaugeParams) -> float:
-    """Growth constant sqrt(2 / (sigma * gamma^3)), clamped below at 1."""
-    return max(1.0, float(np.sqrt(2.0 / (params.sigma * params.gamma**3))))
+    """Growth constant sqrt(2 / (sigma * gamma^3)), clamped below at 1; inf
+    when sigma * gamma^3 underflows, which the admissibility gate rejects."""
+    denom = params.sigma * params.gamma**3
+    return max(1.0, float(np.sqrt(2.0 / denom))) if denom > 0.0 else math.inf
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -180,6 +179,65 @@ def gradient(f: SiteFunction, x):
 
 def hessian(f: SiteFunction, x):
     return f.hessian(x)
+
+
+# ---------------------------------------------------------------------------
+# Array formulas, shared by the site functions and ``SiteFamily``
+# ---------------------------------------------------------------------------
+
+
+class DomainError(ValueError):
+    """Raised when a point falls outside a divergence's open domain."""
+
+
+def _columns(a):
+    """Views of the last-axis entries. Folding them in order reduces over a
+    short coordinate axis far faster than ``np.max``/``np.sum(axis=-1)``,
+    with the same left-to-right sums for d < 8."""
+    return [a[..., j] for j in range(a.shape[-1])]
+
+
+def minkowski_values(V, k, W):
+    """W * ||v||_k over the last axis, scaled by max |v_i| against overflow."""
+    cols = _columns(np.abs(V))
+    mx = functools.reduce(np.maximum, cols)
+    safe = np.where(mx > 0.0, mx, 1.0)
+    s = sum((c / safe) ** k for c in cols)
+    return W * mx * s ** (1.0 / k)
+
+
+def minkowski_gradients(V, k, W):
+    mx = functools.reduce(np.maximum, _columns(np.abs(V)))
+    t = V / mx[..., None]
+    a = np.abs(t)
+    s = sum(c**k for c in _columns(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = s[..., None] ** (1.0 / k - 1.0) * a ** (k - 1.0) * np.sign(t)
+    return np.reshape(W, (-1, 1)) * g
+
+
+def mahalanobis_values(V, M):
+    """sqrt(v^T M v) for (T, m, d) offsets and an (m, d, d) matrix stack."""
+    return np.sqrt(np.maximum(np.einsum("tmd,mde,tme->tm", V, M, V), 0.0))
+
+
+def mahalanobis_gradients(V, M):
+    return np.einsum("tmd,mde->tme", V, M) / mahalanobis_values(V, M)[..., None]
+
+
+def _rows(fn, X):
+    """A batched ``(A, d)`` callable applied to every row of a (T, m, d) stack."""
+    out = np.asarray(fn(X.reshape(-1, X.shape[-1])), dtype=float)
+    return out.reshape(X.shape[:-1] + out.shape[1:])
+
+
+def bregman_values(spec, X, V, fP, gP):
+    """D_F(x, p) = F(x) - F(p) - <grad F(p), x - p>, with V = X - P."""
+    return _rows(spec.values, X) - fP - np.einsum("tmd,md->tm", V, gP)
+
+
+def bregman_gradients(spec, X, gP):
+    return _rows(spec.gradients, X) - gP
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +520,24 @@ def squared_mahalanobis_spec(matrix, domain_low=None, domain_high=None) -> Bregm
     )
 
 
-def generalized_kl_spec(dim: int, domain_low=0.1, domain_high=1.0) -> BregmanSpec:
+def _positive_box(label: str, dim: int, domain_low, domain_high, power: int):
+    """Working box of a generator with Hessian diag(1/x^power), and the
+    eigenvalue bounds 1/hi^power and 1/lo^power over it:
+    (lo, hi, eig_low, eig_high)."""
     lo = _expand_bound(domain_low, dim, 0.1)
     hi = _expand_bound(domain_high, dim, 1.0)
     if np.any(lo <= 0.0):
-        raise ValueError("KL domain must be strictly positive")
+        raise ValueError(f"{label} domain must be strictly positive")
+    with np.errstate(over="ignore", divide="ignore"):
+        eig_low, eig_high = 1.0 / np.max(hi) ** power, 1.0 / np.min(lo) ** power
+    if not np.isfinite(eig_high):
+        raise ValueError(f"{label} domain_low {float(np.min(lo))!r} is too close to 0: "
+                         "the Hessian bound overflows")
+    return lo, hi, float(eig_low), float(eig_high)
+
+
+def generalized_kl_spec(dim: int, domain_low=0.1, domain_high=1.0) -> BregmanSpec:
+    lo, hi, eig_low, eig_high = _positive_box("KL", dim, domain_low, domain_high, 1)
     return BregmanSpec(
         name="generalized-kl",
         dim=dim,
@@ -476,16 +547,13 @@ def generalized_kl_spec(dim: int, domain_low=0.1, domain_high=1.0) -> BregmanSpe
         hess=lambda x: 1.0 / x,
         domain_low=lo,
         domain_high=hi,
-        eig_low=1.0 / float(np.max(hi)),
-        eig_high=1.0 / float(np.min(lo)),
+        eig_low=eig_low,
+        eig_high=eig_high,
     )
 
 
 def itakura_saito_spec(dim: int, domain_low=0.1, domain_high=1.0) -> BregmanSpec:
-    lo = _expand_bound(domain_low, dim, 0.1)
-    hi = _expand_bound(domain_high, dim, 1.0)
-    if np.any(lo <= 0.0):
-        raise ValueError("Itakura-Saito domain must be strictly positive")
+    lo, hi, eig_low, eig_high = _positive_box("Itakura-Saito", dim, domain_low, domain_high, 2)
     return BregmanSpec(
         name="itakura-saito",
         dim=dim,
@@ -495,8 +563,8 @@ def itakura_saito_spec(dim: int, domain_low=0.1, domain_high=1.0) -> BregmanSpec
         hess=lambda x: 1.0 / (x * x),
         domain_low=lo,
         domain_high=hi,
-        eig_low=1.0 / float(np.max(hi)) ** 2,
-        eig_high=1.0 / float(np.min(lo)) ** 2,
+        eig_low=eig_low,
+        eig_high=eig_high,
     )
 
 

@@ -1,18 +1,22 @@
-"""Witness lattices for the lower envelopes of concave families over the
-unit ball.
+"""The leaf envelope: lattice witnesses of the concave lower envelope of a
+normalized family over the unit ball.
 
-Anchors live on an axis-aligned lattice clipped to the ball (lattice points
-just outside are projected radially onto the sphere, which preserves the
-covering radius because projection onto a convex set is non-expansive).
-Each anchor stores only its argmin member, the witness. A query gathers the
-anchors around it and re-evaluates their witnesses exactly. A concave
-witness lies below its tangent at the anchor, and the covering radius keeps
-that tangent within the error budget of the envelope, so returned values
-never fall below the true envelope nor exceed it by more than the budget.
+``ConcaveEnvelope(nf, eps_abs)`` takes a ``NormalizedFamily`` and adds the
+concavifying offset of ``convexify`` to its members' values. Anchors live
+on an axis-aligned lattice clipped to the ball (lattice points just outside
+are projected radially onto the sphere, which preserves the covering radius
+because projection onto a convex set is non-expansive). Each anchor stores
+only its argmin member, the witness. A query gathers the anchors around it
+and re-evaluates their witnesses exactly. A concave witness lies below its
+tangent at the anchor, and the covering radius keeps that tangent within
+the error budget of the envelope, so returned values never fall below the
+true envelope nor exceed it by more than the budget.
 
-Anchors are materialized on first access and memoized; they are a pure
-function of the family and the lattice index, so results do not depend on
-query order.
+``build_relative`` builds the envelope of a separated family over a world
+ball at the budget eps/5, whose witnesses are within (1+eps) of the family
+minimum. Anchors are materialized on first access and memoized; they are a
+pure function of the family and the lattice index, so results do not depend
+on query order.
 """
 
 from __future__ import annotations
@@ -22,27 +26,25 @@ import threading
 
 import numpy as np
 
-from ._batch import SiteFamily
-from .convexify import ConvexifiedFamily, convexify, normalize
+from .convexify import NormalizedFamily, convexify, normalize
 from .geom import EuclideanBall
 
 SPACING_SAFETY = 0.8
 
 
 class ConcaveEnvelope:
-    """Lattice-indexed witnesses of min_i g_i over the unit ball."""
+    """Lattice-indexed witnesses of min_i g_i + phi over the unit ball, for
+    the members g_i of a normalized family ``nf``."""
 
-    def __init__(self, members, eps_abs: float):
+    def __init__(self, nf: NormalizedFamily, eps_abs: float):
         if not (0.0 < eps_abs <= 1.0):
             raise ValueError("eps out of range")
-        self.members = members
+        self.nf = nf
         self.eps_abs = float(eps_abs)
-        self.dim = members.normalized.ball.dim if hasattr(members, "normalized") else members.dim
-        d = self.dim
+        self.dim = d = nf.ball.dim
         # Covering radius from the quadratic tangent-error budget: curvature
         # at least -5/16 keeps the overestimate below (5/32) r^2 <= eps/2.
-        self.cover_radius_spec = float(np.sqrt(16.0 * eps_abs / 5.0))
-        self.cover_radius = SPACING_SAFETY * self.cover_radius_spec
+        self.cover_radius = SPACING_SAFETY * float(np.sqrt(16.0 * eps_abs / 5.0))
         self.spacing = 2.0 * self.cover_radius / np.sqrt(d)
         self.window = max(1, int(np.ceil(np.sqrt(d) / 2.0)))
         self.anchors: list[np.ndarray] = []
@@ -50,7 +52,7 @@ class ConcaveEnvelope:
         # Lattice key -> anchor id, or None for a key outside the ball.
         self._lattice: dict[tuple, int | None] = {}
         self._kmax = int(np.ceil((1.0 + self.cover_radius) / self.spacing))
-        self._pos_of_index = {orig: pos for pos, orig in enumerate(members.kept_indices)}
+        self._pos_of_index = {orig: pos for pos, orig in enumerate(nf.kept_indices)}
         self._lock = threading.Lock()
 
     # -- lattice materialization ------------------------------------------
@@ -77,11 +79,11 @@ class ConcaveEnvelope:
             if not pts:
                 return
             X = np.stack(pts)
-            pos = np.argmin(self.members.values_matrix(X), axis=1)
+            pos = np.argmin(convexify(self.nf.values_matrix(X), X), axis=1)
             for key, x, p in zip(valid, X, pos):
                 self._lattice[key] = len(self.anchors)
                 self.anchors.append(x)
-                self.witnesses.append(int(self.members.kept_indices[p]))
+                self.witnesses.append(int(self.nf.kept_indices[p]))
 
     def _window_keys(self, q: np.ndarray):
         base = np.floor(q / self.spacing + 1e-9).astype(int)
@@ -106,15 +108,6 @@ class ConcaveEnvelope:
     def sample_count(self) -> int:
         return len(self.anchors)
 
-    def full_sample_count(self) -> int:
-        self.materialize_all()
-        return len(self.anchors)
-
-    def nearest_anchor_distance(self, q: np.ndarray) -> float:
-        ids = self.gather(np.asarray(q, dtype=float))
-        pts = np.stack([self.anchors[i] for i in ids])
-        return float(np.min(np.linalg.norm(pts - q[None, :], axis=1)))
-
     # -- queries ----------------------------------------------------------
 
     def query_absolute(self, q) -> tuple[float, int]:
@@ -132,65 +125,22 @@ class ConcaveEnvelope:
         # Sorted witnesses break ties deterministically by original index.
         order = sorted({self.witnesses[i] for i in self.gather(q)})
         positions = [self._pos_of_index[w] for w in order]
-        vals = self.members.values_at_point(q, positions)
+        vals = convexify(self.nf.values_matrix(q)[:, positions], q)[0]
         best = int(np.argmin(vals))
         return float(vals[best]), order[best]
 
-
-def build_envelope(cf: ConvexifiedFamily, eps_abs: float) -> ConcaveEnvelope:
-    return ConcaveEnvelope(cf, eps_abs)
-
-
-class RelativeAvr:
-    """Relative (1+eps) envelope queries over a world-coordinate ball.
-
-    Wraps normalize -> convexify -> build_envelope(eps/5) and maps query
-    points into the unit ball and witness values back out.
-    """
-
-    def __init__(self, family, ball: EuclideanBall, eps: float, indices=None):
-        if not (0.0 < eps <= 1.0):
-            raise ValueError("eps out of range")
-        family = SiteFamily.of(family)
-        self.ball = ball
-        self.eps = float(eps)
-        if indices is None:
-            indices = list(range(len(family)))
-        self.indices = list(indices)
-        if len(family) == 1:
-            self.trivial = True
-            self.family = family
-            self.normalized = None
-            self.convexified = None
-            self.env = None
-            return
-        self.trivial = False
-        self.family = None  # the kept members live in self.normalized.family
-        self.normalized = normalize(family, ball, indices=indices)
-        self.convexified = convexify(self.normalized)
-        self.env = build_envelope(self.convexified, eps / 5.0)
-
-    def query(self, x) -> tuple[float, int]:
-        """(value, witness): the witness's exact distance value at x, at most
-        (1+eps) times the family minimum for x inside the ball."""
-        x = np.asarray(x, dtype=float)
-        if self.trivial:
-            return float(self.family.values(x)[0, 0]), self.indices[0]
-        u = (x - self.ball.center) / self.ball.radius
-        norm = float(np.linalg.norm(u))
-        if norm > 1.0 + 1e-9:
-            raise ValueError("query outside envelope domain")
-        if norm > 1.0:
-            u = u / norm
-        val_hat, witness = self.env.query_absolute(u)
-        offset = float(ConvexifiedFamily.offset(u[None, :])[0])
-        f_val = (val_hat - offset) * self.normalized.scale_h
-        return f_val, witness
-
-    @property
-    def sample_count(self) -> int:
-        return 0 if self.trivial else self.env.sample_count
+    def query(self, x) -> int:
+        """Witness at a point x of the family's world ball: its distance
+        value at x is at most (1+eps) times the family minimum there when the
+        envelope came from ``build_relative`` at that eps."""
+        ball = self.nf.ball
+        return self.query_absolute((np.asarray(x, dtype=float) - ball.center) / ball.radius)[1]
 
 
-def build_relative(family, ball: EuclideanBall, eps: float, indices=None) -> RelativeAvr:
-    return RelativeAvr(family, ball, eps, indices=indices)
+def build_relative(family, ball: EuclideanBall, eps: float, indices=None) -> ConcaveEnvelope:
+    """Envelope of a separated family (a ``SiteFamily`` or a list of site
+    functions, with original ids ``indices``) over a world ball, at the
+    absolute budget eps/5 that bounds its answers' relative error by eps."""
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps out of range")
+    return ConcaveEnvelope(normalize(family, ball, indices=indices), eps / 5.0)

@@ -18,7 +18,7 @@ from eann.admissibility import (
 )
 from eann.ann import build_index
 from eann.cli import gen_family, gen_queries, gen_sites, leaf_scaling_fit, storage_exponent_fit
-from eann.convexify import convexify, normalize
+from eann.convexify import check_invariants, convexify, normalize
 from eann.distances import (
     GaugeParams,
     generalized_kl_spec,
@@ -28,7 +28,7 @@ from eann.distances import (
     squared_euclidean_spec,
     tau_for_gauge,
 )
-from eann.envelope import build_envelope
+from eann.envelope import ConcaveEnvelope
 from eann.geom import EuclideanBall
 
 from conftest import separated_family
@@ -87,8 +87,7 @@ def test_criterion_03_convexification_invariants():
     for trial in range(50):
         d = 2 if trial % 2 == 0 else 3
         fns, ball = separated_family(rng, d, int(rng.integers(2, 8)))
-        cf = convexify(normalize(fns, ball))
-        rep = cf.check_invariants(10000, seed=trial)
+        rep = check_invariants(normalize(fns, ball), 10000, seed=trial)
         worst["g_min"] = min(worst["g_min"], rep["g_min"])
         worst["g_max"] = max(worst["g_max"], rep["g_max"])
         worst["grad"] = max(worst["grad"], rep["grad_max"])
@@ -111,14 +110,14 @@ def test_criterion_04_envelope_absolute_error():
     for trial in range(20):
         d = 2 if trial < 14 else 3
         fns, ball = separated_family(rng, d, int(rng.integers(3, 8)))
-        cf = convexify(normalize(fns, ball))
+        nf = normalize(fns, ball)
         eps_abs = float(rng.uniform(0.05, 0.2)) if d == 2 else float(rng.uniform(0.1, 0.25))
-        env = build_envelope(cf, eps_abs)
+        env = ConcaveEnvelope(nf, eps_abs)
         step = env.spacing / 3.0
         axes = [np.arange(-1.0, 1.0 + step, step)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         grid = grid[np.linalg.norm(grid, axis=1) <= 1.0]
-        truth = cf.values_matrix(grid).min(axis=1)
+        truth = convexify(nf.values_matrix(grid), grid).min(axis=1)
         for i, q in enumerate(grid):
             val, _ = env.query_absolute(q)
             gap = val - truth[i]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eann import distances
-from eann.ann import build_index, load_index, save_index
+from eann.ann import brute_force, build_index, load_index, save_index
 from eann.distances import (
     admissibility_ratios,
     generalized_kl_spec,
@@ -115,6 +115,27 @@ def test_construction_and_loading_do_no_sampling(monkeypatch, tmp_path, rng):
 
     make_bregman(spec, sites[0]).tau
     assert calls == [45, 23, 22, 1]
+
+
+def test_family_of_fresh_sites_samples_tau_in_one_pass(monkeypatch, rng):
+    """``brute_force`` on a list of fresh sites builds a ``SiteFamily``,
+    which resolves every deferred ``tau`` in one pass, not one per site."""
+    calls = []
+    batched = distances._bregman_tau_pass
+
+    def counting(spec, P, fP, gP):
+        calls.append(len(P))
+        return batched(spec, P, fP, gP)
+
+    monkeypatch.setattr(distances, "_bregman_tau_pass", counting)
+    spec = generalized_kl_spec(2, 0.1, 1.0)
+    sites = rng.uniform(0.11, 0.99, size=(3 * chunk_sites(spec) + 5, 2))
+    fns = [make_bregman(spec, p) for p in sites]
+    q = np.array([0.5, 0.5])
+    assert brute_force(fns, q) == brute_force(fns, q)
+    assert calls == [len(fns)]
+    np.testing.assert_array_equal([f.tau for f in fns], [reference_tau(f) for f in fns])
+    assert calls == [len(fns)]
 
 
 def test_degenerate_sample_raises_at_build_naming_the_site():

@@ -91,6 +91,8 @@ MALFORMED_CONFIGS = [
     "kind = minkowski\nweight = nan\n",
     "kind = minkowski\nweight = inf\n",
     "kind = bregman\ngenerator = squared-mahalanobis\n",
+    "kind = mahalanobis\nmatrix = 1 0 0 1e-300\n",
+    "kind = bregman\ngenerator = itakura-saito\ndomain_low = 1e-300\n",
 ]
 
 

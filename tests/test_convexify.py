@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eann.convexify import convexify, fast_min_estimates, normalize
+from eann.convexify import check_invariants, convexify, fast_min_estimates, normalize
 from eann.distances import (
     generalized_kl_spec,
     make_bregman,
@@ -132,19 +132,23 @@ def test_normalized_bounds_sampled(rng):
 
 def test_convexify_offset_values():
     f = make_minkowski([7.0, 0.0], 2.0, tau=1.0)
-    cf = convexify(normalize([f], BALL))
-    assert cf.offset(np.array([[1.0, 0.0]]))[0] == pytest.approx(0.0)
-    assert cf.offset(np.zeros((1, 2)))[0] == pytest.approx(1.0 / 8.0)
+    nf = normalize([f], BALL)
+    U = np.array([[1.0, 0.0], [0.0, 0.0]])
+    g = nf.values_matrix(U)
+    offset = convexify(g, U) - g
+    assert offset[0, 0] == pytest.approx(0.0)
+    assert offset[1, 0] == pytest.approx(1.0 / 8.0)
+    # The same offset for every member at a point, and a single point may be 1-D.
+    np.testing.assert_allclose(convexify(np.array([[0.3, 0.5]]), np.zeros(2)), [[0.425, 0.625]])
 
 
 def test_convexify_preserves_argmin(rng):
     fns, ball = separated_family(rng, 2, 6)
     nf = normalize(fns, ball)
-    cf = convexify(nf)
     U = rng.standard_normal((100, 2))
     U /= np.maximum(1.0, np.linalg.norm(U, axis=1))[:, None]
     g = nf.values_matrix(U)
-    ghat = cf.values_matrix(U)
+    ghat = convexify(g, U)
     assert np.array_equal(np.argmin(g, axis=1), np.argmin(ghat, axis=1))
     # The offset is common: pairwise gaps match exactly.
     gaps = g[:, :, None] - g[:, None, :]
@@ -156,8 +160,7 @@ def test_convexified_invariants(rng):
     for trial in range(8):
         d = int(rng.integers(2, 4))
         fns, ball = separated_family(rng, d, int(rng.integers(2, 6)))
-        cf = convexify(normalize(fns, ball))
-        rep = cf.check_invariants(4000, seed=trial)
+        rep = check_invariants(normalize(fns, ball), 4000, seed=trial)
         assert rep["g_min"] >= 0.2 - 1e-9
         assert rep["g_max"] <= 0.8 + 1e-9
         assert rep["grad_max"] <= 0.25 + 1e-9
@@ -173,7 +176,6 @@ def test_error_transfer_budget(rng):
     relative gap on the original values."""
     fns, ball = separated_family(rng, 2, 5)
     nf = normalize(fns, ball)
-    cf = convexify(nf)
     U = rng.standard_normal((2000, 2))
     U /= np.maximum(1.0, np.linalg.norm(U, axis=1))[:, None]
     g_min = nf.values_matrix(U).min(axis=1)

@@ -76,28 +76,41 @@ def _compare_leaf(index, leaf) -> str:
     outer = _fids(index, leaf.outer_positions())
     ball = enclosing_ball(leaf.cell)
     att = index._attachment(leaf)
-    assert att.single_fids == _fids(index, leaf.in_cell)
-    assert att.inner_fids == _fids(index, leaf.inner)
+    inner = _fids(index, leaf.inner)
+    # The cell's sites, then a lone outer survivor, then a lone inner site
+    # (any Bregman cluster's first site); larger clusters get patches.
+    fixed = _fids(index, leaf.in_cell)
+    if len(inner) == 1 or (inner and index.kind == "bregman"):
+        inner_fixed = inner[:1]
+    else:
+        inner_fixed = []
+        assert (att.patchset is None) == (not inner)
+        assert att.patchset is None or att.patchset.indices == inner
     if not outer:
-        assert att.outer_avr is None and not att.brute
+        assert att.outer_env is None and not att.brute
+        assert att.fixed_fids == fixed + inner_fixed
         return "no outer"
     if len(outer) == 1:
-        assert not att.brute and att.outer_avr.indices == outer
+        assert not att.brute and att.outer_env is None
+        assert att.fixed_fids == fixed + outer + inner_fixed
         return "one outer"
     try:
         ref = normalize([index.sites[i] for i in outer], ball, indices=outer)
     except DomainError:
-        assert att.brute and att.outer_avr is None
+        assert att.brute and att.outer_env is None
         return "brute"
     assert not att.brute
-    avr = att.outer_avr
-    assert set(avr.indices) <= set(outer)
-    if avr.trivial:
-        assert ref.kept_indices == avr.indices
+    env = att.outer_env
+    if env is None:
+        survivor = att.fixed_fids[len(fixed)]
+        assert survivor in outer and ref.kept_indices == [survivor]
+        assert att.fixed_fids == fixed + [survivor] + inner_fixed
         return "single survivor"
-    assert avr.normalized.kept_indices == ref.kept_indices
-    assert avr.normalized.scale_h == ref.scale_h
-    assert avr.normalized.f1_min == ref.f1_min
+    assert att.fixed_fids == fixed + inner_fixed
+    assert set(env.nf.kept_indices) <= set(outer)
+    assert env.nf.kept_indices == ref.kept_indices
+    assert env.nf.scale_h == ref.scale_h
+    assert env.nf.f1_min == ref.f1_min
     return "envelope"
 
 
