@@ -14,6 +14,17 @@ results never depend on query order. ``materialize()`` forces the full tree
 for statistics and invariant checks. For the same reason a tree is
 serialized as its configuration record alone (``to_bytes``): a loader
 rebuilds the lazy tree from the sites and checks the record against it.
+
+A node's near set, the sites that may still be inner somewhere below it,
+is built only where the leaf test reads it: at a node with at most one
+assigned site. Until then a pending node keeps ``near_parts``, the near set
+of its nearest ancestor that built one followed by the sites routed away
+from it at each split or shrink since, unfiltered and in order. One filter
+against the node's own box gives exactly the set, in exactly the order,
+that filtering at every level would: a site the filter keeps at a node
+passes at every ancestor too, whose box contains the node's and whose
+reach is no smaller. A slab along the axis of widest site spread drops
+most far candidates before the exact box distances.
 """
 
 from __future__ import annotations
@@ -40,6 +51,9 @@ _PENDING, _SPLIT, _SHRINK, _LEAF = 0, 1, 2, 3
 # Site and position ids. Pending frontier nodes keep their id arrays, so a
 # cold index holds many of them; int32 halves that memory.
 _ID = np.int32
+# The id arrays of every expanded node, which no longer need their own.
+_NO_IDS = np.zeros(0, dtype=_ID)
+_NO_IDS.flags.writeable = False
 # Serialized tree configuration: dimension (u32), alpha, beta (f64), max_depth (u32).
 CONFIG_RECORD = struct.Struct("<IddI")
 
@@ -76,20 +90,35 @@ class AvdLeaf:
 
 
 class _Node:
-    __slots__ = ("cell", "depth", "assigned", "near", "kind", "axis", "mid",
+    """A tree node. A pending node holds the positions routed into its cell
+    (``assigned``) and the parts its near set is filtered from
+    (``near_parts``); ``near`` stays None until the leaf test builds it. An
+    expanded node or a leaf keeps neither."""
+
+    __slots__ = ("cell", "depth", "assigned", "near_parts", "near", "kind", "axis", "mid",
                  "qbox", "children", "leaf")
 
-    def __init__(self, cell: BbdCell, depth: int, assigned: np.ndarray, near: np.ndarray):
+    def __init__(self, cell: BbdCell, depth: int, assigned: np.ndarray,
+                 near_parts: tuple[np.ndarray, ...]):
         self.cell = cell
         self.depth = depth
         self.assigned = assigned
-        self.near = near
+        self.near_parts = near_parts
+        self.near: np.ndarray | None = None
         self.kind = _PENDING
         self.axis = -1
         self.mid = 0.0
         self.qbox: AlignedBox | None = None
         self.children: list[_Node | None] = []
         self.leaf: AvdLeaf | None = None
+
+
+def _child(cell: BbdCell, depth: int, assigned: np.ndarray,
+           base: tuple[np.ndarray, ...], moved: np.ndarray) -> _Node:
+    """A pending child that filters its near set from ``base`` plus the
+    sites routed to its sibling. Empty id arrays give way to the shared one."""
+    return _Node(cell, depth, assigned if len(assigned) else _NO_IDS,
+                 base + (moved,) if len(moved) else base)
 
 
 def _make_cell(outer: AlignedBox, inner: AlignedBox | None) -> BbdCell:
@@ -100,8 +129,8 @@ def _make_cell(outer: AlignedBox, inner: AlignedBox | None) -> BbdCell:
         for a in range(outer.dim):
             full = np.ones(outer.dim, dtype=bool)
             full[a] = False
-            spans = np.allclose(inner.low[full], outer.low[full], rtol=0, atol=0) and \
-                np.allclose(inner.high[full], outer.high[full], rtol=0, atol=0)
+            spans = np.array_equal(inner.low[full], outer.low[full]) and \
+                np.array_equal(inner.high[full], outer.high[full])
             if not spans:
                 continue
             if inner.low[a] == outer.low[a] and inner.high[a] == mids[a]:
@@ -117,6 +146,17 @@ def _make_cell(outer: AlignedBox, inner: AlignedBox | None) -> BbdCell:
         if not absorbed:
             break
     return unchecked_cell(outer, inner)
+
+
+def _slab(low: float, high: float, reach: float) -> tuple[float, float]:
+    """Bounds of the slab that holds every point within ``reach`` of the
+    interval [low, high] along one axis. A point outside it is at least
+    ``reach`` from any box with that extent on the axis, also as computed
+    in floating point: the relative and absolute margins absorb the
+    rounding of both tests, and the smallest one keeps squared gaps clear
+    of underflow."""
+    w = reach * (1.0 + 1e-12) + 1e-12 * max(abs(low), abs(high)) + 1e-150
+    return low - w, high + w
 
 
 def _points_in_box(P: np.ndarray, box: AlignedBox) -> np.ndarray:
@@ -146,7 +186,13 @@ class AvdTree:
         half = np.full(sites.shape[1], side / 2.0)
         self.root_box = AlignedBox(center - half, center + half)
         self._root = _Node(BbdCell(self.root_box, None), 0,
-                           np.arange(self.n_positions, dtype=_ID), np.zeros(0, dtype=_ID))
+                           np.arange(self.n_positions, dtype=_ID), (_NO_IDS,))
+        # Slab prefilter of the near filter: coordinates along the axis of
+        # widest spread, and the same coordinates sorted.
+        P = self.positions
+        self._slab_axis = int(np.argmax(P.max(axis=0) - P.min(axis=0)))
+        self._slab_x = np.ascontiguousarray(P[:, self._slab_axis])
+        self._slab_sorted = np.sort(self._slab_x)
         self._lock = threading.RLock()
         self._expansions = 0
 
@@ -172,13 +218,14 @@ class AvdTree:
     def _try_leaf(self, node: _Node) -> bool:
         if len(node.assigned) > 1:
             return False
+        others = node.near = self._near(node)
+        node.near_parts = ()
         cell = node.cell
         olo, ohi = cell.outer.low, cell.outer.high
         c = 0.5 * (olo + ohi)
         side = ohi - olo
         r = 0.5 * float(np.sqrt(np.dot(side, side)))
         alpha, beta = self.cfg.alpha, self.cfg.beta
-        others = node.near
         if len(others) > 0:
             diff = self.positions[others] - c[None, :]
             dists = np.sqrt(np.einsum("md,md->m", diff, diff)) - r
@@ -199,7 +246,30 @@ class AvdTree:
         node.kind = _LEAF
         node.leaf = AvdLeaf(cell, node.depth, node.assigned.copy(),
                             rest.copy(), inner_ball, self.n_positions)
+        node.assigned = node.near = _NO_IDS
         return True
+
+    def _near(self, node: _Node) -> np.ndarray:
+        """The node's near set: its candidates, minus the sites separated
+        strongly enough to stay outer for the whole subtree below it."""
+        parts = node.near_parts
+        cand = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return self._near_filter(cand, node.cell.outer)
+
+    def _near_filter(self, cand: np.ndarray, box: AlignedBox) -> np.ndarray:
+        """The candidates, in order, that lie nearer to the box than
+        (2 alpha + 1) times its circumradius."""
+        if len(cand) == 0:
+            return cand
+        reach = (2.0 * self.cfg.alpha + 1.0) * float(np.linalg.norm(box.sides) / 2.0)
+        a = self._slab_axis
+        lo, hi = _slab(float(box.low[a]), float(box.high[a]), reach)
+        xs = self._slab_sorted
+        if len(cand) > np.searchsorted(xs, hi, "right") - np.searchsorted(xs, lo, "left"):
+            x = self._slab_x[cand]
+            cand = cand[(x >= lo) & (x <= hi)]
+        dists = box_distances(box.low, box.high, self.positions[cand])
+        return cand[dists < reach]
 
     def _shrink_target(self, node: _Node) -> AlignedBox | None:
         if node.cell.inner is not None or len(node.assigned) < 2:
@@ -230,19 +300,6 @@ class AvdTree:
             return None
         return unchecked_box(lo, hi)
 
-    def _split_near(self, node: _Node, child_cell: BbdCell, moved: np.ndarray) -> np.ndarray:
-        """Near set for a child: parent's near plus sites routed elsewhere,
-        minus sites separated strongly enough to stay outer for the whole
-        subtree below the child."""
-        cand = np.concatenate([node.near, moved])
-        if len(cand) == 0:
-            return cand
-        box = child_cell.outer
-        ball_r = float(np.linalg.norm(box.sides) / 2.0)
-        dists = box_distances(box.low, box.high, self.positions[cand])
-        keep = dists < (2.0 * self.cfg.alpha + 1.0) * ball_r
-        return cand[keep]
-
     def _expand(self, node: _Node) -> None:
         if node.kind != _PENDING:
             return
@@ -256,6 +313,8 @@ class AvdTree:
             )
         qbox = self._shrink_target(node)
         P = self.positions
+        # Children filter their near sets from the nearest built one on.
+        base = node.near_parts if node.near is None else (node.near,)
         if qbox is not None:
             in_q = np.zeros(self.n_positions, dtype=bool)
             in_q[node.assigned] = _points_in_box(P[node.assigned], qbox)
@@ -265,10 +324,8 @@ class AvdTree:
             cell_out = _make_cell(node.cell.outer, qbox)
             node.kind = _SHRINK
             node.qbox = qbox
-            node.children = [
-                _Node(cell_in, node.depth + 1, a_in, self._split_near(node, cell_in, a_out)),
-                _Node(cell_out, node.depth + 1, a_out, self._split_near(node, cell_out, a_in)),
-            ]
+            node.children = [_child(cell_in, node.depth + 1, a_in, base, a_out),
+                             _child(cell_out, node.depth + 1, a_out, base, a_in)]
         else:
             outer = node.cell.outer
             lo, hi = outer.low.tolist(), outer.high.tolist()
@@ -303,7 +360,7 @@ class AvdTree:
             for i in (0, 1):
                 if cells[i].is_empty() and len(parts[i]) > 0:
                     parts[1 - i] = np.sort(np.concatenate([parts[1 - i], parts[i]]))
-                    parts[i] = np.zeros(0, dtype=_ID)
+                    parts[i] = _NO_IDS
             node.kind = _SPLIT
             node.axis = axis
             node.mid = mid
@@ -312,13 +369,9 @@ class AvdTree:
                 if cells[i].is_empty():
                     node.children.append(None)
                     continue
-                moved = parts[1 - i]
-                node.children.append(
-                    _Node(cells[i], node.depth + 1, parts[i],
-                          self._split_near(node, cells[i], moved))
-                )
-        node.assigned = np.zeros(0, dtype=_ID)
-        node.near = np.zeros(0, dtype=_ID)
+                node.children.append(_child(cells[i], node.depth + 1, parts[i], base, parts[1 - i]))
+        node.assigned = node.near = _NO_IDS
+        node.near_parts = ()
 
     # -- queries -----------------------------------------------------------
 

@@ -591,8 +591,11 @@ class BregmanDistance(SiteFunction):
         if tau is None and not (spec.bounded or spec.hess_kind == "const"):
             raise ValueError("admissibility gate: unbounded domain needs declared tau")
         self.spec = spec
-        self._site_value = float(spec.values(site[None, :])[0])
-        self._site_grad = spec.gradients(site[None, :])[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._site_value = float(spec.values(site[None, :])[0])
+            self._site_grad = spec.gradients(site[None, :])[0]
+        if not (np.isfinite(self._site_value) and np.all(np.isfinite(self._site_grad))):
+            raise ValueError("generator value or gradient is not finite at the site")
         super().__init__(site, tau)
 
     def resite(self, new_site):

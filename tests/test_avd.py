@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eann.avd import AvdConfig, AvdTree, build_avd, check_leaf
+from eann.avd import _NO_IDS, _PENDING, AvdConfig, AvdTree, build_avd, check_leaf
 
 
 def test_config_validation():
@@ -195,17 +195,28 @@ def test_lazy_matches_materialized(rng):
 
 
 def test_site_id_arrays_are_int32(rng):
-    """Pending frontier nodes keep their id arrays, so they stay 32-bit."""
+    """Pending frontier nodes keep their id arrays and the parts their near
+    sets are filtered from, so these stay 32-bit; expanded nodes and leaves
+    drop theirs for one shared empty array."""
     sites = np.vstack([rng.random((150, 2)), rng.random((10, 2))[[0, 0, 1]]])
     tree = build_avd(sites, AvdConfig(2.0, 40.0))
     for q in rng.random((30, 2)):
         tree.locate(q)
     arrays = [tree.position_of_site, *tree.site_groups]
+    longest_parts = 0
     stack = [tree._root]
     while stack:
         node = stack.pop()
-        arrays += [node.assigned, node.near]
+        if node.kind == _PENDING:
+            assert node.near is None
+            arrays += [node.assigned, *node.near_parts]
+            longest_parts = max(longest_parts, len(node.near_parts))
+        else:
+            assert node.assigned is _NO_IDS and node.near is _NO_IDS
+            assert node.near_parts == ()
         if node.leaf is not None:
             arrays += [node.leaf.in_cell, node.leaf.inner]
         stack.extend(c for c in node.children if c is not None)
+    assert longest_parts > 1
+    assert _NO_IDS.dtype == np.int32 and len(_NO_IDS) == 0
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,18 @@ def test_bregman_site_domain_check():
     spec = generalized_kl_spec(2, 0.1, 1.0)
     with pytest.raises(ValueError, match="site outside Bregman domain"):
         make_bregman(spec, [0.05, 0.5])
+
+
+def test_bregman_site_with_overflowing_generator():
+    """F(site) = |site|^2 overflows at 1e300. The site is refused for that,
+    quietly, and not later as a degenerate tau sample."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite at the site"):
+            make_bregman(squared_euclidean_spec(2), [1e300, 0.5])
+        cfg = parse_distance_config("kind = bregman\ngenerator = squared-euclidean\n")
+        with pytest.raises(ValueError, match="not finite at the site"):
+            build_site_functions(cfg, parse_points("0.2 0.3\n1e300 0.5\n"))
 
 
 def test_bregman_query_domain_error():

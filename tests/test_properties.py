@@ -1,6 +1,7 @@
-"""Property tests of point location, of the hypercube ray exit and of the
-envelope's gather window over generated inputs. Runs are derandomized and
-keep no example database, so they are reproducible."""
+"""Property tests of point location, of the lazily filtered near sets, of
+the hypercube ray exit and of the envelope's gather window over generated
+inputs. Runs are derandomized and keep no example database, so they are
+reproducible."""
 
 import tempfile
 from pathlib import Path
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from eann.ann import ray_to_hypercube_boundary
-from eann.avd import AvdConfig, build_avd, check_leaf
+from eann.avd import (_LEAF, _PENDING, _SPLIT, AvdConfig, _points_in_box, _slab, build_avd,
+                      check_leaf)
 from eann.envelope import ConcaveEnvelope
-from eann.geom import EuclideanBall
+from eann.geom import AlignedBox, EuclideanBall, box_distances
 
 # Hypothesis caches constants scanned from the source while tests are
 # collected; keep that cache in the temp directory, not in the working tree.
@@ -83,6 +85,171 @@ def test_locate_finds_a_valid_containing_leaf(data):
     assert (twin.cell.inner is None) == (leaf.cell.inner is None)
     np.testing.assert_array_equal(twin.in_cell, leaf.in_cell)
     np.testing.assert_array_equal(twin.inner, leaf.inner)
+
+
+def _record_near(tree):
+    """Have the tree record, by node, the near set each leaf test builds."""
+    built = {}
+    near = tree._near
+
+    def recording(node):
+        built[id(node)] = near(node)
+        return built[id(node)]
+
+    tree._near = recording
+    return built
+
+
+def _eager_reference(tree):
+    """Reference near sets, filtered at every level: a child's near set is
+    its parent's plus the sites routed to its sibling, filtered against the
+    child's box. Yields (node, assigned, near) for every node expanded so far
+    and its pending children."""
+    P, alpha = tree.positions, tree.cfg.alpha
+    stack = [(tree._root, np.arange(tree.n_positions), np.zeros(0, dtype=int))]
+    while stack:
+        node, assigned, near = stack.pop()
+        yield node, assigned, near
+        if node.kind in (_LEAF, _PENDING):
+            continue
+        if node.kind == _SPLIT:
+            side = P[assigned, node.axis] >= node.mid
+            parts = [assigned[~side], assigned[side]]
+            for i in (0, 1):
+                if node.children[i] is None:
+                    parts[1 - i] = np.sort(np.concatenate([parts[1 - i], parts[i]]))
+                    parts[i] = parts[i][:0]
+        else:
+            inq = _points_in_box(P[assigned], node.qbox)
+            parts = [assigned[inq], assigned[~inq]]
+        for i, child in enumerate(node.children):
+            if child is None:
+                continue
+            cand = np.concatenate([near, parts[1 - i]])
+            box = child.cell.outer
+            reach = (2.0 * alpha + 1.0) * float(np.linalg.norm(box.sides) / 2.0)
+            stack.append((child, parts[i], cand[box_distances(box.low, box.high, P[cand]) < reach]))
+
+
+# Coordinates at least 1e-6 apart: closer sites at the origin exceed the
+# tree's maximum depth whatever the near sets.
+spaced = st.one_of(st.integers(0, 8).map(lambda k: k / 8.0),
+                   st.integers(0, 10**6).map(lambda k: k / 1e6))
+
+
+@st.composite
+def adversarial_sites(draw, d):
+    """Duplicates, 1e-6 blobs, sites collinear along one axis, or sites
+    offset by 1e6."""
+    base = np.array(draw(st.lists(st.lists(spaced, min_size=d, max_size=d),
+                                  min_size=2, max_size=8), label="base"))
+    kind = draw(st.sampled_from(["duplicates", "blobs", "collinear", "offset"]), label="kind")
+    if kind == "duplicates":
+        dups = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=8))
+        return np.concatenate([base, base[dups]])
+    if kind == "blobs":
+        steps = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+        offsets = draw(st.lists(steps, min_size=len(base), max_size=len(base)))
+        return np.concatenate([base, base + 2.5e-7 * np.array(offsets)])
+    if kind == "collinear":
+        axis = draw(st.integers(0, d - 1), label="axis")
+        line = np.repeat(base[:1], len(base), axis=0)
+        line[:, axis] = base[:, axis]
+        return line
+    return base + 1e6
+
+
+def _assert_lazy_near_is_eager(tree, built):
+    P, alpha = tree.positions, tree.cfg.alpha
+    leaves = 0
+    for node, assigned, near in _eager_reference(tree):
+        if id(node) in built:
+            np.testing.assert_array_equal(built[id(node)], near)
+        if node.kind != _LEAF:
+            continue
+        leaves += 1
+        leaf = node.leaf
+        np.testing.assert_array_equal(leaf.in_cell, assigned)
+        # The leaf test's outer screen, on the reference near set.
+        box = leaf.cell.outer
+        c, side = 0.5 * (box.low + box.high), box.high - box.low
+        r = 0.5 * float(np.sqrt(np.dot(side, side)))
+        diff = P[near] - c[None, :]
+        inner = near[np.sqrt(np.einsum("md,md->m", diff, diff)) - r < alpha * 2.0 * r]
+        np.testing.assert_array_equal(leaf.inner, inner)
+        if len(inner) == 0:
+            assert leaf.inner_ball is None
+            continue
+        center = P[inner].mean(axis=0)
+        assert leaf.inner_ball.center.tobytes() == center.tobytes()
+        rel = P[inner] - center[None, :]
+        radius = float(np.sqrt(np.max(np.einsum("md,md->m", rel, rel)))) * (1.0 + 1e-9)
+        assert leaf.inner_ball.radius == radius
+    # Every leaf had a leaf test, which read a near set.
+    assert 0 < leaves <= len(built)
+
+
+@SETTINGS
+@given(st.data())
+def test_lazy_near_sets_match_the_eager_filter_chain(data):
+    """A near set filtered once from its parts equals the parent's chain of
+    per-level filters, in set and in order, and so does every leaf: over a
+    whole tree, then along the paths to sites placed exactly on the slab
+    edges of boxes the whole tree tested."""
+    d = data.draw(st.integers(2, 3), label="d")
+    sites = data.draw(adversarial_sites(d), label="sites")
+    # Whole trees in three dimensions grow large with beta.
+    cfg = AvdConfig(2.0, data.draw(st.sampled_from([4.0, 12.0][:4 - d]), label="beta"))
+    tree = build_avd(sites, cfg)
+    built = _record_near(tree)
+    tree.materialize()
+    _assert_lazy_near_is_eager(tree, built)
+
+    a = tree._slab_axis
+    tested = [node.cell.outer for node, _, _ in _eager_reference(tree) if id(node) in built]
+    edges = []
+    for i in data.draw(st.lists(st.integers(0, len(tested) - 1), min_size=1, max_size=3),
+                       label="tested boxes"):
+        box = tested[i]
+        reach = (2.0 * cfg.alpha + 1.0) * float(np.linalg.norm(box.sides) / 2.0)
+        for x in _slab(float(box.low[a]), float(box.high[a]), reach):
+            edges.append(0.5 * (box.low + box.high))
+            edges[-1][a] = x
+    edged = build_avd(np.concatenate([sites, edges]), cfg)
+    built = _record_near(edged)
+    for q in edges:
+        edged.locate(q)
+    _assert_lazy_near_is_eager(edged, built)
+
+
+@SETTINGS
+@given(st.data())
+def test_slab_prefilter_drops_only_what_the_exact_test_drops(data):
+    """Sites exactly on a box's slab edges, one float either side of them and
+    at exactly the reach along the slab axis are filtered as the exact box
+    distance test filters them."""
+    d = data.draw(st.integers(2, 3), label="d")
+    offset = data.draw(st.sampled_from([0.0, 1e6]), label="offset")
+    low = offset + np.array(data.draw(st.lists(unit, min_size=d, max_size=d), label="low"))
+    sides = data.draw(st.lists(st.sampled_from([2.0**-k for k in (0, 3, 20, 40)]) | unit.filter(
+        lambda x: x > 0), min_size=d, max_size=d), label="sides")
+    box = AlignedBox(low, low + np.array(sides))
+    alpha = data.draw(st.sampled_from([2.0, 2.83, 6.0]), label="alpha")
+    reach = (2.0 * alpha + 1.0) * float(np.linalg.norm(box.sides) / 2.0)
+    lo, hi = _slab(float(box.low[0]), float(box.high[0]), reach)
+    xs = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nextafter(lo, np.inf),
+          np.nextafter(hi, -np.inf), box.low[0] - reach, box.high[0] + reach]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    edge = rng.uniform(box.low, box.high, size=(len(xs), d))
+    edge[:, 0] = xs
+    # Far sites along axis 0 make it the slab axis and engage the prefilter.
+    far = np.repeat(box.low[None, :], 16, axis=0)
+    far[:, 0] = box.low[0] + np.linspace(-100.0, 100.0, 16) * (reach + 1.0)
+    tree = build_avd(np.concatenate([edge, far]), AvdConfig(alpha, 4.0))
+    assert tree._slab_axis == 0
+    cand = rng.permutation(tree.n_positions).astype(np.int32)
+    exact = cand[box_distances(box.low, box.high, tree.positions[cand]) < reach]
+    np.testing.assert_array_equal(tree._near_filter(cand, box), exact)
 
 
 class _OneMember:
