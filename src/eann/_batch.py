@@ -84,6 +84,12 @@ class MahalanobisKernel(_Kernel):
         self.hi = np.array([f.sqrt_eig_max for f in fns])
 
     def values(self, X, V):
+        if V.shape[1] == 1:
+            # einsum loops differently over a lone member's size-1 axis, which
+            # can round differently at d = 2; evaluated beside a copy of
+            # itself, a member's value does not depend on its family.
+            V, M = np.concatenate([V, V], axis=1), np.concatenate([self.M, self.M])
+            return mahalanobis_values(V, M)[:, :1]
         return mahalanobis_values(V, self.M)
 
     def gradients(self, X, V):

@@ -11,7 +11,13 @@ the true distances of the candidates and returns the best, so the internal
 approximations surface as a single checkable (1+eps) inequality.
 
 Per-leaf structures are built on first use and memoized (they are pure
-functions of the leaf), so results do not depend on query order.
+functions of the leaf), so results do not depend on query order. A built
+leaf keeps one candidate family: its fixed sites, the kept members of its
+outer envelope and its inner cluster. A warm query evaluates that family
+once, at the query and, for an outer envelope, at the query's image in the
+envelope's unit ball, where the envelope picks its witness among the
+memoized witnesses of the query's lattice cell; the best of the fixed
+sites and the witnesses at the query is the answer.
 """
 
 from __future__ import annotations
@@ -142,15 +148,39 @@ class _Attachment:
     first site), plus the witnesses of ``outer_env`` (two or more outer
     survivors) and ``patchset`` (a scaling cluster of two or more sites). A
     ``brute`` leaf, whose ball leaves a Bregman domain, answers by full scan.
+
+    Every other leaf caches its candidate family once: ``ids`` holds the
+    sorted union of the fixed ids, the envelope's kept ids and the cluster's
+    ids, and ``family`` those members of the index family. ``fixed_cols``
+    and ``env_cols`` are the columns of the fixed ids and of the envelope's
+    kept positions in ``ids``. A warm answer evaluates ``family`` once.
     """
 
-    __slots__ = ("fixed_fids", "outer_env", "patchset", "brute")
+    __slots__ = ("fixed_fids", "outer_env", "patchset", "brute",
+                 "ids", "family", "fixed_cols", "env_cols")
 
     def __init__(self):
         self.fixed_fids: list[int] = []
         self.outer_env: ConcaveEnvelope | None = None
         self.patchset: InnerPatchSet | None = None
         self.brute = False
+        self.ids: np.ndarray | None = None
+        self.family: SiteFamily | None = None
+        self.fixed_cols: tuple[int, ...] = ()
+        self.env_cols: np.ndarray | None = None
+
+    def cache_family(self, family: SiteFamily) -> None:
+        """Take the leaf's candidate members out of the index ``family``."""
+        ids = set(self.fixed_fids)
+        if self.outer_env is not None:
+            ids.update(self.outer_env.kept_ids.tolist())
+        if self.patchset is not None:
+            ids.update(self.patchset.indices)
+        self.ids = np.array(sorted(ids), dtype=np.intp)
+        self.family = family.take(self.ids)
+        self.fixed_cols = tuple(np.searchsorted(self.ids, self.fixed_fids).tolist())
+        if self.outer_env is not None:
+            self.env_cols = np.searchsorted(self.ids, self.outer_env.kept_ids)
 
 
 def brute_force(sites, q) -> tuple[int, float]:
@@ -210,9 +240,20 @@ class AnnIndex:
     def n(self) -> int:
         return len(self.sites)
 
-    def _bump(self, key: str, amount: int = 1) -> None:
+    def _bump(self, visits: int, outside: bool, fallback: str | None) -> None:
+        """Count one query, under one lock acquisition. A brute-force
+        fallback is counted under its reason (``fallback_domain_leaf``,
+        ``fallback_domain_query`` or ``fallback_outside_near``) and under
+        ``brute_queries`` or, outside the tree, ``outside_brute``."""
         with self._lock:
-            self.stats[key] += amount
+            stats = self.stats
+            stats["queries"] += 1
+            stats["locate_visits"] += visits
+            if outside:
+                stats["outside_queries"] += 1
+            if fallback is not None:
+                stats["fallback_" + fallback] += 1
+                stats["outside_brute" if outside else "brute_queries"] += 1
 
     # -- per-leaf structures ------------------------------------------------
 
@@ -249,6 +290,8 @@ class AnnIndex:
             elif inner_fids:
                 att.patchset = InnerPatchSet(self.family.take(inner_fids), inner_fids,
                                              leaf.inner_ball.center, self.tau, self.eps)
+            if not att.brute:
+                att.cache_family(self.family)
             leaf.attachment = att
             return att
 
@@ -281,43 +324,58 @@ class AnnIndex:
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
             raise ValueError("query dimension mismatch")
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError("query must be finite")
         if self.kind == "bregman" and not bool(self.sites[0].in_domain(q)):
             raise DomainError("query outside domain")
-        self._bump("queries")
         leaf, visits = self.tree.locate(q)
-        self._bump("locate_visits", visits)
+        answer = fallback = None
         if leaf is None:
-            return self._query_outside(q)
-        att = self._attachment(leaf)
-        if att.brute:
-            self._bump("brute_queries")
-            return brute_force(self.family, q)
-        candidates = list(att.fixed_fids)
-        try:
-            if att.outer_env is not None:
-                candidates.append(att.outer_env.query(q))
-            if att.patchset is not None:
-                candidates.append(att.patchset.query(q))
-        except DomainError:
-            # Only this query falls back; the leaf keeps its structures, so
-            # later answers do not depend on query order.
-            self._bump("brute_queries")
-            return brute_force(self.family, q)
-        assert candidates, "leaf produced no candidates"
-        candidates = sorted(set(candidates))
-        vals = batch_values(self.family.take(candidates), q)[0]
-        best = int(np.argmin(vals))
-        return candidates[best], float(vals[best])
+            answer, fallback = self._query_outside(q)
+        elif (att := self._attachment(leaf)).brute:
+            fallback = "domain_leaf"
+        else:
+            try:
+                answer = self._query_leaf(att, q)
+            except DomainError:
+                # Only this query falls back; the leaf keeps its structures,
+                # so later answers do not depend on query order.
+                fallback = "domain_query"
+        if answer is None:
+            answer = brute_force(self.family, q)
+        self._bump(visits, leaf is None, fallback)
+        return answer
 
-    def _query_outside(self, q: np.ndarray) -> tuple[int, float]:
-        self._bump("outside_queries")
+    def _query_leaf(self, att: _Attachment, q: np.ndarray) -> tuple[int, float]:
+        """The best of the leaf's candidates at q, from one evaluation of its
+        cached family: at q, and for an outer envelope also at the world
+        point of q's unit-ball image, where the envelope picks its witness
+        among the memoized witnesses of q's lattice cell."""
+        cols = set(att.fixed_cols)
+        env = att.outer_env
+        if env is None:
+            vals = batch_values(att.family, q)
+        else:
+            u = env.unit_point(q)
+            pos = env.cell_witnesses(u)
+            vals = batch_values(att.family, np.vstack((q, env.nf.world_points(u))))
+            wcols = att.env_cols[pos]
+            cols.add(int(wcols[env.pick(vals[1, wcols] / env.nf.scale_h, u)[1]]))
+        if att.patchset is not None:
+            cols.add(int(np.searchsorted(att.ids, att.patchset.query(q))))
+        assert cols, "leaf produced no candidates"
+        cols = sorted(cols)
+        row = vals[0, cols]
+        best = int(np.argmin(row))
+        return int(att.ids[cols[best]]), float(row[best])
+
+    def _query_outside(self, q: np.ndarray) -> tuple[tuple[int, float] | None, str | None]:
+        """The answer outside the tree's root box, or None and the fallback
+        reason near the sites, where only a full scan answers."""
         ball = self._site_ball
         gap = float(np.linalg.norm(q - ball.center)) - ball.radius
         if gap < self.beta * ball.diameter:
-            self._bump("outside_brute")
-            return brute_force(self.family, q)
+            return None, "outside_near"
         if self.kind == "bregman" or self.n == 1:
             fid = 0
         else:
@@ -326,7 +384,7 @@ class AnnIndex:
                     self._outside_patchset = InnerPatchSet(
                         self.family, list(range(self.n)), ball.center, self.tau, self.eps)
             fid = self._outside_patchset.query(q)
-        return fid, float(batch_values(self.family.take([fid]), q)[0, 0])
+        return (fid, float(batch_values(self.family.take([fid]), q)[0, 0])), None
 
     # -- statistics -----------------------------------------------------------
 

@@ -382,8 +382,9 @@ class AvdTree:
         owns the unbounded outside region.
         """
         q = np.asarray(q, dtype=float)
-        if not (np.all(q >= self.root_box.low) and np.all(q < self.root_box.high)):
+        if not ((q >= self.root_box.low).all() and (q < self.root_box.high).all()):
             return None, 1
+        qa = q.tolist()
         visits = 0
         with self._lock:
             node = self._root
@@ -394,9 +395,9 @@ class AvdTree:
                 if node.kind == _LEAF:
                     return node.leaf, visits
                 if node.kind == _SPLIT:
-                    want = 1 if q[node.axis] >= node.mid else 0
+                    want = 1 if qa[node.axis] >= node.mid else 0
                 else:
-                    inq = bool(np.all(q >= node.qbox.low) and np.all(q < node.qbox.high))
+                    inq = bool((q >= node.qbox.low).all() and (q < node.qbox.high).all())
                     want = 0 if inq else 1
                 child = node.children[want]
                 if child is None:

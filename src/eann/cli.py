@@ -199,6 +199,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _timed_pass(index, queries) -> tuple[np.ndarray, list]:
+    """Latency in seconds and answer of each query."""
+    latencies = np.empty(len(queries))
+    answers = []
+    for i, q in enumerate(queries):
+        t0 = time.perf_counter()
+        answers.append(index.query(q))
+        latencies[i] = time.perf_counter() - t0
+    return latencies, answers
+
+
 def _run_bench_config(kind_tag: str, n: int, d: int, eps: float, seed: int,
                       n_queries: int) -> dict:
     rng = np.random.default_rng(seed)
@@ -208,13 +219,15 @@ def _run_bench_config(kind_tag: str, n: int, d: int, eps: float, seed: int,
     index = build_index(fns, eps)
     build_s = time.perf_counter() - t0
     queries = gen_queries(rng, n_queries, d, kind_tag)
-    latencies = np.empty(n_queries)
+    # The first pass builds the leaves it touches; the second answers the
+    # same queries on built leaves and must give the same answers.
+    cold, answers = _timed_pass(index, queries)
+    warm, again = _timed_pass(index, queries)
+    if again != answers:
+        raise RuntimeError(f"{kind_tag}: the warm pass changed an answer")
     worst = 0.0
     failures = 0
-    for i, q in enumerate(queries):
-        t0 = time.perf_counter()
-        witness, value = index.query(q)
-        latencies[i] = time.perf_counter() - t0
+    for q, (_, value) in zip(queries, answers):
         _, best = brute_force(index.family, q)
         ratio = value / best if best > 0 else 1.0
         worst = max(worst, ratio)
@@ -231,9 +244,12 @@ def _run_bench_config(kind_tag: str, n: int, d: int, eps: float, seed: int,
         "leaves_touched": stats["leaves"],
         "envelope_samples": stats["envelope_samples"],
         "locate_visits_mean": index.stats["locate_visits"] / max(1, index.stats["queries"]),
-        "latency_mean_us": float(latencies.mean() * 1e6),
-        "latency_median_us": float(np.median(latencies) * 1e6),
-        "latency_p99_us": float(np.quantile(latencies, 0.99) * 1e6),
+        "cold_latency_mean_us": float(cold.mean() * 1e6),
+        "cold_latency_median_us": float(np.median(cold) * 1e6),
+        "cold_latency_p99_us": float(np.quantile(cold, 0.99) * 1e6),
+        "warm_latency_mean_us": float(warm.mean() * 1e6),
+        "warm_latency_median_us": float(np.median(warm) * 1e6),
+        "warm_latency_p99_us": float(np.quantile(warm, 0.99) * 1e6),
         "worst_ratio": worst,
         "failures": failures,
         "outside_queries": index.stats["outside_queries"],
@@ -311,7 +327,8 @@ def cmd_bench(args) -> int:
             f"{r['kind']:12s} n={r['n']:<6d} d={r['d']} eps={r['eps']:<5g} "
             f"worst={r['worst_ratio']:.6f} fail={r['failures']} "
             f"leaves={r['leaves_touched']} env={r['envelope_samples']} "
-            f"lat_us={r['latency_mean_us']:.0f} visits={r['locate_visits_mean']:.1f}"
+            f"cold_us={r['cold_latency_mean_us']:.0f} warm_us={r['warm_latency_mean_us']:.0f} "
+            f"visits={r['locate_visits_mean']:.1f}"
         )
     for fit in fits["storage"]:
         print(f"storage d={fit['d']}: counts={fit['counts']} exponent={fit['exponent']:.3f}")

@@ -6,21 +6,30 @@ concavifying offset of ``convexify`` to its members' values. Anchors live
 on an axis-aligned lattice clipped to the ball (lattice points just outside
 are projected radially onto the sphere, which preserves the covering radius
 because projection onto a convex set is non-expansive). Each anchor stores
-only its argmin member, the witness. A query gathers the anchors around it
-and re-evaluates their witnesses exactly. A concave witness lies below its
+only its integer lattice code and its argmin member, the witness, as a kept
+position; its point is derived from the code. A query re-evaluates the
+witnesses of the anchors around it exactly. A concave witness lies below its
 tangent at the anchor, and the covering radius keeps that tangent within
 the error budget of the envelope, so returned values never fall below the
 true envelope nor exceed it by more than the budget.
 
+The anchors around a query form a fixed window about its lattice cell, so a
+query's candidate witnesses depend only on that cell. ``cell_witnesses``
+memoizes each cell's sorted witness positions under an integer cell code;
+the first query in a cell gathers the window and builds its missing anchors
+in one vectorized pass. ``pick`` then selects among the witnesses' values.
+``query_absolute`` and the index's warm path both go through these two
+steps, the index with values from its own per-leaf candidate family.
+
 ``build_relative`` builds the envelope of a separated family over a world
 ball at the budget eps/5, whose witnesses are within (1+eps) of the family
-minimum. Anchors are materialized on first access and memoized; they are a
-pure function of the family and the lattice index, so results do not depend
-on query order.
+minimum. Anchors and cells are pure functions of the family and the lattice
+index, so results do not depend on query order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 
@@ -30,6 +39,16 @@ from .convexify import NormalizedFamily, convexify, normalize
 from .geom import EuclideanBall
 
 SPACING_SAFETY = 0.8
+
+
+@functools.lru_cache(maxsize=None)
+def _window_offsets(dim: int, window: int) -> np.ndarray:
+    """Lattice offsets of a gather window from its base cell, in
+    ``itertools.product`` order; read-only, as every envelope shares it."""
+    offsets = np.array(list(itertools.product(range(-window, window + 2), repeat=dim)),
+                       dtype=np.int64).reshape(-1, dim)
+    offsets.flags.writeable = False
+    return offsets
 
 
 class ConcaveEnvelope:
@@ -47,68 +66,128 @@ class ConcaveEnvelope:
         self.cover_radius = SPACING_SAFETY * float(np.sqrt(16.0 * eps_abs / 5.0))
         self.spacing = 2.0 * self.cover_radius / np.sqrt(d)
         self.window = max(1, int(np.ceil(np.sqrt(d) / 2.0)))
-        self.anchors: list[np.ndarray] = []
-        self.witnesses: list[int] = []
-        # Lattice key -> anchor id, or None for a key outside the ball.
-        self._lattice: dict[tuple, int | None] = {}
         self._kmax = int(np.ceil((1.0 + self.cover_radius) / self.spacing))
-        self._pos_of_index = {orig: pos for pos, orig in enumerate(nf.kept_indices)}
-        self._lock = threading.Lock()
+        # Balanced base-``radix`` codes of lattice keys in [-kmax, kmax]^d:
+        # the base cell of every point of the ball lies there, and window
+        # keys outside it are never anchors and are dropped before encoding.
+        radix = 2 * self._kmax + 1
+        if radix**d >= 2**62:
+            raise ValueError("eps too small for the envelope lattice")
+        self._base = radix
+        self._radix = radix ** np.arange(d, dtype=np.int64)
+        self.kept_ids = np.asarray(nf.kept_indices, dtype=np.intp)
+        # Anchors sorted by code, with the kept position of each witness.
+        self._codes = np.empty(0, dtype=np.int64)
+        self._wit = np.empty(0, dtype=np.int32)
+        self._cells: dict[int, np.ndarray] = {}
+        self._lock = threading.RLock()
 
     # -- lattice materialization ------------------------------------------
 
-    def _materialize_batch(self, keys: list[tuple]) -> None:
-        with self._lock:
-            pts = []
-            valid = []
-            for key in keys:
-                if key in self._lattice:
-                    continue
-                if any(abs(k) > self._kmax for k in key):
-                    self._lattice[key] = None
-                    continue
-                x = np.array(key, dtype=float) * self.spacing
-                norm = float(np.linalg.norm(x))
-                if norm > 1.0 + self.cover_radius:
-                    self._lattice[key] = None
-                    continue
-                if norm > 1.0:
-                    x = x / norm
-                pts.append(x)
-                valid.append(key)
-            if not pts:
-                return
-            X = np.stack(pts)
-            pos = np.argmin(convexify(self.nf.values_matrix(X), X), axis=1)
-            for key, x, p in zip(valid, X, pos):
-                self._lattice[key] = len(self.anchors)
-                self.anchors.append(x)
-                self.witnesses.append(int(self.nf.kept_indices[p]))
+    def _points(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lattice points of integer keys (A, d), with their norms before
+        points beyond the unit sphere are projected onto it."""
+        X = keys * self.spacing
+        # A batched BLAS dot per row: the norms np.linalg.norm gives one
+        # point, so whether a key is an anchor does not depend on the batch.
+        norms = np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).reshape(-1))
+        out = norms > 1.0
+        X[out] /= norms[out, None]
+        return X, norms
 
-    def _window_keys(self, q: np.ndarray):
-        base = np.floor(q / self.spacing + 1e-9).astype(int)
-        w = self.window
-        ranges = [range(int(b) - w, int(b) + w + 2) for b in base]
-        return itertools.product(*ranges)
+    def _keys(self, codes: np.ndarray) -> np.ndarray:
+        """Lattice keys of codes: the inverse of ``keys @ self._radix``."""
+        half = self._base // 2
+        shifted = codes[:, None] + half * int(self._radix.sum())
+        return (shifted // self._radix[None, :]) % self._base - half
+
+    def _build(self, keys: np.ndarray) -> np.ndarray:
+        """Anchor ids of the anchors among lattice ``keys``, building the
+        missing ones in one values pass."""
+        X, norms = self._points(keys)
+        inside = (np.abs(keys) <= self._kmax).all(axis=1) & (norms <= 1.0 + self.cover_radius)
+        codes, X = keys[inside] @ self._radix, X[inside]
+        with self._lock:
+            at = np.searchsorted(self._codes, codes)
+            new = at == len(self._codes)
+            new[~new] = self._codes[at[~new]] != codes[~new]
+            if new.any():
+                Xn = X[new]
+                pos = np.argmin(convexify(self.nf.values_matrix(Xn), Xn), axis=1)
+                codes_all = np.concatenate([self._codes, codes[new]])
+                order = np.argsort(codes_all, kind="stable")
+                self._codes = codes_all[order]
+                self._wit = np.concatenate([self._wit, pos.astype(np.int32)])[order]
+                at = np.searchsorted(self._codes, codes)
+            return at
 
     def gather(self, q: np.ndarray) -> list[int]:
-        keys = list(self._window_keys(q))
-        self._materialize_batch(keys)
-        ids = [i for i in map(self._lattice.get, keys) if i is not None]
+        """Ids of the anchors in the window around q's lattice cell, valid
+        as indices of ``anchors`` until more anchors are built."""
+        base = np.floor(q / self.spacing + 1e-9).astype(np.int64)
+        ids = self._build(base + _window_offsets(self.dim, self.window)).tolist()
         # For |q| <= 1 the lattice point nearest to q is in the window and
         # within cover_radius of q, so inside the ball widened by it.
         assert ids, "no anchor in the gather window"
         return ids
 
     def materialize_all(self) -> None:
-        keys = list(itertools.product(range(-self._kmax, self._kmax + 1), repeat=self.dim))
-        self._materialize_batch(keys)
+        k = self._kmax
+        keys = np.array(list(itertools.product(range(-k, k + 1), repeat=self.dim)),
+                        dtype=np.int64).reshape(-1, self.dim)
+        self._build(keys)
+
+    @property
+    def anchors(self) -> np.ndarray:
+        """Anchor points, one row per anchor id."""
+        return self._points(self._keys(self._codes))[0]
+
+    @property
+    def witnesses(self) -> np.ndarray:
+        """Original id of each anchor's witness, by anchor id: a snapshot,
+        so read it after the ``gather`` whose ids index it."""
+        return self.kept_ids[self._wit]
 
     @property
     def sample_count(self) -> int:
-        return len(self.anchors)
+        return len(self._codes)
 
     # -- queries ----------------------------------------------------------
+
+    @staticmethod
+    def _onto_ball(u: np.ndarray) -> np.ndarray:
+        """u, pulled onto the unit ball from at most 1e-9 outside it."""
+        norm = float(np.linalg.norm(u))
+        if norm > 1.0 + 1e-9:
+            raise ValueError("query outside envelope domain")
+        return u / norm if norm > 1.0 else u
+
+    def unit_point(self, x) -> np.ndarray:
+        """A world point of the family's ball in unit-ball coordinates."""
+        ball = self.nf.ball
+        return self._onto_ball((np.asarray(x, dtype=float) - ball.center) / ball.radius)
+
+    def cell_witnesses(self, u: np.ndarray) -> np.ndarray:
+        """Kept positions of the witnesses gathered around u (|u| <= 1), in
+        ascending order of original id. They depend only on u's lattice
+        cell, so they are memoized per cell."""
+        base = np.floor(u / self.spacing + 1e-9).astype(np.int64)
+        code = int(base @ self._radix)
+        pos = self._cells.get(code)
+        if pos is None:
+            with self._lock:
+                ids = self.gather(u)
+                wit = np.flatnonzero(np.bincount(self._wit[ids]))
+                pos = wit[np.argsort(self.kept_ids[wit], kind="stable")]
+                pos = self._cells.setdefault(code, pos)
+        return pos
+
+    def pick(self, g: np.ndarray, u: np.ndarray) -> tuple[float, int]:
+        """(convexified value, index) of the smallest of the normalized
+        values ``g`` at u of ``cell_witnesses(u)``; ties go to the first."""
+        vals = convexify(g[None, :], u)[0]
+        best = int(np.argmin(vals))
+        return float(vals[best]), best
 
     def query_absolute(self, q) -> tuple[float, int]:
         """Envelope value and witness at q, within eps_abs above the truth.
@@ -116,18 +195,10 @@ class ConcaveEnvelope:
         The returned value is the true convexified value of the returned
         witness at q, so it never undershoots the envelope.
         """
-        q = np.asarray(q, dtype=float)
-        norm = float(np.linalg.norm(q))
-        if norm > 1.0 + 1e-9:
-            raise ValueError("query outside envelope domain")
-        if norm > 1.0:
-            q = q / norm
-        # Sorted witnesses break ties deterministically by original index.
-        order = sorted({self.witnesses[i] for i in self.gather(q)})
-        positions = [self._pos_of_index[w] for w in order]
-        vals = convexify(self.nf.values_matrix(q)[:, positions], q)[0]
-        best = int(np.argmin(vals))
-        return float(vals[best]), order[best]
+        q = self._onto_ball(np.asarray(q, dtype=float))
+        pos = self.cell_witnesses(q)
+        val, best = self.pick(self.nf.values_matrix(q)[0, pos], q)
+        return val, int(self.kept_ids[pos[best]])
 
     def query(self, x) -> int:
         """Witness at a point x of the family's world ball: its distance

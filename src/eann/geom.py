@@ -24,7 +24,7 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EuclideanBall:
     center: np.ndarray
     radius: float
@@ -50,7 +50,7 @@ class EuclideanBall:
         return max(0.0, float(np.linalg.norm(as_vector(x) - self.center)) - self.radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedBox:
     low: np.ndarray
     high: np.ndarray
@@ -116,7 +116,7 @@ def unchecked_cell(outer: "AlignedBox", inner: "AlignedBox | None") -> "BbdCell"
     return cell
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BbdCell:
     """A box with an optional box-shaped hole: the region outer \\ interior(inner)."""
 

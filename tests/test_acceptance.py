@@ -68,6 +68,7 @@ def _run_ann_sweep(tags, seed0):
     return configs, failures, worst_overall
 
 
+@pytest.mark.slow
 def test_criterion_01_scaling_ann_correctness():
     configs, failures, worst = _run_ann_sweep(
         ["l1.5", "l3", "wl2", "mahalanobis"], seed0=101)
@@ -75,6 +76,7 @@ def test_criterion_01_scaling_ann_correctness():
            f"{configs} configs x 1000 queries, failures={failures}, worst ratio={worst:.6f}")
 
 
+@pytest.mark.slow
 def test_criterion_02_bregman_ann_correctness():
     configs, failures, worst = _run_ann_sweep(["kl", "is"], seed0=202)
     report("criterion-02 Bregman ANN (1+eps) vs oracle", failures == 0,
@@ -283,6 +285,7 @@ def leaf_fit():
     return leaf_scaling_fit(d=2, n_values=(100, 400, 1600))
 
 
+@pytest.mark.slow
 def test_criterion_10_storage_proxy(leaf_fit):
     fits = [storage_exponent_fit(d) for d in (2, 3)]
     ok = all(f["exponent"] <= f["d"] / 2.0 + 0.5 for f in fits)
@@ -295,6 +298,7 @@ def test_criterion_10_storage_proxy(leaf_fit):
            f"{detail}; leaf density spread x{spread:.2f} over n in (100,400,1600)")
 
 
+@pytest.mark.slow
 def test_criterion_11_query_time_proxy(leaf_fit):
     visits = [row["locate_visits_mean"] for row in leaf_fit["rows"]]
     growth = [visits[i + 1] - visits[i] for i in range(len(visits) - 1)]

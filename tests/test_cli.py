@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from eann import cli
 from eann.ann import load_index
 from eann.cli import gen_sites, main
 from eann.config import build_site_functions, parse_distance_config
@@ -203,3 +204,41 @@ def test_bench_smoke(tmp_path, capsys):
     assert report["configs"][0]["worst_ratio"] <= 1.25 * (1 + 1e-9)
     storage = report["fits"]["storage"][0]
     assert storage["exponent"] <= 2 / 2 + 0.5
+
+
+def test_bench_reports_cold_and_warm_passes(tmp_path, capsys, monkeypatch):
+    """The first pass over the queries builds leaves, the second answers the
+    same queries warm; both latencies are reported, and a warm answer that
+    differs from the cold one fails the sweep."""
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "kinds": ["l3"], "n": [40], "d": [2], "eps": [0.25],
+        "seed": 4, "queries": 30, "fits": False,
+    }))
+    out = tmp_path / "bench.json"
+    assert main(["bench", str(sweep), "--json", str(out)]) == 0
+    assert "cold_us=" in capsys.readouterr().out
+    (config,) = json.loads(out.read_text())["configs"]
+    for phase in ("cold", "warm"):
+        for stat in ("mean", "median", "p99"):
+            assert config[f"{phase}_latency_{stat}_us"] > 0
+
+    real_build = cli.build_index
+
+    def drifting_build(fns, eps):
+        index = real_build(fns, eps)
+        real_query, seen = index.query, set()
+
+        def query(q):
+            witness, value = real_query(q)
+            key = q.tobytes()
+            drift = key in seen
+            seen.add(key)
+            return witness, value * (1.0 + 1e-9) if drift else value
+
+        index.query = query
+        return index
+
+    monkeypatch.setattr(cli, "build_index", drifting_build)
+    assert main(["bench", str(sweep)]) == 1
+    assert "the warm pass changed an answer" in capsys.readouterr().err

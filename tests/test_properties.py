@@ -1,6 +1,6 @@
 """Property tests of point location, of the lazily filtered near sets, of
-the hypercube ray exit and of the envelope's gather window over generated
-inputs. Runs are derandomized and keep no example database, so they are
+the hypercube ray exit and of the envelope's gather window and cell memo
+over generated inputs. Runs are derandomized and keep no example database, so they are
 reproducible."""
 
 import tempfile
@@ -285,6 +285,49 @@ def test_gather_window_holds_an_anchor_within_the_covering_radius(data):
     assert ids
     nearest = min(float(np.linalg.norm(env.anchors[i] - u)) for i in ids)
     assert nearest <= env.cover_radius * (1.0 + 1e-9)
+
+
+class _Affine:
+    """Affine members over the unit ball with arbitrary distinct ids,
+    standing in for a normalized family."""
+
+    def __init__(self, dim, consts, grads, ids):
+        self.ball = EuclideanBall(np.zeros(dim), 1.0)
+        self.consts = np.array(consts)
+        self.grads = np.array(grads).reshape(len(consts), dim)
+        self.kept_indices = list(ids)
+
+    def values_matrix(self, U):
+        return self.consts[None, :] + np.atleast_2d(U) @ self.grads.T
+
+
+@SETTINGS
+@given(st.data())
+def test_memoized_cell_witnesses_equal_a_fresh_gather(data):
+    """A cell's memoized witnesses, built from anchors that earlier windows
+    may have built, are the witnesses a fresh envelope gathers there, in
+    ascending order of original id, for every point of the cell."""
+    d = data.draw(st.integers(1, 4), label="d")
+    m = data.draw(st.integers(1, 6), label="members")
+    nf = _Affine(d, data.draw(st.lists(st.floats(0.2, 0.8), min_size=m, max_size=m)),
+                 data.draw(st.lists(st.floats(-0.25, 0.25), min_size=m * d, max_size=m * d)),
+                 data.draw(st.lists(st.integers(0, 999), min_size=m, max_size=m, unique=True),
+                           label="ids"))
+    eps_abs = data.draw(st.floats(0.01, 1.0), label="eps_abs")
+    env = ConcaveEnvelope(nf, eps_abs)
+    vec = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=d, max_size=d)
+    for _ in range(data.draw(st.integers(1, 4), label="points")):
+        u = np.array(data.draw(vec, label="u"))
+        u /= max(1.0, float(np.linalg.norm(u)))
+        # A second point of u's lattice cell, when it lies in the ball.
+        cell = np.floor(u / env.spacing + 1e-9)
+        frac = np.array(data.draw(st.lists(st.floats(0.0, 0.999), min_size=d, max_size=d)))
+        v = (cell + frac) * env.spacing
+        for w in (u, v) if np.linalg.norm(v) <= 1.0 else (u,):
+            fresh = ConcaveEnvelope(nf, eps_abs)
+            ids = fresh.gather(w)
+            want = sorted(set(fresh.witnesses[ids].tolist()))
+            assert env.kept_ids[env.cell_witnesses(w)].tolist() == want
 
 
 @SETTINGS
