@@ -31,10 +31,7 @@ from .distances import (
     MahalanobisDistance,
     MinkowskiDistance,
     SiteFunction,
-    evaluate,
     generalized_kl_spec,
-    gradient,
-    hessian,
     itakura_saito_spec,
     make_bregman,
     make_custom_gauge,

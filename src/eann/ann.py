@@ -211,9 +211,8 @@ class AnnIndex:
         dims = {f.dim for f in sites}
         if len(dims) != 1:
             raise ValueError("sites must share one dimension")
-        self.sites = list(sites)
         self.eps = float(eps)
-        self.family = SiteFamily(self.sites)
+        self.family = SiteFamily(sites)
         # Every site's tau is finite and at least 1 (``_admissible_tau``).
         self.tau = float(np.max(self.family.tau))
         self.alpha = 2.0 * self.tau
@@ -238,7 +237,12 @@ class AnnIndex:
 
     @property
     def n(self) -> int:
-        return len(self.sites)
+        return len(self.family)
+
+    @property
+    def sites(self) -> SiteFamily:
+        """The index's family; it keeps no site function objects."""
+        return self.family
 
     def _bump(self, visits: int, outside: bool, fallback: str | None) -> None:
         """Count one query, under one lock acquisition. A brute-force
@@ -326,7 +330,7 @@ class AnnIndex:
             raise ValueError("query dimension mismatch")
         if not np.isfinite(q).all():
             raise ValueError("query must be finite")
-        if self.kind == "bregman" and not bool(self.sites[0].in_domain(q)):
+        if self.kind == "bregman" and not self.family.specs[0].in_domain(q):
             raise DomainError("query outside domain")
         leaf, visits = self.tree.locate(q)
         answer = fallback = None
@@ -494,7 +498,8 @@ def save_index(index: AnnIndex, path: str) -> int:
         out.append(ks.astype("<f8").tobytes())
         out.append(ws.astype("<f8").tobytes())
     elif kind == "mahalanobis":
-        out.append(np.stack([f.matrix for f in fam.fns]).astype("<f8").tobytes())
+        # Mahalanobis members share one kernel, in member order.
+        out.append(fam.groups[0][1].M.astype("<f8").tobytes())
     else:
         spec = fam.specs[0]
         name = spec.name.encode()

@@ -163,12 +163,12 @@ class NormalizedFamily:
         return batch_values(self.family, self.world_points(U)) / self.scale_h
 
     def member_gradients(self, pos: int, U: np.ndarray) -> np.ndarray:
-        X = self.world_points(U)
-        return self.family.fns[pos]._gradients(X) * (self.ball.radius / self.scale_h)
+        X = self.world_points(U)[:, None]
+        return self.family.take([pos]).gradients(X)[:, 0] * (self.ball.radius / self.scale_h)
 
     def member_hessians(self, pos: int, U: np.ndarray) -> np.ndarray:
-        X = self.world_points(U)
-        return self.family.fns[pos]._hessians(X) * (self.ball.radius**2 / self.scale_h)
+        X = self.world_points(U)[:, None]
+        return self.family.take([pos]).hessians(X)[:, 0] * (self.ball.radius**2 / self.scale_h)
 
 
 def prune_screen(lo: np.ndarray, hi: np.ndarray, slack: float = 0.0) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Distance functions attached to sites: weighted Minkowski and Mahalanobis
 gauges, user-supplied convex gauges, and Bregman divergences.
 
-Every site function evaluates values, gradients, and Hessians analytically,
-accepts single points ``(d,)`` or batches ``(A, d)``, and carries a certified
-growth constant ``tau`` used by the search structures to size separation
-parameters.
-
-One array formula per kind computes the values and gradients, on
-``(T, m, d)`` stacks of points ``X`` and offsets ``V = X - P`` against ``m``
-sites ``P``: the site classes call it on one member, ``SiteFamily`` on many.
+One kernel per kind is the only code that evaluates a site. It holds the
+parameters of ``m`` members as arrays and computes their values, gradients
+and Hessians analytically on ``(T, m, d)`` stacks of points ``X`` and
+offsets ``V = X - P`` against their sites ``P``. ``SiteFamily`` (``_batch``)
+stacks many members per kernel. A site function validates the parameters
+of one member and carries its certified growth constant ``tau``, which the
+search structures use to size separation parameters; it evaluates single
+points ``(d,)`` or batches ``(A, d)`` by running its kernel over itself
+alone, built for the call.
 
 Gauge constructors compute ``tau`` at once. A Bregman site built without a
 declared ``tau`` samples it later, at seeded points of the domain box (or
@@ -24,6 +25,7 @@ domain) still raise in the constructor.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -80,17 +82,253 @@ def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"expected shape (d,) or (A, d) with d={dim}")
 
 
-class SiteFunction:
-    """A distance function about a fixed site.
+class DomainError(ValueError):
+    """Raised when a point falls outside a divergence's open domain."""
 
-    Subclasses implement ``_values``, ``_gradients`` and ``_hessians`` on
-    (A, d) batches of points. Scaling kinds are positively 1-homogeneous
-    about the site; the Bregman kind is a divergence D(x, site) in its
-    first argument.
+
+# ---------------------------------------------------------------------------
+# Kernels: one per kind, the only code that evaluates a site
+# ---------------------------------------------------------------------------
+
+
+def _columns(a):
+    """Views of the last-axis entries. Folding them in order reduces over a
+    short coordinate axis far faster than ``np.max``/``np.sum(axis=-1)``,
+    with the same left-to-right sums for d < 8."""
+    return [a[..., j] for j in range(a.shape[-1])]
+
+
+def _rows(fn, X):
+    """A batched ``(A, d)`` callable applied to every row of a (T, m, d) stack."""
+    out = np.asarray(fn(X.reshape(-1, X.shape[-1])), dtype=float)
+    return out.reshape(X.shape[:-1] + out.shape[1:])
+
+
+def bregman_values(spec, X, V, fP, gP):
+    """D_F(x, p) = F(x) - F(p) - <grad F(p), x - p>, with V = X - P."""
+    return _rows(spec.values, X) - fP - np.einsum("tmd,md->tm", V, gP)
+
+
+def bregman_gradients(spec, X, gP):
+    return _rows(spec.gradients, X) - gP
+
+
+class _Kernel:
+    """Members of one kind: positions ``P`` (m, d) and the other per-member
+    arrays named in ``arrays``, read from the site functions it is built
+    from. ``values``, ``gradients`` and ``hessians`` evaluate the members on
+    a (T, m, d) stack of points ``X`` with offsets ``V = X - P``, or every
+    member at each point of a (T, 1, d) stack. ``bounds(t)`` gives (lo, hi)
+    bounds on each member's minimum over a region at Euclidean distance t
+    from its site."""
+
+    __slots__ = ("P",)
+    arrays: tuple[str, ...] = ("P",)
+
+    @staticmethod
+    def group(f):
+        """Site functions of one kind share a kernel when their groups are equal."""
+        return None
+
+    def take(self, sel):
+        new = copy.copy(self)
+        for name in self.arrays:
+            setattr(new, name, getattr(self, name)[sel])
+        return new
+
+    def resite(self, p):
+        """Every member translated to the site ``p``: the scaling kinds keep
+        no array that depends on the site."""
+        new = copy.copy(self)
+        new.P = np.tile(p, (len(self.P), 1))
+        return new
+
+
+class MinkowskiKernel(_Kernel):
+    """W * ||v||_k for one exponent k > 1."""
+
+    kind = "minkowski"
+    __slots__ = ("k", "W", "ratio")
+    arrays = ("P", "W")
+
+    def __init__(self, fns, P):
+        self.P = P
+        self.k = fns[0].k
+        self.W = np.array([f.weight for f in fns])
+        self.ratio = fns[0].dim ** abs(0.5 - 1.0 / self.k)  # max of ||v||_k/||v||_2 or its inverse
+
+    @staticmethod
+    def group(f):
+        return f.k
+
+    def values(self, X, V):
+        # Scaled by max |v_i| against overflow.
+        cols = _columns(np.abs(V))
+        mx = functools.reduce(np.maximum, cols)
+        safe = np.where(mx > 0.0, mx, 1.0)
+        s = sum((c / safe) ** self.k for c in cols)
+        return self.W * mx * s ** (1.0 / self.k)
+
+    def gradients(self, X, V):
+        k = self.k
+        mx = functools.reduce(np.maximum, _columns(np.abs(V)))
+        t = V / mx[..., None]
+        a = np.abs(t)
+        s = sum(c**k for c in _columns(a))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = s[..., None] ** (1.0 / k - 1.0) * a ** (k - 1.0) * np.sign(t)
+        return np.reshape(self.W, (-1, 1)) * g
+
+    def hessians(self, X, V):
+        k = self.k
+        m = np.max(np.abs(V), axis=-1)
+        t = V / m[..., None]
+        a = np.abs(t)
+        s = np.sum(a**k, axis=-1)
+        b = a ** (k - 1.0) * np.sign(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diag = s[..., None] ** (1.0 / k - 1.0) * a ** (k - 2.0)
+            outer = s[..., None, None] ** (1.0 / k - 2.0) * b[..., :, None] * b[..., None, :]
+        hs = -outer
+        idx = np.arange(V.shape[-1])
+        hs[..., idx, idx] += diag
+        return (self.W * (k - 1.0) / m)[..., None, None] * hs
+
+    def bounds(self, t):
+        if self.k >= 2.0:
+            return self.W / self.ratio * t, self.W * t
+        return self.W * t, self.W * self.ratio * t
+
+
+class MahalanobisKernel(_Kernel):
+    """sqrt(v^T M v) for an (m, d, d) stack of matrices M."""
+
+    kind = "mahalanobis"
+    __slots__ = ("M", "lo", "hi")
+    arrays = ("P", "M", "lo", "hi")
+
+    def __init__(self, fns, P):
+        self.P = P
+        self.M = np.stack([f.matrix for f in fns])
+        self.lo = np.array([f.sqrt_eig_min for f in fns])
+        self.hi = np.array([f.sqrt_eig_max for f in fns])
+
+    def values(self, X, V):
+        M, m = self.M, V.shape[1]
+        if m == 1:
+            # einsum loops differently over a lone member's size-1 axis, which
+            # can round differently at d = 2; evaluated beside a copy of
+            # itself, a member's value does not depend on its family.
+            V, M = np.concatenate([V, V], axis=1), np.concatenate([M, M])
+        return np.sqrt(np.maximum(np.einsum("tmd,mde,tme->tm", V, M, V), 0.0))[:, :m]
+
+    def gradients(self, X, V):
+        return np.einsum("tmd,mde->tme", V, self.M) / self.values(X, V)[..., None]
+
+    def hessians(self, X, V):
+        # (M - g g^T) / f with g = M v / f the gradient.
+        f, g = self.values(X, V), self.gradients(X, V)
+        return (self.M - g[..., :, None] * g[..., None, :]) / f[..., None, None]
+
+    def bounds(self, t):
+        return self.lo * t, self.hi * t
+
+
+class BregmanKernel(_Kernel):
+    """D_F(x, p) for one generator F, with F and grad F at the sites."""
+
+    kind = "bregman"
+    __slots__ = ("spec", "fP", "gP")
+    arrays = ("P", "fP", "gP")
+
+    def __init__(self, fns, P):
+        self.P = P
+        self.spec = fns[0].spec
+        self.fP = np.array([f._site_value for f in fns])
+        self.gP = np.stack([f._site_grad for f in fns])
+
+    @staticmethod
+    def group(f):
+        return id(f.spec)
+
+    def values(self, X, V):
+        return bregman_values(self.spec, X, V, self.fP, self.gP)
+
+    def gradients(self, X, V):
+        return bregman_gradients(self.spec, X, self.gP)
+
+    def hessians(self, X, V):
+        """The generator's Hessian at each point, the same for every member."""
+        spec, shape = self.spec, V.shape + V.shape[-1:]
+        if spec.hess_kind == "diag":
+            hs = np.zeros(shape)
+            idx = np.arange(V.shape[-1])
+            hs[..., idx, idx] = _rows(spec.hess, X)
+            return hs
+        H = np.asarray(spec.hess, dtype=float) if spec.hess_kind == "const" else _rows(spec.hess, X)
+        return np.broadcast_to(H, shape).copy()
+
+    def resite(self, p):
+        raise ValueError("a Bregman family cannot be re-sited")
+
+    def bounds(self, t):
+        lo, hi = self.spec.eig_low, self.spec.eig_high
+        if lo is None or hi is None:
+            raise ValueError("generator lacks Hessian eigenvalue bounds")
+        return 0.5 * lo * t * t, 0.5 * hi * t * t
+
+
+class GaugeKernel(_Kernel):
+    """Custom gauges sharing one triple of batched callables about the
+    origin (value, gradient, Hessian), each evaluated at every offset in
+    one call."""
+
+    kind = "gauge"
+    __slots__ = ("gv", "gg", "gh", "lo", "hi")
+    arrays = ("P", "lo", "hi")
+
+    def __init__(self, fns, P):
+        self.P = P
+        self.gv, self.gg, self.gh = self.group(fns[0])
+        self.lo = np.array([f._bounds[0] for f in fns])
+        self.hi = np.array([f._bounds[1] for f in fns])
+
+    @staticmethod
+    def group(f):
+        return f._gv, f._gg, f._gh
+
+    def values(self, X, V):
+        return _rows(self.gv, V)
+
+    def gradients(self, X, V):
+        return _rows(self.gg, V)
+
+    def hessians(self, X, V):
+        return _rows(self.gh, V)
+
+    def bounds(self, t):
+        return self.lo * t, self.hi * t
+
+
+# ---------------------------------------------------------------------------
+# Site functions
+# ---------------------------------------------------------------------------
+
+
+class SiteFunction:
+    """A distance function about a fixed site: the validated parameters of
+    one member of its kind's kernel.
+
+    Subclasses check and keep the parameters and name their kernel type in
+    ``_kernel_type``. Every evaluation runs that kernel over the site as a
+    one-member stack, built for the call, on (A, d) batches of points.
+    Scaling kinds are positively 1-homogeneous about the site; the Bregman
+    kind is a divergence D(x, site) in its first argument.
     """
 
     kind: str = "abstract"
     is_scaling: bool = True
+    _kernel_type: type[_Kernel]
 
     def __init__(self, site, tau: float | None):
         self.site = as_vector(site)
@@ -133,6 +371,21 @@ class SiteFunction:
     def __call__(self, x):
         return self.value(x)
 
+    def _run(self, method: str, pts: np.ndarray) -> np.ndarray:
+        """Kernel ``method`` over this site alone, at (A, d) points."""
+        kern = self._kernel_type([self], self.site[None, :])
+        X = pts[:, None, :]
+        return getattr(kern, method)(X, X - kern.P)[:, 0]
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        return self._run("values", pts)
+
+    def _gradients(self, pts: np.ndarray) -> np.ndarray:
+        return self._run("gradients", pts)
+
+    def _hessians(self, pts: np.ndarray) -> np.ndarray:
+        return self._run("hessians", pts)
+
     # -- structure -------------------------------------------------------
 
     def resite(self, new_site) -> "SiteFunction":
@@ -153,91 +406,11 @@ class SiteFunction:
             if np.any(np.all(v == 0.0, axis=1)):
                 raise ValueError("gradient undefined at site")
 
-    def _values(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _gradients(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _hessians(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
 
 def _admissible_tau(tau) -> float:
     if not np.isfinite(tau) or tau <= 0:
         raise ValueError("admissibility gate: unbounded ratio")
     return max(1.0, float(tau))
-
-
-def evaluate(f: SiteFunction, x):
-    return f.value(x)
-
-
-def gradient(f: SiteFunction, x):
-    return f.gradient(x)
-
-
-def hessian(f: SiteFunction, x):
-    return f.hessian(x)
-
-
-# ---------------------------------------------------------------------------
-# Array formulas, shared by the site functions and ``SiteFamily``
-# ---------------------------------------------------------------------------
-
-
-class DomainError(ValueError):
-    """Raised when a point falls outside a divergence's open domain."""
-
-
-def _columns(a):
-    """Views of the last-axis entries. Folding them in order reduces over a
-    short coordinate axis far faster than ``np.max``/``np.sum(axis=-1)``,
-    with the same left-to-right sums for d < 8."""
-    return [a[..., j] for j in range(a.shape[-1])]
-
-
-def minkowski_values(V, k, W):
-    """W * ||v||_k over the last axis, scaled by max |v_i| against overflow."""
-    cols = _columns(np.abs(V))
-    mx = functools.reduce(np.maximum, cols)
-    safe = np.where(mx > 0.0, mx, 1.0)
-    s = sum((c / safe) ** k for c in cols)
-    return W * mx * s ** (1.0 / k)
-
-
-def minkowski_gradients(V, k, W):
-    mx = functools.reduce(np.maximum, _columns(np.abs(V)))
-    t = V / mx[..., None]
-    a = np.abs(t)
-    s = sum(c**k for c in _columns(a))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = s[..., None] ** (1.0 / k - 1.0) * a ** (k - 1.0) * np.sign(t)
-    return np.reshape(W, (-1, 1)) * g
-
-
-def mahalanobis_values(V, M):
-    """sqrt(v^T M v) for (T, m, d) offsets and an (m, d, d) matrix stack."""
-    return np.sqrt(np.maximum(np.einsum("tmd,mde,tme->tm", V, M, V), 0.0))
-
-
-def mahalanobis_gradients(V, M):
-    return np.einsum("tmd,mde->tme", V, M) / mahalanobis_values(V, M)[..., None]
-
-
-def _rows(fn, X):
-    """A batched ``(A, d)`` callable applied to every row of a (T, m, d) stack."""
-    out = np.asarray(fn(X.reshape(-1, X.shape[-1])), dtype=float)
-    return out.reshape(X.shape[:-1] + out.shape[1:])
-
-
-def bregman_values(spec, X, V, fP, gP):
-    """D_F(x, p) = F(x) - F(p) - <grad F(p), x - p>, with V = X - P."""
-    return _rows(spec.values, X) - fP - np.einsum("tmd,md->tm", V, gP)
-
-
-def bregman_gradients(spec, X, gP):
-    return _rows(spec.gradients, X) - gP
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +423,7 @@ class MinkowskiDistance(SiteFunction):
 
     kind = "minkowski"
     is_scaling = True
+    _kernel_type = MinkowskiKernel
 
     def __init__(self, site, k: float, weight: float = 1.0, tau: float | None = None):
         if not math.isfinite(k):
@@ -277,31 +451,6 @@ class MinkowskiDistance(SiteFunction):
     def resite(self, new_site):
         return MinkowskiDistance(new_site, self.k, self.weight, tau=self.tau)
 
-    def _rel(self, pts):
-        return pts - self.site[None, :]
-
-    def _values(self, pts):
-        return minkowski_values(self._rel(pts)[:, None, :], self.k, self.weight)[:, 0]
-
-    def _gradients(self, pts):
-        return minkowski_gradients(self._rel(pts)[:, None, :], self.k, self.weight)[:, 0]
-
-    def _hessians(self, pts):
-        k = self.k
-        v = self._rel(pts)
-        m = np.max(np.abs(v), axis=1)
-        t = v / m[:, None]
-        a = np.abs(t)
-        s = np.sum(a**k, axis=1)
-        b = a ** (k - 1.0) * np.sign(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diag = s[:, None] ** (1.0 / k - 1.0) * a ** (k - 2.0)
-            outer = s[:, None, None] ** (1.0 / k - 2.0) * b[:, :, None] * b[:, None, :]
-        hs = -outer
-        idx = np.arange(self.dim)
-        hs[:, idx, idx] += diag
-        return (self.weight * (k - 1.0) / m)[:, None, None] * hs
-
 
 # ---------------------------------------------------------------------------
 # Mahalanobis gauges
@@ -313,6 +462,7 @@ class MahalanobisDistance(SiteFunction):
 
     kind = "mahalanobis"
     is_scaling = True
+    _kernel_type = MahalanobisKernel
 
     def __init__(self, site, matrix, tau: float | None = None):
         M = np.asarray(matrix, dtype=float)
@@ -340,17 +490,6 @@ class MahalanobisDistance(SiteFunction):
     def resite(self, new_site):
         return MahalanobisDistance(new_site, self.matrix, tau=self.tau)
 
-    def _values(self, pts):
-        return mahalanobis_values((pts - self.site)[:, None, :], self.matrix[None])[:, 0]
-
-    def _gradients(self, pts):
-        return mahalanobis_gradients((pts - self.site)[:, None, :], self.matrix[None])[:, 0]
-
-    def _hessians(self, pts):
-        # (M - g g^T) / f with g = M v / f the gradient.
-        f, g = self._values(pts), self._gradients(pts)
-        return (self.matrix[None, :, :] - g[:, :, None] * g[:, None, :]) / f[:, None, None]
-
 
 # ---------------------------------------------------------------------------
 # User-supplied gauges
@@ -366,6 +505,7 @@ class CustomGaugeDistance(SiteFunction):
 
     kind = "gauge"
     is_scaling = True
+    _kernel_type = GaugeKernel
 
     def __init__(self, site, gauge_value, gauge_gradient, gauge_hessian,
                  params: GaugeParams, tau: float | None = None,
@@ -386,15 +526,6 @@ class CustomGaugeDistance(SiteFunction):
     def resite(self, new_site):
         return CustomGaugeDistance(new_site, self._gv, self._gg, self._gh,
                                    self.params, tau=self.tau, value_bounds=self._bounds)
-
-    def _values(self, pts):
-        return np.asarray(self._gv(pts - self.site[None, :]), dtype=float)
-
-    def _gradients(self, pts):
-        return np.asarray(self._gg(pts - self.site[None, :]), dtype=float)
-
-    def _hessians(self, pts):
-        return np.asarray(self._gh(pts - self.site[None, :]), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +712,7 @@ class BregmanDistance(SiteFunction):
 
     kind = "bregman"
     is_scaling = False
+    _kernel_type = BregmanKernel
 
     def __init__(self, spec: BregmanSpec, site, tau: float | None = None):
         site = as_vector(site)
@@ -607,26 +739,6 @@ class BregmanDistance(SiteFunction):
     def _check_domain(self, pts):
         if not np.all(self.spec.in_domain(pts)):
             raise DomainError("query outside domain")
-
-    def _values(self, pts):
-        X = pts[:, None, :]
-        return bregman_values(self.spec, X, X - self.site, self._site_value,
-                              self._site_grad[None])[:, 0]
-
-    def _gradients(self, pts):
-        return bregman_gradients(self.spec, pts[:, None, :], self._site_grad)[:, 0]
-
-    def _hessians(self, pts):
-        if self.spec.hess_kind == "const":
-            H = np.asarray(self.spec.hess, dtype=float)
-            return np.broadcast_to(H, (len(pts),) + H.shape).copy()
-        if self.spec.hess_kind == "diag":
-            dg = np.asarray(self.spec.hess(pts), dtype=float)
-            hs = np.zeros((len(pts), self.dim, self.dim))
-            idx = np.arange(self.dim)
-            hs[:, idx, idx] = dg
-            return hs
-        return np.asarray(self.spec.hess(pts), dtype=float)
 
 
 # ---------------------------------------------------------------------------

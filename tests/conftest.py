@@ -1,8 +1,31 @@
 import numpy as np
 import pytest
 
-from eann.distances import make_mahalanobis, make_minkowski
+from eann.distances import GaugeParams, make_custom_gauge, make_mahalanobis, make_minkowski
 from eann.geom import EuclideanBall
+
+_ELLIPSE = np.array([1.0, 2.0])
+
+
+def _gauge_value(v):
+    return np.sqrt(np.einsum("ad,d,ad->a", v, _ELLIPSE, v))
+
+
+def _gauge_gradient(v):
+    return v * _ELLIPSE[None, :] / _gauge_value(v)[:, None]
+
+
+def _gauge_hessian(v):
+    f = _gauge_value(v)
+    av = v * _ELLIPSE[None, :]
+    return (np.diag(_ELLIPSE)[None] / f[:, None, None]
+            - av[:, :, None] * av[:, None, :] / (f**3)[:, None, None])
+
+
+def ellipse_gauge(p):
+    """The custom gauge sqrt(v^T diag(1, 2) v) about a 2-d site ``p``."""
+    params = GaugeParams(float(np.sqrt(_ELLIPSE.min() / _ELLIPSE.max())), 0.5)
+    return make_custom_gauge(p, _gauge_value, _gauge_gradient, _gauge_hessian, params)
 
 
 def random_gauge_fn(rng, d, site=None):

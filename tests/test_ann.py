@@ -1,4 +1,6 @@
+import gc
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -278,6 +280,32 @@ def test_concurrent_queries_match_sequential(rng):
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(threaded.query, queries))
     assert got == expected
+
+
+def test_site_value_equals_index_value_bit_for_bit():
+    """A site function evaluates through its kind's kernel, so at d = 2 a
+    Mahalanobis site's value is the index's value for it, to the last bit."""
+    rng = np.random.default_rng(5)
+    fns = gen_family("mahalanobis", gen_sites(rng, 200, 2, "mahalanobis"), rng)
+    index = build_index(fns, 0.25)
+    for q in gen_queries(rng, 400, 2, "mahalanobis"):
+        w, v = index.query(q)
+        assert v == fns[w].value(q)
+
+
+def test_index_keeps_no_site_object(rng):
+    """Building an index reads the site functions into arrays and lets go
+    of them."""
+    for tag in ("l3", "mahalanobis", "kl"):
+        fns = gen_family(tag, gen_sites(rng, 30, 2, tag), rng)
+        first = weakref.ref(fns[0])
+        index = build_index(fns, 0.25)
+        for q in gen_queries(rng, 20, 2, tag):
+            index.query(q)
+        del fns
+        gc.collect()
+        assert first() is None, tag
+        assert index.sites is index.family
 
 
 def test_persistence_roundtrip(tmp_path, rng):

@@ -7,10 +7,7 @@ from eann.config import build_site_functions, parse_distance_config, parse_point
 from eann.distances import (
     DomainError,
     GaugeParams,
-    evaluate,
     generalized_kl_spec,
-    gradient,
-    hessian,
     itakura_saito_spec,
     make_bregman,
     make_mahalanobis,
@@ -20,6 +17,8 @@ from eann.distances import (
     tau_for_gauge,
 )
 from eann.numdiff import fd_gradient, fd_hessian
+
+from conftest import ellipse_gauge
 
 
 def test_minkowski_values():
@@ -124,6 +123,8 @@ def test_hessian_examples():
     lambda: make_bregman(squared_euclidean_spec(3), [0.1, 0.2, 0.3]),
     lambda: make_bregman(generalized_kl_spec(2, 0.05, 10.0), [0.5, 0.7]),
     lambda: make_bregman(itakura_saito_spec(2, 0.05, 10.0), [0.5, 0.7]),
+    lambda: make_minkowski([0.3, -0.2], 1.5, 1.2),
+    lambda: ellipse_gauge([0.4, 0.1]),
 ])
 def test_analytic_derivatives_match_finite_differences(maker, rng):
     f = maker()
@@ -228,13 +229,6 @@ def test_custom_gauge_geometry_estimate():
     params = gauge_params_from_samples(f)
     assert params.gamma == pytest.approx(1.0, abs=1e-9)
     assert params.sigma == pytest.approx(1.0, abs=1e-6)
-
-
-def test_operation_wrappers():
-    f = make_minkowski([0.0, 0.0], 2.0)
-    assert evaluate(f, [3.0, 4.0]) == pytest.approx(5.0)
-    assert np.allclose(gradient(f, [3.0, 4.0]), [0.6, 0.8])
-    assert hessian(f, [1.0, 0.0]).shape == (2, 2)
 
 
 def test_resite_preserves_shape():

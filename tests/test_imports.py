@@ -1,6 +1,7 @@
-"""No module of the package keeps a module-level import it never uses.
+"""No module of the package keeps a module-level import it never uses, and
+no top-level private name that no module of the package reads.
 
-The toolchain has no linter, so this check catches names left behind when
+The toolchain has no linter, so these checks catch names left behind when
 code is deleted.
 """
 
@@ -38,3 +39,48 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Top-level private names (``_x``, not dunders) that a module defines by
+    ``def``, ``class`` or assignment, each with its line."""
+    defined: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names defined in one of ``sources`` (file name -> text) that
+    no expression of any of them reads, as a name or as an attribute."""
+    read = set()
+    for source in sources.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return [f"{name} ({file} line {line})" for file, source in sources.items()
+            for name, line in private_definitions(source).items() if name not in read]
+
+
+def test_checker_finds_an_unread_private_name():
+    a = "_USED = 1\n_UNUSED = 2\n\n\ndef _helper():\n    return _USED\n\n\nclass _Box:\n    pass\n"
+    b = "from a import _Box\n\nX = a._Box\n__all__ = []\n"
+    assert unread_private_names({"a.py": a, "b.py": b}) == [
+        "_UNUSED (a.py line 2)", "_helper (a.py line 5)"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -70,9 +70,9 @@ def _fids(index, positions):
     return sorted(i for pos in positions for i in index.tree.site_groups[pos].tolist())
 
 
-def _compare_leaf(index, leaf) -> str:
-    """Check one leaf's attachment against the unscreened build; returns
-    which case the leaf fell in."""
+def _compare_leaf(index, fns, leaf) -> str:
+    """Check one leaf's attachment against the unscreened build from the
+    site functions ``fns`` of the index; returns which case the leaf fell in."""
     outer = _fids(index, leaf.outer_positions())
     ball = enclosing_ball(leaf.cell)
     att = index._attachment(leaf)
@@ -95,7 +95,7 @@ def _compare_leaf(index, leaf) -> str:
         assert att.fixed_fids == fixed + outer + inner_fixed
         return "one outer"
     try:
-        ref = normalize([index.sites[i] for i in outer], ball, indices=outer)
+        ref = normalize([fns[i] for i in outer], ball, indices=outer)
     except DomainError:
         assert att.brute and att.outer_env is None
         return "brute"
@@ -125,8 +125,9 @@ def _compare_leaf(index, leaf) -> str:
 ])
 def test_screened_attachment_matches_unscreened_build(tag, d, expect):
     rng = np.random.default_rng(5)
-    index = build_index(_family(tag, rng, 50, d), 0.25)
-    seen = [_compare_leaf(index, leaf) for leaf in _leaves(index, rng, 60)]
+    fns = _family(tag, rng, 50, d)
+    index = build_index(fns, 0.25)
+    seen = [_compare_leaf(index, fns, leaf) for leaf in _leaves(index, rng, 60)]
     assert expect in seen
     assert "envelope" in seen
 
@@ -135,16 +136,17 @@ def test_single_survivor_out_of_domain_goes_brute():
     """A Bregman leaf whose screen keeps one of several outer members but
     whose ball leaves the domain is a brute leaf, as normalize makes it."""
     rng = np.random.default_rng(5)
-    index = build_index(_family("sq-mahalanobis", rng, 50, 2), 0.25)
+    fns = _family("sq-mahalanobis", rng, 50, 2)
+    index = build_index(fns, 0.25)
     hits = 0
     for leaf in _leaves(index, rng, 80):
-        if _compare_leaf(index, leaf) != "brute":
+        if _compare_leaf(index, fns, leaf) != "brute":
             continue
         outer = _fids(index, leaf.outer_positions())
         ball = enclosing_ball(leaf.cell)
         dists = np.maximum(0.0, np.linalg.norm(index.points[outer] - ball.center, axis=1)
                            - ball.radius)
-        lo, hi = batch_value_bounds([index.sites[i] for i in outer], dists)
+        lo, hi = batch_value_bounds([fns[i] for i in outer], dists)
         hits += int(np.count_nonzero(prune_screen(lo, hi)) == 1)
     assert hits > 0
 

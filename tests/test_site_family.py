@@ -1,9 +1,9 @@
-"""SiteFamily, the struct-of-arrays evaluation kernel, against the per-site
+"""SiteFamily, the struct-of-arrays family, against the per-site
 SiteFunction objects it is built from.
 
-Both call the same array formulas, so cross values, row-paired values and
-gradients must agree bit for bit; value bounds must bracket every value at
-the given distance.
+Both run the same kernels, a site function over itself alone, so cross
+values and row-paired values, gradients and Hessians must agree bit for
+bit; value bounds must bracket every value at the given distance.
 """
 
 import numpy as np
@@ -14,36 +14,13 @@ from eann.ann import brute_force
 from eann.cli import gen_family, gen_sites
 from eann.distances import (
     DomainError,
-    GaugeParams,
     make_bregman,
-    make_custom_gauge,
     make_mahalanobis,
     make_minkowski,
     squared_mahalanobis_spec,
 )
 
-_ELLIPSE = np.array([1.0, 2.0])
-
-
-def _gauge_value(v):
-    return np.sqrt(np.einsum("ad,d,ad->a", v, _ELLIPSE, v))
-
-
-def _gauge_gradient(v):
-    return v * _ELLIPSE[None, :] / _gauge_value(v)[:, None]
-
-
-def _gauge_hessian(v):
-    f = _gauge_value(v)
-    av = v * _ELLIPSE[None, :]
-    return (np.diag(_ELLIPSE)[None] / f[:, None, None]
-            - av[:, :, None] * av[:, None, :] / (f**3)[:, None, None])
-
-
-def _ellipse(p):
-    params = GaugeParams(float(np.sqrt(_ELLIPSE.min() / _ELLIPSE.max())), 0.5)
-    return make_custom_gauge(p, _gauge_value, _gauge_gradient, _gauge_hessian, params)
-
+from conftest import ellipse_gauge
 
 # (tag, d, Bregman?) for every kind the kernel covers.
 KINDS = [
@@ -61,7 +38,7 @@ KINDS = [
 
 def _family(tag, d, rng, n=7):
     if tag == "ellipse":
-        return [_ellipse(p) for p in rng.random((n, d))]
+        return [ellipse_gauge(p) for p in rng.random((n, d))]
     if tag == "sq-mahalanobis":
         spec = squared_mahalanobis_spec(np.array([[2.0, 0.5], [0.5, 1.0]]), 0.1, 1.0)
         return [make_bregman(spec, p) for p in gen_sites(rng, n, d, "kl")]
@@ -97,6 +74,7 @@ def test_kernel_matches_per_site_functions(tag, d, bregman, rng):
     Xp = _points(rng, len(fns), d, bregman)
     _assert_rows_equal(tag, fam.paired(Xp), [f.value(x) for f, x in zip(fns, Xp)])
     _assert_rows_equal(tag, fam.gradients(Xp), [f.gradient(x) for f, x in zip(fns, Xp)])
+    _assert_rows_equal(tag, fam.hessians(Xp), [f.hessian(x) for f, x in zip(fns, Xp)])
     grid = np.stack([Xp, _points(rng, len(fns), d, bregman)])
     _assert_rows_equal(tag, fam.paired(grid), np.stack([fam.paired(g) for g in grid]))
 
@@ -143,8 +121,13 @@ def test_take_and_resite_match_rebuilt_families(tag, d, bregman, rng):
         np.testing.assert_array_equal(a, b)
 
     p = _points(rng, 1, d, bregman)[0]
+    if bregman:
+        with pytest.raises(ValueError, match="cannot be re-sited"):
+            fam.resite(p)
+        return
     moved = fam.resite(p)
     np.testing.assert_array_equal(moved.P, np.tile(p, (len(fns), 1)))
+    np.testing.assert_array_equal(moved.tau, fam.tau)
     np.testing.assert_array_equal(moved.values(X), _per_site_values([f.resite(p) for f in fns], X))
 
 
@@ -171,7 +154,7 @@ def test_mixed_family_keeps_member_order(rng):
         elif i % 4 == 2:
             fns.append(make_mahalanobis(p, np.array([[2.0, 0.3], [0.3, 1.0]])))
         else:
-            fns.append(_ellipse(p))
+            fns.append(ellipse_gauge(p))
     fam = SiteFamily(fns)
     assert len(fam.groups) == 4
     X = rng.random((6, d))

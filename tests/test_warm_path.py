@@ -67,7 +67,7 @@ def _queries(tag, rng, index, count):
         edge = gen_queries(rng, count // 2, d, tag)
         edge[:, 0] = 0.1 + 1e-4
         qs.append(edge)
-        high = index.sites[0].spec.domain_high
+        high = index.family.specs[0].domain_high
         if np.all(box.high < high):
             qs.append(box.high[None, :] + 0.5 * (high - box.high))
     else:
