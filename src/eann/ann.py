@@ -32,7 +32,7 @@ import numpy as np
 
 from ._batch import SiteFamily, batch_values
 from .avd import _LEAF, _PENDING, CONFIG_RECORD, AvdConfig, AvdLeaf, AvdTree, build_avd
-from .convexify import _check_ball_in_domain, prune_screen
+from .convexify import _check_ball_in_domain, screen
 from .distances import (
     BUILTIN_BREGMAN,
     BregmanDistance,
@@ -47,9 +47,6 @@ from .geom import EuclideanBall, enclosing_ball
 
 MAGIC = b"EANN"
 FORMAT_VERSION = 3
-# Relative widening of the outer-site screen: einsum and np.linalg.norm may
-# round a distance differently in the last bits.
-_SCREEN_SLACK = 1e-12
 
 
 def ray_to_hypercube_boundary(p_prime, q) -> np.ndarray:
@@ -203,16 +200,17 @@ class AnnIndex:
         if len(kinds) != 1:
             raise ValueError("mixed kinds")
         self.kind = kinds.pop()
-        if self.kind == "bregman":
-            spec0 = sites[0].spec
-            for f in sites[1:]:
-                if f.spec is not spec0 and not _same_bregman_spec(f.spec, spec0):
-                    raise ValueError("bregman sites must share one generator")
         dims = {f.dim for f in sites}
         if len(dims) != 1:
             raise ValueError("sites must share one dimension")
         self.eps = float(eps)
         self.family = SiteFamily(sites)
+        if self.kind == "bregman":
+            specs = self.family.specs
+            if len(specs) != 1:
+                raise ValueError("bregman sites must share one generator")
+            if specs[0].eig_low is None or specs[0].eig_high is None:
+                raise ValueError("generator lacks Hessian eigenvalue bounds")
         # Every site's tau is finite and at least 1 (``_admissible_tau``).
         self.tau = float(np.max(self.family.tau))
         self.alpha = 2.0 * self.tau
@@ -220,8 +218,6 @@ class AnnIndex:
             self.beta = 10.0 * self.tau / self.eps
         else:
             self.beta = 4.0 * self.tau**2 / self.eps
-        if self.kind == "bregman" and (spec0.eig_low is None or spec0.eig_high is None):
-            raise ValueError("generator lacks Hessian eigenvalue bounds")
         self.points = self.family.P
         self.tree = build_avd(self.points, AvdConfig(self.alpha, self.beta))
         self._lock = threading.RLock()
@@ -280,7 +276,11 @@ class AnnIndex:
             if np.any(outer):
                 ball = enclosing_ball(leaf.cell)
                 try:
-                    fids = self._outer_survivors(ball, outer)
+                    fids = screen(self.family, ball, outer, range(self.n)).tolist()
+                    if np.count_nonzero(outer) > 1:
+                        # A leaf with two or more outer sites whose ball
+                        # leaves the domain is brute, even with one survivor.
+                        _check_ball_in_domain(self.family, ball)
                     if len(fids) == 1:
                         att.fixed_fids += fids
                     else:
@@ -298,28 +298,6 @@ class AnnIndex:
                 att.cache_family(self.family)
             leaf.attachment = att
             return att
-
-    def _outer_survivors(self, ball: EuclideanBall, outer: np.ndarray) -> list[int]:
-        """Ids of the outer sites (mask over site ids) that can touch the
-        lower envelope over the leaf ball.
-
-        One vectorized bound pass applies normalize's prune screen, slightly
-        widened, to every outer site: normalize would prune the others
-        unestimated, so the envelope of the survivors equals that of the
-        full outer set.
-        """
-        diff = self.points - ball.center[None, :]
-        dists = np.maximum(0.0, np.sqrt(np.einsum("md,md->m", diff, diff)) - ball.radius)
-        bad = outer & (dists / ball.diameter < 2.0 * self.family.tau)
-        if np.any(bad):
-            raise ValueError(f"insufficient separation: site {int(np.argmax(bad))}")
-        lo, hi = self.family.value_bounds(dists)
-        lo, hi = np.where(outer, lo, np.inf), np.where(outer, hi, np.inf)
-        if np.count_nonzero(outer) > 1:
-            # normalize decides Bregman brute leaves by this check on every
-            # family of two or more; a single survivor skips normalize.
-            _check_ball_in_domain(self.family, ball)
-        return np.flatnonzero(prune_screen(lo, hi, slack=_SCREEN_SLACK)).tolist()
 
     # -- queries --------------------------------------------------------------
 
@@ -417,14 +395,6 @@ class AnnIndex:
             "patches": patches,
             "tree_expansions": self.tree._expansions,
         }
-
-
-def _same_bregman_spec(a, b) -> bool:
-    return (a.name == b.name and a.dim == b.dim
-            and np.array_equal(a.domain_low, b.domain_low)
-            and np.array_equal(a.domain_high, b.domain_high)
-            and ((a.matrix is None) == (b.matrix is None))
-            and (a.matrix is None or np.array_equal(a.matrix, b.matrix)))
 
 
 def build_index(sites: list[SiteFunction], eps: float) -> AnnIndex:

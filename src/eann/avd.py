@@ -174,10 +174,6 @@ class AvdTree:
         self.cfg = cfg
         self.positions, inverse = np.unique(sites, axis=0, return_inverse=True)
         self.position_of_site = inverse.astype(_ID)
-        groups: list[list[int]] = [[] for _ in range(len(self.positions))]
-        for site_id, pos in enumerate(self.position_of_site):
-            groups[pos].append(site_id)
-        self.site_groups = [np.array(g, dtype=_ID) for g in groups]
         self.n_positions = len(self.positions)
 
         center = 0.5 * (sites.min(axis=0) + sites.max(axis=0))
@@ -453,7 +449,7 @@ class AvdTree:
 
 def build_avd(sites, cfg: AvdConfig) -> AvdTree:
     """Decomposition tree for the given sites. Coincident sites are merged;
-    ``site_groups`` maps each merged position back to the original ids."""
+    ``position_of_site`` maps each original id to its merged position."""
     return AvdTree(np.asarray(sites, dtype=float), cfg)
 
 

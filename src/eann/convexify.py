@@ -9,13 +9,20 @@ norms at most 1/4, and Hessian norms at most 1/16, so the offset makes
 every member concave while leaving argmins and vertical gaps untouched;
 ``check_invariants`` samples these bounds.
 
-One batched estimator supplies the ball minima. Weighted Euclidean members
-are solved in closed form and Mahalanobis members by bisection on the
-trust-region multiplier. Every other kind starts at the boundary point
-facing its site and takes a few lockstep Frank-Wolfe steps with batched
-line searches. Each estimate is a member value at a point of the ball, so
-it never falls below the true minimum; for the iterative kinds it may sit a
-small fraction above it, which shifts the value bounds by that fraction.
+``screen`` is the one prune screen, shared by ``normalize`` and the index's
+leaf build: it checks the separation and drops every member whose distance
+bounds place its ball minimum beyond the prune threshold. Screening its own
+survivors keeps all of them, so a caller may screen a family before handing
+the survivors to ``normalize``.
+
+One batched estimator, ``fast_min_estimates``, supplies the ball minima of
+the survivors. Weighted Euclidean members are solved in closed form and
+Mahalanobis members by bisection on the trust-region multiplier. Every
+other kind starts at the boundary point facing its site and takes a few
+lockstep Frank-Wolfe steps with batched line searches. Each estimate is a
+member value at a point of the ball, so it never falls below the true
+minimum; for the iterative kinds it may sit a small fraction above it,
+which shifts the value bounds by that fraction.
 """
 
 from __future__ import annotations
@@ -124,8 +131,8 @@ def _fast_fw_refine(fam: SiteFamily, ball: EuclideanBall, X: np.ndarray,
 
 def fast_min_estimates(family, ball: EuclideanBall) -> np.ndarray:
     """Vectorized per-member ball minima, exact for Euclidean-like kinds and
-    slightly above-true for the rest: the estimator ``normalize`` runs, with
-    every member refined (``normalize`` refines only the contenders)."""
+    slightly above-true for the rest: the estimator ``normalize`` runs on
+    every member its screen keeps."""
     if len(family) == 0:
         return np.zeros(0)
     fam = SiteFamily.of(family)
@@ -142,13 +149,11 @@ class NormalizedFamily:
     """Kept members rescaled to the unit ball: g_i(u) = f_i(c + r*u) / h."""
 
     def __init__(self, ball: EuclideanBall, scale_h: float, kept_indices, kept: SiteFamily,
-                 pruned_indices, pruned_estimates, f1_min: float):
+                 f1_min: float):
         self.ball = ball
         self.scale_h = float(scale_h)
         self.kept_indices = list(kept_indices)
         self.family = kept
-        self.pruned_indices = list(pruned_indices)
-        self.pruned_estimates = list(pruned_estimates)
         self.f1_min = float(f1_min)
 
     @property
@@ -171,93 +176,53 @@ class NormalizedFamily:
         return self.family.take([pos]).hessians(X)[:, 0] * (self.ball.radius**2 / self.scale_h)
 
 
-def prune_screen(lo: np.ndarray, hi: np.ndarray, slack: float = 0.0) -> np.ndarray:
+def prune_screen(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mask of the members ``normalize`` estimates, from per-member bounds
-    (lo, hi) on the ball minima: the rest provably exceed the prune threshold.
-    A relative ``slack`` widens the screen to a superset, for callers whose
-    bounds may differ from normalize's in the last bits."""
-    return lo <= 2.0 * (1.0 + PRUNE_DELTA) * 1.001 * float(np.min(hi)) * (1.0 + slack)
+    (lo, hi) on the ball minima: the rest provably exceed the prune threshold."""
+    return lo <= 2.0 * (1.0 + PRUNE_DELTA) * 1.001 * float(np.min(hi))
 
 
-def normalize(family, ball: EuclideanBall, indices=None,
-              check_separation: bool = True) -> NormalizedFamily:
+def screen(family: SiteFamily, ball: EuclideanBall, members: np.ndarray, ids) -> np.ndarray:
+    """Positions of the ``members`` (a mask over ``family``) that
+    ``prune_screen`` keeps over the ball, from the Euclidean distance of
+    each site to the ball.
+
+    A member closer than 2*tau ball diameters raises ``ValueError`` naming
+    its entry of ``ids``, the original ids of the family. Each distance and
+    bound depends on its own member alone, so screening members of a family
+    equals screening the sub-family that holds just them; the member with
+    the smallest upper bound always survives, so screening the survivors
+    again keeps every one of them.
+    """
+    diff = family.P - ball.center[None, :]
+    dists = np.maximum(0.0, np.sqrt(np.einsum("md,md->m", diff, diff)) - ball.radius)
+    bad = members & (dists / ball.diameter < 2.0 * family.tau)
+    if np.any(bad):
+        raise ValueError(f"insufficient separation: site {ids[int(np.argmax(bad))]}")
+    lo, hi = batch_value_bounds(family, dists)
+    return np.flatnonzero(members & prune_screen(lo, np.where(members, hi, np.inf)))
+
+
+def normalize(family, ball: EuclideanBall, indices=None) -> NormalizedFamily:
     """Rescale a separated family (a ``SiteFamily`` or a list of site
-    functions) over a ball, pruning members that cannot touch the lower
-    envelope there.
+    functions, with original ids ``indices``) over a ball, pruning members
+    that cannot touch the lower envelope there.
 
-    A member is pruned when its estimated ball minimum exceeds twice the
-    family minimum (with 1% slack); such members exceed the smallest member
-    throughout the ball. The scale is h = 5 * min_i estimate_i. Cheap
-    distance-sandwich bounds skip the estimation of members that provably
-    land beyond the prune threshold. The estimates come from the closed
-    forms where they exist and from batched Frank-Wolfe otherwise, refined
-    only for members near the family minimum or the prune threshold (see
-    ``_tiered_fast_estimates``).
+    ``screen`` drops the members whose distance bounds already place them
+    beyond the prune threshold. ``fast_min_estimates`` estimates the ball
+    minimum of every other member in one batched pass; f1_min is the
+    smallest estimate. A member is kept when its estimate is at most twice
+    f1_min (with 1% slack); the others exceed the smallest member
+    throughout the ball. The scale is h = 5 * f1_min.
     """
     family = SiteFamily.of(family)
-    if indices is None:
-        indices = list(range(len(family)))
-
-    dists = np.maximum(0.0, np.linalg.norm(family.P - ball.center[None, :], axis=1) - ball.radius)
-    if check_separation:
-        bad = dists / ball.diameter < 2.0 * family.tau
-        if np.any(bad):
-            offender = indices[int(np.argmax(bad))]
-            raise ValueError(f"insufficient separation: site {offender}")
-    lo, hi = batch_value_bounds(family, dists)
-    est_positions = np.flatnonzero(prune_screen(lo, hi))
-    _check_ball_in_domain(family, ball)
-
-    estimates, refined, f1_min = _tiered_fast_estimates(family, ball, lo, est_positions)
-    threshold = 2.0 * (1.0 + PRUNE_DELTA) * f1_min
-    keep_cap = 2.0 * threshold  # unrefined upper estimates below this stay concave-safe
-
-    kept_pos, pruned_idx, pruned_est = [], [], []
-    for i, idx in enumerate(indices):
-        est = estimates.get(i, float(lo[i]))
-        if i in estimates and (est <= threshold or (i not in refined and est <= keep_cap)):
-            kept_pos.append(i)
-        else:
-            pruned_idx.append(idx)
-            pruned_est.append(est)
-    return NormalizedFamily(ball, 5.0 * f1_min, [indices[i] for i in kept_pos],
-                            family.take(kept_pos), pruned_idx, pruned_est, f1_min)
-
-
-def _tiered_fast_estimates(family: SiteFamily, ball, lo_bounds, est_positions):
-    """Index-build estimates with minimal refinement work.
-
-    Closed-form kinds are exact. Other kinds get one batched seed value per
-    member, with Frank-Wolfe refinement spent only on members that contend
-    for the family minimum or whose keep/prune call is ambiguous. Returns
-    (estimates, refined-position set, family minimum).
-    """
-    vals, solved = _closed_form_minima(family.take(est_positions), ball)
-    estimates: dict[int, float] = dict(zip(est_positions[solved].tolist(),
-                                           vals[solved].tolist()))
-    refined: set[int] = set(estimates)
-    fw_pos = est_positions[~solved].tolist()
-    if fw_pos:
-        fw = family.take(fw_pos)
-        estimates.update(zip(fw_pos, fw.paired(_face_seeds(fw.P, ball)).tolist()))
-
-        def refine(positions):
-            if not positions:
-                return
-            sub = family.take(positions)
-            vals = _fast_fw_refine(sub, ball, _face_seeds(sub.P, ball))
-            estimates.update(zip(positions, vals.tolist()))
-            refined.update(positions)
-
-        cur_min = min(estimates.values())
-        refine([i for i in fw_pos if estimates[i] <= 1.5 * cur_min])
-        cur_min = min(estimates.values())
-        threshold = 2.0 * (1.0 + PRUNE_DELTA) * cur_min
-        # Members whose seed exceeds the concavity-safe cap but whose lower
-        # bound allows a true minimum under the threshold need a real call.
-        refine([i for i in fw_pos if i not in refined
-                and estimates[i] > 2.0 * threshold and lo_bounds[i] <= threshold])
-    return estimates, refined, min(estimates.values())
+    indices = list(range(len(family))) if indices is None else list(indices)
+    screened = screen(family, ball, np.ones(len(family), dtype=bool), indices)
+    estimates = fast_min_estimates(family.take(screened), ball)
+    f1_min = float(np.min(estimates))
+    kept = screened[estimates <= 2.0 * (1.0 + PRUNE_DELTA) * f1_min]
+    return NormalizedFamily(ball, 5.0 * f1_min, [indices[i] for i in kept], family.take(kept),
+                            f1_min)
 
 
 def convexify(g: np.ndarray, U) -> np.ndarray:

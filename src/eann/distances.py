@@ -249,7 +249,7 @@ class BregmanKernel(_Kernel):
 
     @staticmethod
     def group(f):
-        return id(f.spec)
+        return generator_key(f.spec)
 
     def values(self, X, V):
         return bregman_values(self.spec, X, V, self.fP, self.gP)
@@ -330,8 +330,9 @@ class SiteFunction:
     is_scaling: bool = True
     _kernel_type: type[_Kernel]
 
-    def __init__(self, site, tau: float | None):
-        self.site = as_vector(site)
+    def __init__(self, site: np.ndarray, tau: float | None):
+        # ``site`` comes from ``as_vector``, which each subclass calls once.
+        self.site = site
         self._tau = None if tau is None else _admissible_tau(tau)
 
     @property
@@ -516,7 +517,7 @@ class CustomGaugeDistance(SiteFunction):
         self.params = params
         if tau is None:
             tau = tau_for_gauge(params)
-        super().__init__(site, tau)
+        super().__init__(as_vector(site), tau)
         if value_bounds is None:
             dirs = unit_directions(self.dim, 512, _DIRECTION_SEED)
             vals = np.asarray(gauge_value(dirs), dtype=float)
@@ -707,6 +708,17 @@ BUILTIN_BREGMAN = {
 }
 
 
+def generator_key(spec: BregmanSpec):
+    """Key under which Bregman sites share one generator: built-in
+    generators with the same name and dimension and bit-identical domain box
+    and matrix share it, whichever objects hold them; any other generator is
+    its own object."""
+    if spec.name not in BUILTIN_BREGMAN:
+        return id(spec)
+    matrix = None if spec.matrix is None else np.asarray(spec.matrix, dtype=float).tobytes()
+    return (spec.name, spec.dim, spec.domain_low.tobytes(), spec.domain_high.tobytes(), matrix)
+
+
 class BregmanDistance(SiteFunction):
     """D_F(x, site) as a distance function of the first argument."""
 
@@ -829,10 +841,10 @@ def resolve_tau(fns) -> None:
     """Sample ``tau`` for every Bregman site in ``fns`` built without one, in
     one ``_bregman_tau_pass`` per generator. A site whose sample fails the
     admissibility checks raises ``ValueError`` naming its index in ``fns``."""
-    pending: dict[int, list[int]] = {}
+    pending: dict[object, list[int]] = {}
     for i, f in enumerate(fns):
         if f._tau is None:
-            pending.setdefault(id(f.spec), []).append(i)
+            pending.setdefault(generator_key(f.spec), []).append(i)
     for ids in pending.values():
         members = [fns[i] for i in ids]
         raw, used = _bregman_tau_pass(

@@ -38,7 +38,7 @@ def test_duplicate_sites_merged():
     # Both original ids map to the shared position, lowest first.
     pos = tree.position_of_site[0]
     assert tree.position_of_site[1] == pos
-    assert list(tree.site_groups[pos]) == [0, 1]
+    assert np.flatnonzero(tree.position_of_site == pos).tolist() == [0, 1]
     for leaf in tree.leaves():
         assert check_leaf(tree, leaf) == []
 
@@ -202,7 +202,7 @@ def test_site_id_arrays_are_int32(rng):
     tree = build_avd(sites, AvdConfig(2.0, 40.0))
     for q in rng.random((30, 2)):
         tree.locate(q)
-    arrays = [tree.position_of_site, *tree.site_groups]
+    arrays = [tree.position_of_site]
     longest_parts = 0
     stack = [tree._root]
     while stack:

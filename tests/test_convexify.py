@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from eann.convexify import check_invariants, convexify, fast_min_estimates, normalize
+from eann._batch import batch_value_bounds
+from eann.convexify import (
+    PRUNE_DELTA,
+    check_invariants,
+    convexify,
+    fast_min_estimates,
+    normalize,
+    prune_screen,
+)
 from eann.distances import (
     generalized_kl_spec,
     make_bregman,
@@ -91,21 +99,37 @@ def test_fast_estimates_match_exact(rng):
 
 
 def test_normalize_single_family_example():
-    f = make_minkowski([4.0, 0.0], 2.0, tau=1.0)
-    nf = normalize([f], BALL, check_separation=False)
-    assert nf.scale_h == pytest.approx(15.0)
-    assert nf.values_matrix(np.zeros((1, 2)))[0, 0] == pytest.approx(4.0 / 15.0)
-    assert nf.pruned_indices == []
+    f = make_minkowski([6.0, 0.0], 2.0, tau=1.0)
+    nf = normalize([f], BALL)
+    assert nf.scale_h == pytest.approx(25.0)
+    assert nf.values_matrix(np.zeros((1, 2)))[0, 0] == pytest.approx(6.0 / 25.0)
+    assert nf.kept_indices == [0]
 
 
 def test_normalize_prunes_far_member():
-    f_near = make_minkowski([4.0, 0.0], 2.0, tau=1.0)
+    f_near = make_minkowski([6.0, 0.0], 2.0, tau=1.0)
     f_far = make_minkowski([40.0, 0.0], 2.0, tau=1.0)
-    nf = normalize([f_near, f_far], BALL, check_separation=False)
+    nf = normalize([f_near, f_far], BALL)
     assert nf.kept_indices == [0]
-    assert nf.pruned_indices == [1]
     # The pruned member's estimated minimum exceeds twice the family minimum.
-    assert nf.pruned_estimates[0] > 2.0 * nf.f1_min
+    assert fast_min_estimates([f_far], BALL)[0] > 2.0 * nf.f1_min
+
+
+def test_normalize_keeps_exactly_the_members_within_the_threshold():
+    """Every member the screen keeps is estimated, and only those within
+    2(1+PRUNE_DELTA) of the smallest estimate stay. The l3 member facing the
+    ball along an axis passes the screen, but its minimum is about 2.5 times
+    that of the diagonal one; the third member fails the screen."""
+    fns = [make_minkowski(11.0 / np.sqrt(2.0) * np.ones(2), 3.0),
+           make_minkowski([23.0, 0.0], 3.0),
+           make_minkowski([0.0, -60.0], 3.0)]
+    dists = np.array([np.linalg.norm(f.site) - 1.0 for f in fns])
+    assert prune_screen(*batch_value_bounds(fns, dists)).tolist() == [True, True, False]
+    est = fast_min_estimates(fns[:2], BALL)
+    nf = normalize(fns, BALL)
+    assert nf.f1_min == est.min()
+    assert est[1] > 2.0 * (1.0 + PRUNE_DELTA) * est.min()
+    assert nf.kept_indices == [0]
 
 
 def test_normalize_reports_offender():

@@ -10,10 +10,10 @@ same leaves to brute force.
 import numpy as np
 import pytest
 
-from eann._batch import batch_value_bounds
+from eann._batch import SiteFamily, batch_value_bounds
 from eann.ann import build_index, load_index, save_index
 from eann.cli import gen_family, gen_queries, gen_sites
-from eann.convexify import normalize, prune_screen
+from eann.convexify import normalize, prune_screen, screen
 from eann.distances import (
     DomainError,
     GaugeParams,
@@ -21,7 +21,9 @@ from eann.distances import (
     make_custom_gauge,
     squared_mahalanobis_spec,
 )
-from eann.geom import enclosing_ball
+from eann.geom import EuclideanBall, enclosing_ball
+
+from conftest import random_gauge_fn
 
 _ELLIPSE = np.array([1.0, 2.0])
 
@@ -67,7 +69,7 @@ def _leaves(index, rng, count):
 
 
 def _fids(index, positions):
-    return sorted(i for pos in positions for i in index.tree.site_groups[pos].tolist())
+    return np.flatnonzero(np.isin(index.tree.position_of_site, positions)).tolist()
 
 
 def _compare_leaf(index, fns, leaf) -> str:
@@ -149,6 +151,31 @@ def test_single_survivor_out_of_domain_goes_brute():
         lo, hi = batch_value_bounds([fns[i] for i in outer], dists)
         hits += int(np.count_nonzero(prune_screen(lo, hi)) == 1)
     assert hits > 0
+
+
+def test_screen_of_a_taken_subfamily_equals_the_full_family_screen():
+    """Screening some members of a family keeps the same members as
+    screening the sub-family holding just them. The index screens a leaf's
+    outer sites in its whole family and ``normalize`` screens the survivors
+    again, in their own family, so it keeps them all."""
+    rng = np.random.default_rng(3)
+    for d in (2, 3, 4):
+        ball = EuclideanBall(np.full(d, 0.5), 0.002)
+        P = [p for p in rng.random((1500, d)) if np.linalg.norm(p - ball.center) > 0.2]
+        family = SiteFamily([random_gauge_fn(rng, d, site=p) for p in P])
+        assert len(family.groups) > 1
+        everyone = np.ones(len(P), dtype=bool)
+        survivors = screen(family, ball, everyone, range(len(P)))
+        assert 1 < len(survivors) < len(P)
+        again = screen(family.take(survivors), ball, np.ones(len(survivors), dtype=bool),
+                       survivors)
+        assert again.tolist() == list(range(len(survivors)))
+        for _ in range(200):
+            members = np.sort(rng.choice(len(P), size=int(rng.integers(1, 400)), replace=False))
+            mask = np.zeros(len(P), dtype=bool)
+            mask[members] = True
+            sub = screen(family.take(members), ball, np.ones(len(members), dtype=bool), members)
+            assert members[sub].tolist() == screen(family, ball, mask, range(len(P))).tolist()
 
 
 def _answers(index, queries, order):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from eann._batch import SiteFamily, batch_value_bounds, batch_values
-from eann.ann import brute_force
+from eann.ann import brute_force, build_index
 from eann.cli import gen_family, gen_sites
 from eann.distances import (
     DomainError,
+    generalized_kl_spec,
     make_bregman,
     make_mahalanobis,
     make_minkowski,
@@ -177,3 +178,22 @@ def test_mixed_family_keeps_member_order(rng):
 def test_empty_family_rejected():
     with pytest.raises(ValueError, match="empty family"):
         SiteFamily([])
+
+
+def test_equal_builtin_generators_held_apart_share_one_kernel(rng):
+    """Sites whose equal built-in generators are distinct objects form one
+    kernel group, with values and tau bit for bit those of a family sharing
+    one generator object; an index accepts them, and rejects a second
+    generator."""
+    P = gen_sites(rng, 40, 2, "kl")
+    shared_spec = generalized_kl_spec(2)
+    shared = SiteFamily([make_bregman(shared_spec, p) for p in P])
+    apart = SiteFamily([make_bregman(generalized_kl_spec(2), p) for p in P])
+    assert len(apart.groups) == 1
+    assert apart.tau.tobytes() == shared.tau.tobytes()
+    X = gen_sites(rng, 30, 2, "kl")
+    assert batch_values(apart, X).tobytes() == batch_values(shared, X).tobytes()
+    build_index([make_bregman(generalized_kl_spec(2), p) for p in P], 0.25)
+    with pytest.raises(ValueError, match="share one generator"):
+        build_index([make_bregman(generalized_kl_spec(2), P[0]),
+                     make_bregman(generalized_kl_spec(2, 0.05, 1.0), P[1])], 0.25)
