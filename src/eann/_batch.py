@@ -117,13 +117,13 @@ class SiteFamily:
         """The members at positions ``idx``, in that order."""
         idx = np.asarray(idx, dtype=np.intp)
         sub = object.__new__(SiteFamily)
-        sub.tau = self.tau[idx]
+        sub.tau = self.tau.take(idx)
         if len(self.groups) == 1:
             kern = self.groups[0][1].take(idx)
             sub.P = kern.P
             sub.groups = [(slice(None), kern)]
             return sub
-        sub.P = self.P[idx]
+        sub.P = self.P.take(idx, axis=0)
         group_of = np.empty(len(self), dtype=np.intp)
         slot = np.empty(len(self), dtype=np.intp)
         for j, (gidx, _) in enumerate(self.groups):

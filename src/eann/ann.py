@@ -31,16 +31,15 @@ from collections import Counter
 import numpy as np
 
 from ._batch import SiteFamily, batch_values
-from .avd import _LEAF, _PENDING, CONFIG_RECORD, AvdConfig, AvdLeaf, AvdTree, build_avd
+from .avd import CONFIG_RECORD, AvdConfig, AvdLeaf, AvdTree, build_avd
 from .convexify import _check_ball_in_domain, screen
 from .distances import (
-    BUILTIN_BREGMAN,
     BregmanDistance,
     DomainError,
     MahalanobisDistance,
     MinkowskiDistance,
     SiteFunction,
-    squared_mahalanobis_spec,
+    builtin_bregman_spec,
 )
 from .envelope import ConcaveEnvelope, build_relative
 from .geom import EuclideanBall, enclosing_ball
@@ -372,25 +371,18 @@ class AnnIndex:
 
     def storage_stats(self) -> dict:
         """Sizes of the structures built so far; expands no node."""
-        env_samples = 0
-        patches = 0
-        stack = [self.tree._root]
-        leaf_count = 0
-        while stack:
-            node = stack.pop()
-            if node.kind == _LEAF:
-                leaf_count += 1
-                att = node.leaf.attachment
-                if att is not None:
-                    if att.outer_env is not None:
-                        env_samples += att.outer_env.sample_count
-                    if att.patchset is not None:
-                        env_samples += att.patchset.sample_count
-                        patches += len(att.patchset._patches)
-            elif node.kind != _PENDING:
-                stack.extend(c for c in node.children if c is not None)
+        env_samples = patches = 0
+        leaves = self.tree.built_leaves()
+        for leaf in leaves:
+            att = leaf.attachment
+            if att is not None:
+                if att.outer_env is not None:
+                    env_samples += att.outer_env.sample_count
+                if att.patchset is not None:
+                    env_samples += att.patchset.sample_count
+                    patches += len(att.patchset._patches)
         return {
-            "leaves": leaf_count,
+            "leaves": len(leaves),
             "envelope_samples": env_samples,
             "patches": patches,
             "tree_expansions": self.tree._expansions,
@@ -513,8 +505,6 @@ def load_index(path: str) -> AnnIndex:
         lo, hi = rd.floats(d), rd.floats(d)
         (has_mat,) = rd.unpack("<B")
         mat = rd.floats(d, d) if has_mat else None
-        if name not in BUILTIN_BREGMAN:
-            raise ValueError(f"unknown Bregman generator '{name}'")
     else:
         raise ValueError(f"unknown family code {fam_code}")
     points = rd.floats(n, d)
@@ -532,12 +522,7 @@ def load_index(path: str) -> AnnIndex:
     elif fam_code == 1:
         fns = [MahalanobisDistance(points[i], mats[i], tau=float(taus[i])) for i in range(n)]
     else:
-        if name == "squared-mahalanobis":
-            spec = squared_mahalanobis_spec(mat, lo, hi)
-        elif name == "squared-euclidean":
-            spec = BUILTIN_BREGMAN[name](d)
-        else:
-            spec = BUILTIN_BREGMAN[name](d, lo, hi)
+        spec = builtin_bregman_spec(name, d, lo, hi, mat)
         fns = [BregmanDistance(spec, points[i], tau=float(taus[i])) for i in range(n)]
     index = AnnIndex(fns, eps)
     stored = AvdTree.from_bytes(record)

@@ -29,6 +29,7 @@ most far candidates before the exact box distances.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .geom import (
     unchecked_ball,
     unchecked_box,
     unchecked_cell,
+    unchecked_dist_point_cell,
 )
 
 _PENDING, _SPLIT, _SHRINK, _LEAF = 0, 1, 2, 3
@@ -54,12 +56,17 @@ _ID = np.int32
 # The id arrays of every expanded node, which no longer need their own.
 _NO_IDS = np.zeros(0, dtype=_ID)
 _NO_IDS.flags.writeable = False
+# Halvings the depth budget allows beyond its estimate.
+_DEPTH_SLACK = 8
 # Serialized tree configuration: dimension (u32), alpha, beta (f64), max_depth (u32).
 CONFIG_RECORD = struct.Struct("<IddI")
 
 
 @dataclass(frozen=True)
 class AvdConfig:
+    """Separation factors of the leaves, and the least depth at which
+    expansion gives up; a tree allows more where its sites need it."""
+
     alpha: float
     beta: float
     max_depth: int = 96
@@ -164,6 +171,21 @@ def _points_in_box(P: np.ndarray, box: AlignedBox) -> np.ndarray:
     return np.all(P >= box.low[None, :], axis=1) & np.all(P < box.high[None, :], axis=1)
 
 
+def _depth_budget(positions: np.ndarray, side: float, cfg: AvdConfig) -> int:
+    """Depth at which expansion gives up: ``cfg.max_depth``, or more where
+    the sites need it. A cell's sides halve once every d levels or faster.
+    A leaf holding one of the two sites whose coordinates are closest on
+    some axis, ``gap`` apart, has sides below about gap / (4 alpha + 2):
+    about log2(side / gap) + log2(4 alpha + 2) halvings of the root."""
+    gaps = np.diff(np.sort(positions, axis=0), axis=0)
+    gaps = gaps[gaps > 0]
+    if gaps.size == 0:
+        return cfg.max_depth
+    halvings = (math.log2(side) - math.log2(float(gaps.min()))
+                + math.log2(4.0 * cfg.alpha + 2.0))
+    return max(cfg.max_depth, positions.shape[1] * (math.ceil(halvings) + _DEPTH_SLACK))
+
+
 class AvdTree:
     def __init__(self, sites: np.ndarray, cfg: AvdConfig):
         sites = np.asarray(sites, dtype=float)
@@ -189,6 +211,7 @@ class AvdTree:
         self._slab_axis = int(np.argmax(P.max(axis=0) - P.min(axis=0)))
         self._slab_x = np.ascontiguousarray(P[:, self._slab_axis])
         self._slab_sorted = np.sort(self._slab_x)
+        self._depth_budget = _depth_budget(P, side, cfg)
         self._lock = threading.RLock()
         self._expansions = 0
 
@@ -197,19 +220,6 @@ class AvdTree:
         return self.positions.shape[1]
 
     # -- expansion ---------------------------------------------------------
-
-    @staticmethod
-    def _dist_point_cell_raw(p: np.ndarray, cell: BbdCell) -> float:
-        olo, ohi = cell.outer.low, cell.outer.high
-        if np.any(p < olo) or np.any(p > ohi):
-            gap = np.maximum(np.maximum(olo - p, p - ohi), 0.0)
-            return float(np.sqrt(np.dot(gap, gap)))
-        inner = cell.inner
-        if inner is None:
-            return 0.0
-        if np.all(p > inner.low) and np.all(p < inner.high):
-            return float(min(np.min(p - inner.low), np.min(inner.high - p)))
-        return 0.0
 
     def _try_leaf(self, node: _Node) -> bool:
         if len(node.assigned) > 1:
@@ -223,7 +233,7 @@ class AvdTree:
         r = 0.5 * float(np.sqrt(np.dot(side, side)))
         alpha, beta = self.cfg.alpha, self.cfg.beta
         if len(others) > 0:
-            diff = self.positions[others] - c[None, :]
+            diff = self.positions.take(others, axis=0) - c[None, :]
             dists = np.sqrt(np.einsum("md,md->m", diff, diff)) - r
             outer_ok = dists >= alpha * 2.0 * r
             rest = others[~outer_ok]
@@ -231,11 +241,11 @@ class AvdTree:
             rest = others
         inner_ball = None
         if len(rest) > 0:
-            pts = self.positions[rest]
+            pts = self.positions.take(rest, axis=0)
             bc = pts.mean(axis=0)
             rel = pts - bc[None, :]
             br = float(np.sqrt(np.max(np.einsum("md,md->m", rel, rel)))) * (1.0 + 1e-9)
-            gap = self._dist_point_cell_raw(bc, cell) - br
+            gap = unchecked_dist_point_cell(bc, cell) - br
             if gap < beta * 2.0 * br:
                 return False
             inner_ball = unchecked_ball(bc, br)
@@ -262,18 +272,20 @@ class AvdTree:
         lo, hi = _slab(float(box.low[a]), float(box.high[a]), reach)
         xs = self._slab_sorted
         if len(cand) > np.searchsorted(xs, hi, "right") - np.searchsorted(xs, lo, "left"):
-            x = self._slab_x[cand]
+            x = self._slab_x.take(cand)
             cand = cand[(x >= lo) & (x <= hi)]
-        dists = box_distances(box.low, box.high, self.positions[cand])
+        dists = box_distances(box.low, box.high, self.positions.take(cand, axis=0))
         return cand[dists < reach]
 
-    def _shrink_target(self, node: _Node) -> AlignedBox | None:
-        if node.cell.inner is not None or len(node.assigned) < 2:
+    @staticmethod
+    def _shrink_target(cell: BbdCell, pts: np.ndarray) -> AlignedBox | None:
+        """The quadtree box a shrink descends to around the cell's sites
+        ``pts``, or None where the cell splits instead."""
+        if cell.inner is not None or len(pts) < 2:
             return None
-        pts = self.positions[node.assigned]
         n_total = len(pts)
-        lo = node.cell.outer.low.copy()
-        hi = node.cell.outer.high.copy()
+        lo = cell.outer.low.copy()
+        hi = cell.outer.high.copy()
         d = lo.size
         descended = False
         for _ in range(64):
@@ -302,20 +314,18 @@ class AvdTree:
         self._expansions += 1
         if self._try_leaf(node):
             return
-        if node.depth >= self.cfg.max_depth:
+        if node.depth >= self._depth_budget:
             raise RuntimeError(
                 "max depth exceeded at cell "
                 f"[{node.cell.outer.low}, {node.cell.outer.high}]"
             )
-        qbox = self._shrink_target(node)
-        P = self.positions
+        pts = self.positions.take(node.assigned, axis=0)
+        qbox = self._shrink_target(node.cell, pts)
         # Children filter their near sets from the nearest built one on.
         base = node.near_parts if node.near is None else (node.near,)
         if qbox is not None:
-            in_q = np.zeros(self.n_positions, dtype=bool)
-            in_q[node.assigned] = _points_in_box(P[node.assigned], qbox)
-            a_in = node.assigned[in_q[node.assigned]]
-            a_out = node.assigned[~in_q[node.assigned]]
+            in_q = _points_in_box(pts, qbox)
+            a_in, a_out = node.assigned[in_q], node.assigned[~in_q]
             cell_in = unchecked_cell(qbox, None)
             cell_out = _make_cell(node.cell.outer, qbox)
             node.kind = _SHRINK
@@ -348,7 +358,7 @@ class AvdTree:
                     ilow[axis] = max(ilow[axis], mid)
                     inner_hi = unchecked_box(ilow, inner.high)
             cells = [_make_cell(box_lo, inner_lo), _make_cell(box_hi, inner_hi)]
-            side = P[node.assigned, axis] >= mid
+            side = pts[:, axis] >= mid
             parts = [node.assigned[~side], node.assigned[side]]
             # A side swallowed whole by the hole gets no child; sites routed
             # there sit on the hole boundary and belong to the sibling, which
@@ -412,17 +422,22 @@ class AvdTree:
                 if node.kind != _LEAF:
                     stack.extend(c for c in node.children if c is not None)
 
+    def built_leaves(self) -> list[AvdLeaf]:
+        """The leaves expanded so far, left to right; expands no node."""
+        with self._lock:
+            stack = [self._root]
+            out = []
+            while stack:
+                node = stack.pop()
+                if node.kind == _LEAF:
+                    out.append(node.leaf)
+                else:
+                    stack.extend(c for c in reversed(node.children) if c is not None)
+        return out
+
     def leaves(self) -> list[AvdLeaf]:
         self.materialize()
-        out = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.kind == _LEAF:
-                out.append(node.leaf)
-            else:
-                stack.extend(c for c in reversed(node.children) if c is not None)
-        return out
+        return self.built_leaves()
 
     def leaf_count(self) -> int:
         return len(self.leaves())

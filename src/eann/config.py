@@ -21,12 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .distances import (
-    BUILTIN_BREGMAN,
     SiteFunction,
+    builtin_bregman_spec,
     make_bregman,
     make_mahalanobis,
     make_minkowski,
-    squared_mahalanobis_spec,
 )
 
 
@@ -105,19 +104,7 @@ def build_site_functions(cfg: dict, points: np.ndarray) -> list[SiteFunction]:
         M = entries.reshape(d, d)
         return [make_mahalanobis(points[i], M) for i in range(n)]
     # bregman
-    name = cfg.get("generator", "generalized-kl")
-    if name not in BUILTIN_BREGMAN:
-        raise ValueError(f"unknown generator '{name}'")
-    lo = _floats(cfg["domain_low"]) if "domain_low" in cfg else None
-    hi = _floats(cfg["domain_high"]) if "domain_high" in cfg else None
-    if name == "squared-euclidean":
-        spec = BUILTIN_BREGMAN[name](d)
-    elif name == "squared-mahalanobis":
-        if "matrix" not in cfg:
-            raise ValueError("squared-mahalanobis generator needs 'matrix'")
-        entries = _floats(cfg["matrix"])
-        spec = squared_mahalanobis_spec(entries.reshape(d, d), lo, hi)
-    else:
-        spec = BUILTIN_BREGMAN[name](d, lo if lo is not None else 0.1,
-                                     hi if hi is not None else 1.0)
+    lo, hi, entries = (_floats(cfg[key]) if key in cfg else None
+                       for key in ("domain_low", "domain_high", "matrix"))
+    spec = builtin_bregman_spec(cfg.get("generator", "generalized-kl"), d, lo, hi, entries)
     return [make_bregman(spec, points[i]) for i in range(n)]

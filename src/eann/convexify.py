@@ -16,13 +16,12 @@ survivors keeps all of them, so a caller may screen a family before handing
 the survivors to ``normalize``.
 
 One batched estimator, ``fast_min_estimates``, supplies the ball minima of
-the survivors. Weighted Euclidean members are solved in closed form and
-Mahalanobis members by bisection on the trust-region multiplier. Every
-other kind starts at the boundary point facing its site and takes a few
-lockstep Frank-Wolfe steps with batched line searches. Each estimate is a
-member value at a point of the ball, so it never falls below the true
-minimum; for the iterative kinds it may sit a small fraction above it,
-which shifts the value bounds by that fraction.
+the survivors. Weighted Euclidean members are solved in closed form. Every
+other member, Mahalanobis included, starts at the boundary point facing
+its site and takes a few lockstep Frank-Wolfe steps with batched line
+searches. Each estimate is a member value at a point of the ball, so it
+never falls below the true minimum; a Frank-Wolfe estimate may sit a small
+fraction above it, which shifts the value bounds by that fraction.
 """
 
 from __future__ import annotations
@@ -35,6 +34,9 @@ from .geom import EuclideanBall
 
 PRUNE_DELTA = 0.01
 LAMBDA_PLUS = 0.25  # curvature of the concavifying offset
+# Frank-Wolfe steps per estimate, and bracket-narrowing rounds per line search.
+FW_STEPS = 4
+FW_ROUNDS = 3
 
 
 def _check_ball_in_domain(fam: SiteFamily, ball: EuclideanBall) -> None:
@@ -42,54 +44,6 @@ def _check_ball_in_domain(fam: SiteFamily, ball: EuclideanBall) -> None:
         if (np.any(ball.center - ball.radius <= spec.domain_low)
                 or np.any(ball.center + ball.radius >= spec.domain_high)):
             raise DomainError("ball outside domain")
-
-
-def _closed_form_minima(fam: SiteFamily, ball: EuclideanBall):
-    """Exact ball minima of the weighted Euclidean and Mahalanobis members:
-    (values, mask of the members solved)."""
-    vals = np.full(len(fam), np.nan)
-    solved = np.zeros(len(fam), dtype=bool)
-    for idx, kern in fam.groups:
-        if kern.kind == "minkowski" and kern.k == 2.0:
-            vals[idx] = kern.W * (np.linalg.norm(kern.P - ball.center[None, :], axis=1)
-                                  - ball.radius)
-        elif kern.kind == "mahalanobis":
-            vals[idx] = _mahalanobis_minima(kern, ball)
-        else:
-            continue
-        solved[idx] = True
-    return vals, solved
-
-
-def _mahalanobis_minima(kern, ball: EuclideanBall):
-    # Trust-region subproblem per member: minimize (y-b)^T M (y-b) over
-    # ||y|| <= r, by bisection on the multiplier in M's eigenbasis.
-    r = ball.radius
-    w, Q = np.linalg.eigh(kern.M)
-    b = kern.P - ball.center[None, :]
-    bt = np.einsum("mij,mi->mj", Q, b)
-    target = r * r
-
-    def radius_sq(lam):
-        y = w * bt / (w + lam[:, None])
-        return np.einsum("md,md->m", y, y)
-
-    lo = np.zeros(len(b))
-    hi = np.maximum(1.0, w[:, -1] * np.linalg.norm(b, axis=1) / r)
-    for _ in range(60):
-        grow = radius_sq(hi) > target
-        if not np.any(grow):
-            break
-        hi = np.where(grow, hi * 2.0, hi)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        over = radius_sq(mid) > target
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
-    lam = 0.5 * (lo + hi)
-    y = w * bt / (w + lam[:, None])
-    diff = y - bt
-    return np.sqrt(np.maximum(np.einsum("md,md,md->m", diff, w, diff), 0.0))
 
 
 def _face_seeds(P: np.ndarray, ball: EuclideanBall) -> np.ndarray:
@@ -102,14 +56,13 @@ def _face_seeds(P: np.ndarray, ball: EuclideanBall) -> np.ndarray:
     return c[None, :] + r * V / nv[:, None]
 
 
-def _fast_fw_refine(fam: SiteFamily, ball: EuclideanBall, X: np.ndarray,
-                    steps: int = 4, rounds: int = 3) -> np.ndarray:
+def _fast_fw_refine(fam: SiteFamily, ball: EuclideanBall, X: np.ndarray) -> np.ndarray:
     """Lockstep Frank-Wolfe from the given starts; batched line searches.
     Returned values upper-bound the true minima (each is a feasible value)."""
     c, r = ball.center, ball.radius
     grid = np.linspace(0.0, 1.0, 9)
     m = len(fam)
-    for _ in range(steps):
+    for _ in range(FW_STEPS):
         G = fam.gradients(X)
         gn = np.linalg.norm(G, axis=1)
         gn = np.where(gn > 0, gn, 1.0)
@@ -117,7 +70,7 @@ def _fast_fw_refine(fam: SiteFamily, ball: EuclideanBall, X: np.ndarray,
         span = vertex - X
         lo = np.zeros(m)
         hi = np.ones(m)
-        for _ in range(rounds):
+        for _ in range(FW_ROUNDS):
             ts = lo[None, :] + (hi - lo)[None, :] * grid[:, None]  # (9, m)
             pts = X[None, :, :] + ts[:, :, None] * span[None, :, :]
             vals = fam.paired(pts)
@@ -130,15 +83,22 @@ def _fast_fw_refine(fam: SiteFamily, ball: EuclideanBall, X: np.ndarray,
 
 
 def fast_min_estimates(family, ball: EuclideanBall) -> np.ndarray:
-    """Vectorized per-member ball minima, exact for Euclidean-like kinds and
-    slightly above-true for the rest: the estimator ``normalize`` runs on
-    every member its screen keeps."""
+    """Vectorized per-member ball minima: the estimator ``normalize`` runs
+    on every member its screen keeps. Weighted Euclidean members are exact;
+    every other member gets ``_fast_fw_refine`` from the boundary point
+    facing its site, slightly above its true minimum."""
     if len(family) == 0:
         return np.zeros(0)
     fam = SiteFamily.of(family)
     _check_ball_in_domain(fam, ball)
-    vals, solved = _closed_form_minima(fam, ball)
-    fw = np.flatnonzero(~solved)
+    vals = np.empty(len(fam))
+    euclidean = np.zeros(len(fam), dtype=bool)
+    for idx, kern in fam.groups:
+        if kern.kind == "minkowski" and kern.k == 2.0:
+            vals[idx] = kern.W * (np.linalg.norm(kern.P - ball.center[None, :], axis=1)
+                                  - ball.radius)
+            euclidean[idx] = True
+    fw = np.flatnonzero(~euclidean)
     if fw.size:
         sub = fam.take(fw)
         vals[fw] = _fast_fw_refine(sub, ball, _face_seeds(sub.P, ball))
@@ -166,14 +126,6 @@ class NormalizedFamily:
 
     def values_matrix(self, U: np.ndarray) -> np.ndarray:
         return batch_values(self.family, self.world_points(U)) / self.scale_h
-
-    def member_gradients(self, pos: int, U: np.ndarray) -> np.ndarray:
-        X = self.world_points(U)[:, None]
-        return self.family.take([pos]).gradients(X)[:, 0] * (self.ball.radius / self.scale_h)
-
-    def member_hessians(self, pos: int, U: np.ndarray) -> np.ndarray:
-        X = self.world_points(U)[:, None]
-        return self.family.take([pos]).hessians(X)[:, 0] * (self.ball.radius**2 / self.scale_h)
 
 
 def prune_screen(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -234,7 +186,8 @@ def convexify(g: np.ndarray, U) -> np.ndarray:
 
 def check_invariants(nf: NormalizedFamily, n_samples: int = 10000, seed: int = 0) -> dict:
     """Sampled extremes of the normalized members and of their convexified
-    values over the unit ball."""
+    values over the unit ball: every member at every sample, with one
+    gradient and one Hessian evaluation of the kept family."""
     rng = np.random.default_rng(seed)
     d = nf.ball.dim
     u = rng.standard_normal((n_samples, d))
@@ -243,24 +196,17 @@ def check_invariants(nf: NormalizedFamily, n_samples: int = 10000, seed: int = 0
     U = u * radii[:, None]
     g_vals = nf.values_matrix(U)
     ghat = convexify(g_vals, U)
-    report = {
+    X = np.broadcast_to(nf.world_points(U)[:, None, :], (n_samples, nf.size, d))
+    r, h = nf.ball.radius, nf.scale_h
+    grads = nf.family.gradients(X) * (r / h)
+    eigs = np.linalg.eigvalsh(nf.family.hessians(X) * (r**2 / h))
+    return {
         "g_min": float(np.min(g_vals)),
         "g_max": float(np.max(g_vals)),
-        "grad_max": 0.0,
-        "hess_max": 0.0,
-        "conc_eig_max": -np.inf,
-        "conc_eig_min": np.inf,
+        "grad_max": float(np.max(np.linalg.norm(grads, axis=-1))),
+        "hess_max": float(np.max(np.abs(eigs))),
+        "conc_eig_max": float(np.max(eigs[..., -1] - LAMBDA_PLUS)),
+        "conc_eig_min": float(np.min(eigs[..., 0] - LAMBDA_PLUS)),
         "ghat_min": float(np.min(ghat)),
         "ghat_max": float(np.max(ghat)),
     }
-    for pos in range(nf.size):
-        grads = nf.member_gradients(pos, U)
-        report["grad_max"] = max(report["grad_max"],
-                                 float(np.max(np.linalg.norm(grads, axis=1))))
-        eigs = np.linalg.eigvalsh(nf.member_hessians(pos, U))
-        report["hess_max"] = max(report["hess_max"], float(np.max(np.abs(eigs))))
-        report["conc_eig_max"] = max(report["conc_eig_max"],
-                                     float(np.max(eigs[:, -1] - LAMBDA_PLUS)))
-        report["conc_eig_min"] = min(report["conc_eig_min"],
-                                     float(np.min(eigs[:, 0] - LAMBDA_PLUS)))
-    return report

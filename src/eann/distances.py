@@ -133,7 +133,7 @@ class _Kernel:
     def take(self, sel):
         new = copy.copy(self)
         for name in self.arrays:
-            setattr(new, name, getattr(self, name)[sel])
+            setattr(new, name, getattr(self, name).take(sel, axis=0))
         return new
 
     def resite(self, p):
@@ -575,13 +575,8 @@ class BregmanSpec:
 
     def hessian_norms(self, pts) -> np.ndarray:
         """Spectral norms of the Hessian at each point."""
-        if self.hess_kind == "const":
-            w = np.linalg.eigvalsh(np.asarray(self.hess, dtype=float))
-            return np.full(len(pts), float(np.max(np.abs(w))))
-        if self.hess_kind == "diag":
-            return np.max(np.abs(np.asarray(self.hess(pts), dtype=float)), axis=1)
-        hs = np.asarray(self.hess(pts), dtype=float)
-        return np.max(np.abs(np.linalg.eigvalsh(hs)), axis=1)
+        lo, hi = self.hessian_eig_range(pts)
+        return np.maximum(np.abs(lo), np.abs(hi))
 
     def hessian_eig_range(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) Hessian eigenvalue at each point."""
@@ -604,13 +599,20 @@ class BregmanSpec:
         return bregman_values(self, X, X - p, self.values(p), self.gradients(p))[:, 0]
 
 
-def _expand_bound(val, dim, default):
+def _expand_bound(label: str, val, dim, default):
+    """A domain bound as d values: ``default`` for None, a scalar repeated,
+    or exactly d values, of which an infinite one leaves its side open;
+    ``label`` names the bound in errors."""
     if val is None:
         return np.full(dim, default)
     arr = np.asarray(val, dtype=float)
     if arr.ndim == 0:
-        return np.full(dim, float(arr))
-    return as_vector(arr)
+        arr = np.full(dim, float(arr))
+    if arr.shape != (dim,):
+        raise ValueError(f"{label} has shape {arr.shape}, expected {dim} values")
+    if np.any(np.isnan(arr)):
+        raise ValueError(f"{label} is not a number")
+    return arr
 
 
 def squared_euclidean_spec(dim: int) -> BregmanSpec:
@@ -644,8 +646,8 @@ def squared_mahalanobis_spec(matrix, domain_low=None, domain_high=None) -> Bregm
         grad=lambda x: 2.0 * (x @ M),
         hess_kind="const",
         hess=2.0 * M,
-        domain_low=_expand_bound(domain_low, dim, -np.inf),
-        domain_high=_expand_bound(domain_high, dim, np.inf),
+        domain_low=_expand_bound("domain_low", domain_low, dim, -np.inf),
+        domain_high=_expand_bound("domain_high", domain_high, dim, np.inf),
         eig_low=2.0 * float(w[0]),
         eig_high=2.0 * float(w[-1]),
         matrix=M,
@@ -656,8 +658,8 @@ def _positive_box(label: str, dim: int, domain_low, domain_high, power: int):
     """Working box of a generator with Hessian diag(1/x^power), and the
     eigenvalue bounds 1/hi^power and 1/lo^power over it:
     (lo, hi, eig_low, eig_high)."""
-    lo = _expand_bound(domain_low, dim, 0.1)
-    hi = _expand_bound(domain_high, dim, 1.0)
+    lo = _expand_bound("domain_low", domain_low, dim, 0.1)
+    hi = _expand_bound("domain_high", domain_high, dim, 1.0)
     if np.any(lo <= 0.0):
         raise ValueError(f"{label} domain must be strictly positive")
     with np.errstate(over="ignore", divide="ignore"):
@@ -706,6 +708,25 @@ BUILTIN_BREGMAN = {
     "generalized-kl": generalized_kl_spec,
     "itakura-saito": itakura_saito_spec,
 }
+
+
+def builtin_bregman_spec(name: str, dim: int, domain_low=None, domain_high=None,
+                         matrix=None) -> BregmanSpec:
+    """The built-in generator ``name`` at dimension ``dim``. Bounds left None
+    take the generator's default box; ``squared-euclidean`` has no box and
+    ignores them, and ``squared-mahalanobis`` needs d*d matrix entries."""
+    if name not in BUILTIN_BREGMAN:
+        raise ValueError(f"unknown Bregman generator '{name}'")
+    if name == "squared-euclidean":
+        return squared_euclidean_spec(dim)
+    if name == "squared-mahalanobis":
+        if matrix is None:
+            raise ValueError("squared-mahalanobis generator needs 'matrix'")
+        entries = np.asarray(matrix, dtype=float)
+        if entries.size != dim * dim:
+            raise ValueError(f"matrix needs {dim * dim} entries, got {entries.size}")
+        return squared_mahalanobis_spec(entries.reshape(dim, dim), domain_low, domain_high)
+    return BUILTIN_BREGMAN[name](dim, domain_low, domain_high)
 
 
 def generator_key(spec: BregmanSpec):

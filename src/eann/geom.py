@@ -136,12 +136,12 @@ class BbdCell:
         return self.outer.dim
 
     def is_empty(self) -> bool:
+        """True iff the hole is the whole box, compared exactly: cells of
+        any size, down to the smallest floats, keep their own region."""
         if self.inner is None:
             return False
-        return bool(
-            np.all(np.abs(self.inner.low - self.outer.low) <= ABS_TOL)
-            and np.all(np.abs(self.inner.high - self.outer.high) <= ABS_TOL)
-        )
+        return bool(np.array_equal(self.inner.low, self.outer.low)
+                    and np.array_equal(self.inner.high, self.outer.high))
 
     def contains(self, x, tol: float = ABS_TOL) -> bool:
         v = as_vector(x)
@@ -167,23 +167,26 @@ def is_separated(p, ball: EuclideanBall, beta: float) -> bool:
     return separation_ratio(p, ball) >= beta
 
 
+def unchecked_dist_point_cell(p: np.ndarray, cell: BbdCell) -> float:
+    """``dist_point_cell`` for a float vector p and a nonempty cell."""
+    olo, ohi = cell.outer.low, cell.outer.high
+    if np.any(p < olo) or np.any(p > ohi):
+        # Nearest point of the outer box lies on its boundary, which is never
+        # interior to the hole, so the plain box distance is correct.
+        gap = np.maximum(np.maximum(olo - p, p - ohi), 0.0)
+        return float(np.sqrt(np.dot(gap, gap)))
+    inner = cell.inner
+    if inner is None or not (np.all(p > inner.low) and np.all(p < inner.high)):
+        return 0.0
+    # p sits inside the hole: the nearest cell point is on the hole boundary.
+    return float(min(np.min(p - inner.low), np.min(inner.high - p)))
+
+
 def dist_point_cell(p, cell: BbdCell) -> float:
     """Minimum Euclidean distance from p to the closed cell region."""
     if cell.is_empty():
         raise ValueError("empty cell")
-    v = as_vector(p)
-    if not cell.outer.contains(v, tol=0.0):
-        # Nearest point of the outer box lies on its boundary, which is never
-        # interior to the hole, so the plain box distance is correct.
-        return cell.outer.distance_to_point(v)
-    if cell.inner is None:
-        return 0.0
-    strictly_inside = bool(np.all(v > cell.inner.low) and np.all(v < cell.inner.high))
-    if not strictly_inside:
-        return 0.0
-    # p sits inside the hole: the nearest cell point is on the hole boundary.
-    face_gaps = np.minimum(v - cell.inner.low, cell.inner.high - v)
-    return float(np.min(face_gaps))
+    return unchecked_dist_point_cell(as_vector(p), cell)
 
 
 def dist_ball_cell(ball: EuclideanBall, cell: BbdCell) -> float:

@@ -15,6 +15,7 @@ from eann.ann import (
     save_index,
 )
 from eann.cli import gen_family, gen_queries, gen_sites
+from eann.config import build_site_functions, parse_distance_config
 from eann.distances import (
     DomainError,
     GaugeParams,
@@ -306,6 +307,39 @@ def test_index_keeps_no_site_object(rng):
         gc.collect()
         assert first() is None, tag
         assert index.sites is index.family
+
+
+@pytest.mark.parametrize("sites", ["d4-pair-1e-9", "pair-1e-30"])
+def test_close_site_pairs_answer_within_eps(sites, rng):
+    """Queries near a site pair closer than the default depth budget can
+    separate: the tree derives a deeper budget from the sites."""
+    if sites == "d4-pair-1e-9":
+        pts = rng.random((50, 4))
+        pts[1] = pts[0]
+        pts[1, 0] += 1e-9
+        scales = 10.0 ** rng.uniform(-12.0, -2.0, size=60)
+    else:
+        pts = np.array([[0.0, 0.0], [0.0, 1e-30]])
+        scales = 10.0 ** rng.uniform(-32.0, -28.0, size=60)
+    fns = [make_minkowski(p, 2.0) for p in pts]
+    idx = build_index(fns, 0.25)
+    queries = pts[0] + scales[:, None] * rng.standard_normal((60, pts.shape[1]))
+    oracle_check(idx, fns, queries, 0.25)
+
+
+@pytest.mark.parametrize("text", [
+    "generator = generalized-kl\ndomain_low = 0.1 0.1\ndomain_high = 1 1\n",
+    "generator = itakura-saito\n",
+    "generator = squared-mahalanobis\nmatrix = 2 1 1 3\ndomain_low = 0 0\n",
+])
+def test_config_built_bregman_index_saves_and_loads(text, tmp_path, rng):
+    cfg = parse_distance_config("kind = bregman\n" + text)
+    idx = build_index(build_site_functions(cfg, rng.uniform(0.2, 0.9, size=(30, 2))), 0.25)
+    path = str(tmp_path / "config.eann")
+    save_index(idx, path)
+    loaded = load_index(path)
+    for q in rng.uniform(0.15, 0.95, size=(50, 2)):
+        assert loaded.query(q) == idx.query(q)
 
 
 def test_persistence_roundtrip(tmp_path, rng):

@@ -220,3 +220,24 @@ def test_site_id_arrays_are_int32(rng):
     assert longest_parts > 1
     assert _NO_IDS.dtype == np.int32 and len(_NO_IDS) == 0
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+
+
+def test_sites_1e30_apart_separate():
+    """Sites 1e-30 apart in a root box about 1e-9 wide need more halvings
+    than the configured maximum depth; the budget derived from the sites
+    allows them, and every leaf keeps its separation properties."""
+    tree = build_avd([[0.0, 0.0], [0.0, 1e-30]], AvdConfig(2.0, 4.0))
+    leaves = tree.leaves()
+    assert max(leaf.depth for leaf in leaves) > tree.cfg.max_depth
+    for leaf in leaves:
+        assert check_leaf(tree, leaf) == []
+
+
+def test_built_leaves_expand_nothing(rng):
+    tree = build_avd(rng.random((40, 2)), AvdConfig(2.83, 40.0))
+    assert tree.built_leaves() == []
+    leaf, _ = tree.locate(np.full(2, 0.5))
+    expansions = tree._expansions
+    assert leaf in tree.built_leaves()
+    assert tree._expansions == expansions
+    assert tree.leaves() == tree.built_leaves()

@@ -94,6 +94,8 @@ MALFORMED_CONFIGS = [
     "kind = bregman\ngenerator = squared-mahalanobis\n",
     "kind = mahalanobis\nmatrix = 1 0 0 1e-300\n",
     "kind = bregman\ngenerator = itakura-saito\ndomain_low = 1e-300\n",
+    "kind = bregman\ngenerator = generalized-kl\ndomain_low = 0.1\n",
+    "kind = bregman\nmatrix = 2 0 1\ngenerator = squared-mahalanobis\n",
 ]
 
 

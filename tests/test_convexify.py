@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from eann._batch import batch_value_bounds
+from eann._batch import SiteFamily, batch_value_bounds
 from eann.convexify import (
+    LAMBDA_PLUS,
     PRUNE_DELTA,
     check_invariants,
     convexify,
@@ -63,6 +64,67 @@ def test_estimate_min_mahalanobis():
     f = make_mahalanobis([4.0, 0.0], np.diag([4.0, 1.0]))
     est = fast_min_estimates([f], BALL)[0]
     assert est == pytest.approx(6.0, abs=1e-9)
+
+
+def _mahalanobis_minima(kern, ball):
+    """Reference ball minima of Mahalanobis members: the trust-region
+    subproblem minimize (y-b)^T M (y-b) over ||y|| <= r, solved by bisection
+    on the multiplier in M's eigenbasis (More and Sorensen, 1983)."""
+    r = ball.radius
+    w, Q = np.linalg.eigh(kern.M)
+    b = kern.P - ball.center[None, :]
+    bt = np.einsum("mij,mi->mj", Q, b)
+    target = r * r
+
+    def radius_sq(lam):
+        y = w * bt / (w + lam[:, None])
+        return np.einsum("md,md->m", y, y)
+
+    lo = np.zeros(len(b))
+    hi = np.maximum(1.0, w[:, -1] * np.linalg.norm(b, axis=1) / r)
+    for _ in range(60):
+        grow = radius_sq(hi) > target
+        if not np.any(grow):
+            break
+        hi = np.where(grow, hi * 2.0, hi)
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        over = radius_sq(mid) > target
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+    lam = 0.5 * (lo + hi)
+    y = w * bt / (w + lam[:, None])
+    diff = y - bt
+    return np.sqrt(np.maximum(np.einsum("md,md,md->m", diff, w, diff), 0.0))
+
+
+def _mahalanobis_family(rng, d, ratio, m=20):
+    """m Mahalanobis members with random axes and eigenvalues spanning
+    [1, ratio], (2*tau)-separated from a random ball."""
+    ball = EuclideanBall(rng.standard_normal(d), float(np.exp(rng.uniform(-2.0, 1.0))))
+    fns = []
+    for _ in range(m):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eig = np.exp(rng.uniform(0.0, np.log(ratio), d))
+        eig[0], eig[-1] = 1.0, ratio
+        f0 = make_mahalanobis(np.zeros(d), q @ np.diag(eig) @ q.T)
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        dist = 2.0 * f0.tau * rng.uniform(1.0, 2.0) * ball.diameter
+        fns.append(f0.resite(ball.center + (ball.radius + dist) * u))
+    return SiteFamily(fns), ball
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("ratio", [4.0, 100.0, 1e4])
+def test_mahalanobis_estimates_match_trust_region_reference(rng, d, ratio):
+    """Frank-Wolfe from the face seeds lands within 1e-9 relative of the
+    trust-region minimum, for eigenvalue ratios up to 1e4."""
+    for _ in range(10):
+        fam, ball = _mahalanobis_family(rng, d, ratio)
+        ref = _mahalanobis_minima(fam.groups[0][1], ball)
+        est = fast_min_estimates(fam, ball)
+        np.testing.assert_allclose(est, ref, rtol=1e-9, atol=0)
 
 
 def test_estimate_min_generic_kinds():
@@ -193,6 +255,65 @@ def test_convexified_invariants(rng):
         assert rep["conc_eig_min"] >= -5.0 / 16.0 - 1e-6
         assert rep["ghat_min"] >= 0.2 - 1e-9
         assert rep["ghat_max"] <= 1.0 + 1e-9
+
+
+def _invariants_per_member(nf, n_samples, seed):
+    """``check_invariants`` computed one member at a time, each through a
+    family holding it alone."""
+    rng = np.random.default_rng(seed)
+    d = nf.ball.dim
+    u = rng.standard_normal((n_samples, d))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    U = u * (rng.random(n_samples) ** (1.0 / d))[:, None]
+    X = nf.world_points(U)[:, None]
+    r, h = nf.ball.radius, nf.scale_h
+    rep = {"grad_max": 0.0, "hess_max": 0.0, "conc_eig_max": -np.inf, "conc_eig_min": np.inf}
+    for pos in range(nf.size):
+        member = nf.family.take([pos])
+        grads = member.gradients(X)[:, 0] * (r / h)
+        eigs = np.linalg.eigvalsh(member.hessians(X)[:, 0] * (r**2 / h))
+        rep["grad_max"] = max(rep["grad_max"], float(np.max(np.linalg.norm(grads, axis=1))))
+        rep["hess_max"] = max(rep["hess_max"], float(np.max(np.abs(eigs))))
+        rep["conc_eig_max"] = max(rep["conc_eig_max"], float(np.max(eigs[:, -1] - LAMBDA_PLUS)))
+        rep["conc_eig_min"] = min(rep["conc_eig_min"], float(np.min(eigs[:, 0] - LAMBDA_PLUS)))
+    return rep
+
+
+def _separated(make, d, m, rng, ball):
+    """m members ``make(site)`` in random directions, at separation ratios
+    in 2*tau*[1, 1.1] from the ball, so that most of them are kept."""
+    fns = []
+    for _ in range(m):
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        f = make(ball.center + ball.radius * u)
+        dist = 2.0 * f.tau * rng.uniform(1.0, 1.1) * ball.diameter
+        fns.append(make(ball.center + (ball.radius + dist) * u))
+    return fns
+
+
+@pytest.mark.parametrize("kind", ["mahalanobis", "l3", "kl"])
+def test_check_invariants_matches_per_member_loop(rng, kind):
+    """One gradient and one Hessian evaluation over every member agrees
+    with evaluating each member alone."""
+    d = 3
+    ball = EuclideanBall(np.zeros(d), 1.0)
+    if kind == "mahalanobis":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        M = q @ np.diag([1.0, 2.0, 4.0]) @ q.T
+        fam = _separated(lambda p: make_mahalanobis(p, M), d, 6, rng, ball)
+    elif kind == "l3":
+        fam = _separated(lambda p: make_minkowski(p, 3.0), d, 6, rng, ball)
+    else:
+        spec = generalized_kl_spec(d, 0.5, 4.0)
+        ball = EuclideanBall(np.full(d, 2.0), 0.01)
+        fam = _separated(lambda p: make_bregman(spec, p), d, 6, rng, ball)
+    nf = normalize(fam, ball)
+    assert nf.size >= 3
+    rep = check_invariants(nf, 2000, seed=5)
+    loop = _invariants_per_member(nf, 2000, seed=5)
+    for key, want in loop.items():
+        assert rep[key] == pytest.approx(want, rel=1e-12, abs=0), key
 
 
 def test_error_transfer_budget(rng):

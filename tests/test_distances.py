@@ -272,6 +272,25 @@ def test_parse_distance_config():
         parse_distance_config("kind minkowski\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("generator = generalized-kl\ndomain_low = 0.1\n", "domain_low"),
+    ("generator = itakura-saito\ndomain_high = 1 1 1\n", "domain_high"),
+    ("generator = squared-mahalanobis\nmatrix = 2 0 1\n", "matrix needs 4 entries, got 3"),
+])
+def test_bregman_config_parameters_of_the_wrong_length(text, message):
+    cfg = parse_distance_config("kind = bregman\n" + text)
+    with pytest.raises(ValueError, match=message):
+        build_site_functions(cfg, np.full((3, 2), 0.5))
+
+
+def test_domain_bounds_need_one_value_per_axis():
+    with pytest.raises(ValueError, match="domain_low"):
+        generalized_kl_spec(2, [0.1], 1.0)
+    with pytest.raises(ValueError, match="domain_high"):
+        itakura_saito_spec(2, 0.1, [1.0, 1.0, 1.0])
+    assert np.array_equal(generalized_kl_spec(2, 0.2, [1.0, 2.0]).domain_low, [0.2, 0.2])
+
+
 def test_per_site_weights_config():
     cfg = parse_distance_config("kind = minkowski\nk = 2\nweights = 1.0 2.0\n")
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])

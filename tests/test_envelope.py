@@ -132,7 +132,8 @@ def test_tangents_dominate_envelope(rng):
         pos = nf.kept_indices.index(w)
         at_anchor = convexified(nf, a[None, :])[0]
         assert at_anchor[pos] == at_anchor.min()
-        grad = nf.member_gradients(pos, a[None, :])[0] - a / 4.0
+        x = np.tile(nf.world_points(a), (nf.size, 1))
+        grad = nf.family.gradients(x)[pos] * (nf.ball.radius / nf.scale_h) - a / 4.0
         tangents = at_anchor[pos] + (probes - a[None, :]) @ grad
         assert np.all(tangents >= truth - 1e-9)
 
