@@ -370,7 +370,9 @@ class AnnIndex:
     # -- statistics -----------------------------------------------------------
 
     def storage_stats(self) -> dict:
-        """Sizes of the structures built so far; expands no node."""
+        """Sizes of the structures built so far; expands no node.
+        ``tree_nodes`` counts the rows of the tree's node table and
+        ``tree_bytes`` the bytes its columns and id pool hold."""
         env_samples = patches = 0
         leaves = self.tree.built_leaves()
         for leaf in leaves:
@@ -386,6 +388,8 @@ class AnnIndex:
             "envelope_samples": env_samples,
             "patches": patches,
             "tree_expansions": self.tree._expansions,
+            "tree_nodes": self.tree.tree_nodes(),
+            "tree_bytes": self.tree.tree_bytes(),
         }
 
 

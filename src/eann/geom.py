@@ -170,13 +170,13 @@ def is_separated(p, ball: EuclideanBall, beta: float) -> bool:
 def unchecked_dist_point_cell(p: np.ndarray, cell: BbdCell) -> float:
     """``dist_point_cell`` for a float vector p and a nonempty cell."""
     olo, ohi = cell.outer.low, cell.outer.high
-    if np.any(p < olo) or np.any(p > ohi):
+    if (p < olo).any() or (p > ohi).any():
         # Nearest point of the outer box lies on its boundary, which is never
         # interior to the hole, so the plain box distance is correct.
         gap = np.maximum(np.maximum(olo - p, p - ohi), 0.0)
         return float(np.sqrt(np.dot(gap, gap)))
     inner = cell.inner
-    if inner is None or not (np.all(p > inner.low) and np.all(p < inner.high)):
+    if inner is None or not ((p > inner.low).all() and (p < inner.high).all()):
         return 0.0
     # p sits inside the hole: the nearest cell point is on the hole boundary.
     return float(min(np.min(p - inner.low), np.min(inner.high - p)))

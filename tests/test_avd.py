@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
-from eann.avd import _NO_IDS, _PENDING, AvdConfig, AvdTree, build_avd, check_leaf
+from eann import build_index, make_minkowski
+from eann.avd import _LEAF, _NO_IDS, _PENDING, AvdConfig, AvdTree, build_avd, check_leaf
 
 
 def test_config_validation():
@@ -195,28 +198,28 @@ def test_lazy_matches_materialized(rng):
 
 
 def test_site_id_arrays_are_int32(rng):
-    """Pending frontier nodes keep their id arrays and the parts their near
-    sets are filtered from, so these stay 32-bit; expanded nodes and leaves
-    drop theirs for one shared empty array."""
+    """Site ids live in one int32 pool. Pending frontier nodes keep spans of
+    it for their assigned sites and chains of spans for the parts their
+    near sets are filtered from, and leaves keep int32 arrays; expanded
+    nodes and leaves keep no span."""
     sites = np.vstack([rng.random((150, 2)), rng.random((10, 2))[[0, 0, 1]]])
     tree = build_avd(sites, AvdConfig(2.0, 40.0))
     for q in rng.random((30, 2)):
         tree.locate(q)
-    arrays = [tree.position_of_site]
+    arrays = [tree.position_of_site, tree._ids]
     longest_parts = 0
-    stack = [tree._root]
-    while stack:
-        node = stack.pop()
-        if node.kind == _PENDING:
-            assert node.near is None
-            arrays += [node.assigned, *node.near_parts]
-            longest_parts = max(longest_parts, len(node.near_parts))
+    for node in range(tree.tree_nodes()):
+        if tree._kind[node] == _PENDING:
+            arrays += [tree._assigned(node), tree._near_parts(node)]
+            parts, seg = 0, tree._near[node]
+            while seg >= 0:
+                parts, seg = parts + 1, tree._seg[3 * seg]
+            longest_parts = max(longest_parts, parts)
         else:
-            assert node.assigned is _NO_IDS and node.near is _NO_IDS
-            assert node.near_parts == ()
-        if node.leaf is not None:
-            arrays += [node.leaf.in_cell, node.leaf.inner]
-        stack.extend(c for c in node.children if c is not None)
+            assert tree._span[2 * node + 1] == 0 and tree._near[node] == -1
+        if tree._kind[node] == _LEAF:
+            leaf = tree._leaves[tree._leaf[node]]
+            arrays += [leaf.in_cell, leaf.inner]
     assert longest_parts > 1
     assert _NO_IDS.dtype == np.int32 and len(_NO_IDS) == 0
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
@@ -241,3 +244,33 @@ def test_built_leaves_expand_nothing(rng):
     assert leaf in tree.built_leaves()
     assert tree._expansions == expansions
     assert tree.leaves() == tree.built_leaves()
+
+
+def test_check_leaf_sees_a_site_misrouted_into_a_tiny_cell():
+    """The in-cell tolerance scales with the cell: a leaf of the 1e-30
+    pair's tree, made to hold a site that lies outside its cell by more
+    than the cell's width, fails the check."""
+    tree = build_avd([[0.0, 0.0], [0.0, 1e-30]], AvdConfig(2.0, 4.0))
+    leaf, there = next((leaf, pos) for leaf in tree.leaves() for pos in range(2)
+                       if leaf.cell.outer.distance_to_point(tree.positions[pos])
+                       > float(np.max(leaf.cell.outer.sides)))
+    assert check_leaf(tree, leaf) == []
+    misrouted = copy.copy(leaf)
+    misrouted.in_cell = np.array([there], dtype=np.int32)
+    assert f"in-cell site {there} outside cell" in check_leaf(tree, misrouted)
+
+
+def test_tree_bytes_per_cold_leaf():
+    """The node table and id pool of a cold l3 index hold at most half of
+    the 20.9 KB per built leaf that the object tree retained (tracemalloc,
+    same inputs), and storage_stats reports them without expanding a node."""
+    rng = np.random.default_rng(7)
+    index = build_index([make_minkowski(p, 3.0) for p in rng.random((4000, 2))], 0.1)
+    fresh = index.storage_stats()
+    assert fresh["tree_nodes"] == 1 and fresh["tree_expansions"] == 0
+    for q in rng.random((200, 2)):
+        index.query(q)
+    stats = index.storage_stats()
+    assert stats["tree_nodes"] == index.tree.tree_nodes() > stats["leaves"] > 150
+    assert stats["tree_bytes"] / stats["leaves"] <= 0.5 * 20.9 * 1024
+    assert index.storage_stats() == stats

@@ -88,16 +88,22 @@ def test_locate_finds_a_valid_containing_leaf(data):
 
 
 def _record_near(tree):
-    """Have the tree record, by node, the near set each leaf test builds."""
+    """Have the tree record, by box, the near set each descent or subtree
+    expansion filters from its near parts."""
     built = {}
-    near = tree._near
+    near = tree._near_filter
 
-    def recording(node):
-        built[id(node)] = near(node)
-        return built[id(node)]
+    def recording(cand, low, high):
+        built[low.tobytes() + high.tobytes()] = out = near(cand, low, high)
+        return out
 
-    tree._near = recording
+    tree._near_filter = recording
     return built
+
+
+def _box(tree, node):
+    lo, hi, _ = tree._cell(node)
+    return np.array(lo), np.array(hi)
 
 
 def _eager_reference(tree):
@@ -106,29 +112,32 @@ def _eager_reference(tree):
     child's box. Yields (node, assigned, near) for every node expanded so far
     and its pending children."""
     P, alpha = tree.positions, tree.cfg.alpha
-    stack = [(tree._root, np.arange(tree.n_positions), np.zeros(0, dtype=int))]
+    stack = [(0, np.arange(tree.n_positions), np.zeros(0, dtype=int))]
     while stack:
         node, assigned, near = stack.pop()
         yield node, assigned, near
-        if node.kind in (_LEAF, _PENDING):
+        kind = tree._kind[node]
+        if kind in (_LEAF, _PENDING):
             continue
-        if node.kind == _SPLIT:
-            side = P[assigned, node.axis] >= node.mid
+        kids = tree._kids[2 * node:2 * node + 2]
+        if kind == _SPLIT:
+            side = P[assigned, tree._axis[node]] >= tree._mid[node]
             parts = [assigned[~side], assigned[side]]
             for i in (0, 1):
-                if node.children[i] is None:
+                if kids[i] < 0:
                     parts[1 - i] = np.sort(np.concatenate([parts[1 - i], parts[i]]))
                     parts[i] = parts[i][:0]
         else:
-            inq = _points_in_box(P[assigned], node.qbox)
+            # A shrink's first child is its quadtree box.
+            inq = _points_in_box(P[assigned], *_box(tree, kids[0]))
             parts = [assigned[inq], assigned[~inq]]
-        for i, child in enumerate(node.children):
-            if child is None:
+        for i, child in enumerate(kids):
+            if child < 0:
                 continue
             cand = np.concatenate([near, parts[1 - i]])
-            box = child.cell.outer
-            reach = (2.0 * alpha + 1.0) * float(np.linalg.norm(box.sides) / 2.0)
-            stack.append((child, parts[i], cand[box_distances(box.low, box.high, P[cand]) < reach]))
+            low, high = _box(tree, child)
+            reach = (2.0 * alpha + 1.0) * float(np.linalg.norm(high - low) / 2.0)
+            stack.append((child, parts[i], cand[box_distances(low, high, P[cand]) < reach]))
 
 
 # Coordinates at least 1e-6 apart: closer sites at the origin exceed the
@@ -138,11 +147,11 @@ spaced = st.one_of(st.integers(0, 8).map(lambda k: k / 8.0),
 
 
 @st.composite
-def adversarial_sites(draw, d):
+def adversarial_sites(draw, d, max_base=8):
     """Duplicates, 1e-6 blobs, sites collinear along one axis, or sites
-    offset by 1e6."""
+    offset by 1e6, around at most ``max_base`` base sites."""
     base = np.array(draw(st.lists(st.lists(spaced, min_size=d, max_size=d),
-                                  min_size=2, max_size=8), label="base"))
+                                  min_size=2, max_size=max_base), label="base"))
     kind = draw(st.sampled_from(["duplicates", "blobs", "collinear", "offset"]), label="kind")
     if kind == "duplicates":
         dups = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=8))
@@ -160,15 +169,26 @@ def adversarial_sites(draw, d):
 
 
 def _assert_lazy_near_is_eager(tree, built):
+    """Every near set a descent filtered, and the near set every pending node
+    filters from its near parts, equal the reference's; every leaf holds the
+    in-cell, inner and ball the reference's near set gives."""
     P, alpha = tree.positions, tree.cfg.alpha
-    leaves = 0
+    leaves = compared = 0
     for node, assigned, near in _eager_reference(tree):
-        if id(node) in built:
-            np.testing.assert_array_equal(built[id(node)], near)
-        if node.kind != _LEAF:
+        low, high = _box(tree, node)
+        # Only nodes with at most one site filter a near set; their boxes
+        # differ from node to node.
+        if len(assigned) <= 1 and (key := low.tobytes() + high.tobytes()) in built:
+            np.testing.assert_array_equal(built[key], near)
+            compared += 1
+        if tree._kind[node] == _PENDING:
+            np.testing.assert_array_equal(tree._assigned(node), assigned)
+            np.testing.assert_array_equal(
+                tree._near_filter(tree._near_parts(node), low, high), near)
+        if tree._kind[node] != _LEAF:
             continue
         leaves += 1
-        leaf = node.leaf
+        leaf = tree._leaves[tree._leaf[node]]
         np.testing.assert_array_equal(leaf.in_cell, assigned)
         # The leaf test's outer screen, on the reference near set.
         box = leaf.cell.outer
@@ -185,8 +205,8 @@ def _assert_lazy_near_is_eager(tree, built):
         rel = P[inner] - center[None, :]
         radius = float(np.sqrt(np.max(np.einsum("md,md->m", rel, rel)))) * (1.0 + 1e-9)
         assert leaf.inner_ball.radius == radius
-    # Every leaf had a leaf test, which read a near set.
-    assert 0 < leaves <= len(built)
+    # Every recorded near set is that of a node of the tree.
+    assert leaves > 0 and 0 < compared <= len(built)
 
 
 @SETTINGS
@@ -206,14 +226,15 @@ def test_lazy_near_sets_match_the_eager_filter_chain(data):
     _assert_lazy_near_is_eager(tree, built)
 
     a = tree._slab_axis
-    tested = [node.cell.outer for node, _, _ in _eager_reference(tree) if id(node) in built]
+    tested = [_box(tree, node) for node, _, _ in _eager_reference(tree)
+              if b"".join(x.tobytes() for x in _box(tree, node)) in built]
     edges = []
     for i in data.draw(st.lists(st.integers(0, len(tested) - 1), min_size=1, max_size=3),
                        label="tested boxes"):
-        box = tested[i]
-        reach = (2.0 * cfg.alpha + 1.0) * float(np.linalg.norm(box.sides) / 2.0)
-        for x in _slab(float(box.low[a]), float(box.high[a]), reach):
-            edges.append(0.5 * (box.low + box.high))
+        low, high = tested[i]
+        reach = (2.0 * cfg.alpha + 1.0) * float(np.linalg.norm(high - low) / 2.0)
+        for x in _slab(float(low[a]), float(high[a]), reach):
+            edges.append(0.5 * (low + high))
             edges[-1][a] = x
     edged = build_avd(np.concatenate([sites, edges]), cfg)
     built = _record_near(edged)
@@ -224,10 +245,47 @@ def test_lazy_near_sets_match_the_eager_filter_chain(data):
 
 @SETTINGS
 @given(st.data())
+def test_lazily_located_leaves_equal_the_materialized_tree(data):
+    """Every leaf a lazily located tree reaches, through batched descents,
+    is the same leaf of a fully materialized copy, bit for bit: the cell
+    bounds, the in-cell and inner positions in order, and the inner ball's
+    center and radius; and the query visits as many nodes in both."""
+    d = data.draw(st.integers(2, 4), label="d")
+    # Whole trees grow like alpha^d times the sites times log(beta): a
+    # four-dimensional tree of four sites has tens of thousands of nodes.
+    sites = data.draw(adversarial_sites(d, max_base={2: 8, 3: 4, 4: 2}[d]), label="sites")
+    cfg = AvdConfig(2.0, data.draw(st.sampled_from([4.0, 12.0] if d == 2 else [2.0]),
+                                   label="beta"))
+    lazy = build_avd(sites, cfg)
+    full = build_avd(sites, cfg)
+    full.materialize()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    box = lazy.root_box
+    for q in np.concatenate([sites, rng.uniform(box.low, box.high, size=(12, d))]):
+        leaf, visits = lazy.locate(q)
+        twin, twin_visits = full.locate(q)
+        assert (leaf is None) == (twin is None) and visits == twin_visits
+        if leaf is None:
+            continue
+        cell, twin_cell = lazy._cell(leaf.node), full._cell(twin.node)
+        assert (cell[2] is None) == (twin_cell[2] is None)
+        for a, b in zip(cell[:2] + (cell[2] or ()), twin_cell[:2] + (twin_cell[2] or ())):
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+        assert leaf.depth == twin.depth
+        np.testing.assert_array_equal(leaf.in_cell, twin.in_cell)
+        np.testing.assert_array_equal(leaf.inner, twin.inner)
+        assert (leaf.inner_ball is None) == (twin.inner_ball is None)
+        if leaf.inner_ball is not None:
+            assert leaf.inner_ball.center.tobytes() == twin.inner_ball.center.tobytes()
+            assert leaf.inner_ball.radius == twin.inner_ball.radius
+
+
+@SETTINGS
+@given(st.data())
 def test_slab_prefilter_drops_only_what_the_exact_test_drops(data):
     """Sites exactly on a box's slab edges, one float either side of them and
-    at exactly the reach along the slab axis are filtered as the exact box
-    distance test filters them."""
+    at exactly the reach, along the slab axis and along every other axis,
+    are filtered as the exact box distance test filters them."""
     d = data.draw(st.integers(2, 3), label="d")
     offset = data.draw(st.sampled_from([0.0, 1e6]), label="offset")
     low = offset + np.array(data.draw(st.lists(unit, min_size=d, max_size=d), label="low"))
@@ -236,20 +294,27 @@ def test_slab_prefilter_drops_only_what_the_exact_test_drops(data):
     box = AlignedBox(low, low + np.array(sides))
     alpha = data.draw(st.sampled_from([2.0, 2.83, 6.0]), label="alpha")
     reach = (2.0 * alpha + 1.0) * float(np.linalg.norm(box.sides) / 2.0)
-    lo, hi = _slab(float(box.low[0]), float(box.high[0]), reach)
-    xs = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nextafter(lo, np.inf),
-          np.nextafter(hi, -np.inf), box.low[0] - reach, box.high[0] + reach]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    edge = rng.uniform(box.low, box.high, size=(len(xs), d))
-    edge[:, 0] = xs
+    edges = []
+    for a in range(d):
+        lo, hi = _slab(float(box.low[a]), float(box.high[a]), reach)
+        xs = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+              np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf), box.low[a] - reach,
+              box.high[a] + reach]
+        edges.append(rng.uniform(box.low, box.high, size=(len(xs), d)))
+        edges[-1][:, a] = xs
+    edge = np.concatenate(edges)
     # Far sites along axis 0 make it the slab axis and engage the prefilter.
     far = np.repeat(box.low[None, :], 16, axis=0)
     far[:, 0] = box.low[0] + np.linspace(-100.0, 100.0, 16) * (reach + 1.0)
-    tree = build_avd(np.concatenate([edge, far]), AvdConfig(alpha, 4.0))
+    # Sites in the box keep more candidates in the slab than the filter
+    # takes straight to the exact distances, so it slabs every axis.
+    inside = rng.uniform(box.low, box.high, size=(64, d))
+    tree = build_avd(np.concatenate([edge, far, inside]), AvdConfig(alpha, 4.0))
     assert tree._slab_axis == 0
     cand = rng.permutation(tree.n_positions).astype(np.int32)
     exact = cand[box_distances(box.low, box.high, tree.positions[cand]) < reach]
-    np.testing.assert_array_equal(tree._near_filter(cand, box), exact)
+    np.testing.assert_array_equal(tree._near_filter(cand, box.low, box.high), exact)
 
 
 class _OneMember:
