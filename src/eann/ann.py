@@ -1,10 +1,11 @@
 """End-to-end approximate nearest-neighbor indices.
 
 Two pipelines share the decomposition tree: scaling (gauge) families use
-alpha = 2*tau and beta = 10*tau/eps, answering inner-cluster queries through
-boundary patches of a hypercube around the cluster ball's center with the
-sites perturbed to that center; Bregman families use alpha = 2*tau and
+alpha = 2*tau and beta = 10*tau/eps and take every site of a leaf's inner
+cluster as a candidate; Bregman families use alpha = 2*tau and
 beta = 4*tau^2/eps, collapsing inner clusters to a single representative.
+Outside the tree's root box a full scan answers, except that a Bregman
+query beyond beta times the sites' diameter takes site 0.
 
 Every structure only nominates candidate sites; the query always re-evaluates
 the true distances of the candidates and returns the best, so the internal
@@ -12,12 +13,12 @@ approximations surface as a single checkable (1+eps) inequality.
 
 Per-leaf structures are built on first use and memoized (they are pure
 functions of the leaf), so results do not depend on query order. A built
-leaf keeps one candidate family: its fixed sites, the kept members of its
-outer envelope and its inner cluster. A warm query evaluates that family
-once, at the query and, for an outer envelope, at the query's image in the
-envelope's unit ball, where the envelope picks its witness among the
-memoized witnesses of the query's lattice cell; the best of the fixed
-sites and the witnesses at the query is the answer.
+leaf keeps one candidate family: its fixed sites and the kept members of
+its outer envelope. A warm query evaluates that family once, at the query
+and, for an outer envelope, at the query's image in the envelope's unit
+ball, where the envelope picks its witness among the memoized witnesses of
+the query's lattice cell; the best of the fixed sites and the witnesses at
+the query is the answer.
 """
 
 from __future__ import annotations
@@ -60,13 +61,14 @@ def ray_to_hypercube_boundary(p_prime, q) -> np.ndarray:
 
 
 class InnerPatchSet:
-    """Per-leaf machinery for a tightly clustered scaling family.
+    """Boundary patches for a tightly clustered scaling family (the paper's).
 
     The cluster's functions are re-sited to the ball center p'; since the
     perturbed functions are 1-homogeneous about p', the answer is constant
     along rays from p', so queries are deflected to the boundary of a side-2
     hypercube around p', which is covered by patches each carrying its own
-    relative envelope at error eps/3.
+    relative envelope at error eps/3. ``AnnIndex`` does not use it: its
+    leaves evaluate every inner site exactly, which no patch pick beats.
     """
 
     def __init__(self, family, indices: list[int],
@@ -140,25 +142,24 @@ class InnerPatchSet:
 
 class _Attachment:
     """A leaf's candidates: ``fixed_fids`` (the cell's sites, a lone outer
-    survivor of the prune screen, a lone inner site or a Bregman cluster's
-    first site), plus the witnesses of ``outer_env`` (two or more outer
-    survivors) and ``patchset`` (a scaling cluster of two or more sites). A
-    ``brute`` leaf, whose ball leaves a Bregman domain, answers by full scan.
+    survivor of the prune screen, and a scaling leaf's whole inner cluster
+    or a Bregman cluster's first site), plus the witnesses of ``outer_env``
+    (two or more outer survivors). A ``brute`` leaf, whose ball leaves a
+    Bregman domain, answers by full scan.
 
     Every other leaf caches its candidate family once: ``ids`` holds the
-    sorted union of the fixed ids, the envelope's kept ids and the cluster's
-    ids, and ``family`` those members of the index family. ``fixed_cols``
-    and ``env_cols`` are the columns of the fixed ids and of the envelope's
+    sorted union of the fixed ids and the envelope's kept ids, and
+    ``family`` those members of the index family. ``fixed_cols`` and
+    ``env_cols`` are the columns of the fixed ids and of the envelope's
     kept positions in ``ids``. A warm answer evaluates ``family`` once.
     """
 
-    __slots__ = ("fixed_fids", "outer_env", "patchset", "brute",
+    __slots__ = ("fixed_fids", "outer_env", "brute",
                  "ids", "family", "fixed_cols", "env_cols")
 
     def __init__(self):
         self.fixed_fids: list[int] = []
         self.outer_env: ConcaveEnvelope | None = None
-        self.patchset: InnerPatchSet | None = None
         self.brute = False
         self.ids: np.ndarray | None = None
         self.family: SiteFamily | None = None
@@ -170,8 +171,6 @@ class _Attachment:
         ids = set(self.fixed_fids)
         if self.outer_env is not None:
             ids.update(self.outer_env.kept_ids.tolist())
-        if self.patchset is not None:
-            ids.update(self.patchset.indices)
         self.ids = np.array(sorted(ids), dtype=np.intp)
         self.family = family.take(self.ids)
         self.fixed_cols = tuple(np.searchsorted(self.ids, self.fixed_fids).tolist())
@@ -224,7 +223,6 @@ class AnnIndex:
         c = self.points.mean(axis=0)
         r = float(np.max(np.linalg.norm(self.points - c[None, :], axis=1))) * (1.0 + 1e-9)
         self._site_ball = EuclideanBall(c, r)
-        self._outside_patchset: InnerPatchSet | None = None
 
     @property
     def dim(self) -> int:
@@ -242,7 +240,7 @@ class AnnIndex:
     def _bump(self, visits: int, outside: bool, fallback: str | None) -> None:
         """Count one query, under one lock acquisition. A brute-force
         fallback is counted under its reason (``fallback_domain_leaf``,
-        ``fallback_domain_query`` or ``fallback_outside_near``) and under
+        ``fallback_domain_query`` or ``fallback_outside``) and under
         ``brute_queries`` or, outside the tree, ``outside_brute``."""
         with self._lock:
             stats = self.stats
@@ -288,11 +286,7 @@ class AnnIndex:
                 except DomainError:
                     att.brute = True
                     self.stats["brute_leaves"] += 1
-            if len(inner_fids) == 1 or (inner_fids and self.kind == "bregman"):
-                att.fixed_fids.append(inner_fids[0])
-            elif inner_fids:
-                att.patchset = InnerPatchSet(self.family.take(inner_fids), inner_fids,
-                                             leaf.inner_ball.center, self.tau, self.eps)
+            att.fixed_fids += inner_fids[:1] if self.kind == "bregman" else inner_fids
             if not att.brute:
                 att.cache_family(self.family)
             leaf.attachment = att
@@ -342,8 +336,6 @@ class AnnIndex:
             vals = batch_values(att.family, np.vstack((q, env.nf.world_points(u))))
             wcols = att.env_cols[pos]
             cols.add(int(wcols[env.pick(vals[1, wcols] / env.nf.scale_h, u)[1]]))
-        if att.patchset is not None:
-            cols.add(int(np.searchsorted(att.ids, att.patchset.query(q))))
         assert cols, "leaf produced no candidates"
         cols = sorted(cols)
         row = vals[0, cols]
@@ -352,20 +344,15 @@ class AnnIndex:
 
     def _query_outside(self, q: np.ndarray) -> tuple[tuple[int, float] | None, str | None]:
         """The answer outside the tree's root box, or None and the fallback
-        reason near the sites, where only a full scan answers."""
+        reason where a full scan answers: every scaling query, and a Bregman
+        query closer to the sites than beta times their diameter. Beyond
+        that, every Bregman site is within (1+eps) of the nearest, so site 0
+        answers."""
         ball = self._site_ball
         gap = float(np.linalg.norm(q - ball.center)) - ball.radius
-        if gap < self.beta * ball.diameter:
-            return None, "outside_near"
-        if self.kind == "bregman" or self.n == 1:
-            fid = 0
-        else:
-            with self._lock:
-                if self._outside_patchset is None:
-                    self._outside_patchset = InnerPatchSet(
-                        self.family, list(range(self.n)), ball.center, self.tau, self.eps)
-            fid = self._outside_patchset.query(q)
-        return (fid, float(batch_values(self.family.take([fid]), q)[0, 0])), None
+        if self.kind == "scaling" or gap < self.beta * ball.diameter:
+            return None, "outside"
+        return (0, float(batch_values(self.family.take([0]), q)[0, 0])), None
 
     # -- statistics -----------------------------------------------------------
 
@@ -373,20 +360,15 @@ class AnnIndex:
         """Sizes of the structures built so far; expands no node.
         ``tree_nodes`` counts the rows of the tree's node table and
         ``tree_bytes`` the bytes its columns and id pool hold."""
-        env_samples = patches = 0
+        env_samples = 0
         leaves = self.tree.built_leaves()
         for leaf in leaves:
             att = leaf.attachment
-            if att is not None:
-                if att.outer_env is not None:
-                    env_samples += att.outer_env.sample_count
-                if att.patchset is not None:
-                    env_samples += att.patchset.sample_count
-                    patches += len(att.patchset._patches)
+            if att is not None and att.outer_env is not None:
+                env_samples += att.outer_env.sample_count
         return {
             "leaves": len(leaves),
             "envelope_samples": env_samples,
-            "patches": patches,
             "tree_expansions": self.tree._expansions,
             "tree_nodes": self.tree.tree_nodes(),
             "tree_bytes": self.tree.tree_bytes(),

@@ -297,15 +297,30 @@ def leaf_scaling_fit(d: int = 2, n_values=(100, 400, 1600), eps: float = 0.25,
     return {"d": d, "eps": eps, "rows": rows}
 
 
-def cmd_bench(args) -> int:
-    with open(args.config) as fh:
+def _read_sweep(path: str) -> dict:
+    """A sweep config: a JSON object whose list settings are non-empty
+    lists and whose ``queries`` is a positive integer."""
+    with open(path) as fh:
         sweep = json.load(fh)
+    if not isinstance(sweep, dict):
+        raise ValueError(f"sweep config must be a JSON object, not {type(sweep).__name__}")
+    for key in ("kinds", "n", "d", "eps", "leaf_fit_n"):
+        if key in sweep and not (isinstance(sweep[key], list) and sweep[key]):
+            raise ValueError(f"sweep config '{key}' must be a non-empty list, got {sweep[key]!r}")
+    if "queries" in sweep and (type(sweep["queries"]) is not int or sweep["queries"] < 1):
+        raise ValueError(f"sweep config 'queries' must be a positive integer, "
+                         f"got {sweep['queries']!r}")
+    return sweep
+
+
+def cmd_bench(args) -> int:
+    sweep = _read_sweep(args.config)
     kinds = sweep.get("kinds", ["l2"])
     ns = sweep.get("n", [100])
     ds = sweep.get("d", [2])
     eps_list = sweep.get("eps", [0.25])
     seed = int(sweep.get("seed", 0))
-    n_queries = int(sweep.get("queries", 200))
+    n_queries = sweep.get("queries", 200)
 
     combos = [(k, n, d, e) for k in kinds for d in ds for n in ns for e in eps_list]
     results = [_run_bench_config(k, n, d, e, seed + 1000 * i, n_queries)

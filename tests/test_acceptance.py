@@ -323,3 +323,44 @@ def test_criterion_12_growth_constants():
     report("criterion-12 growth-constant formulas", ok,
            f"tau(1,1)={t1:.6f}, tau(0.5,1)={t2:.6f}, "
            f"measured l2 tau={l2.tau:.4f}, squared-Euclidean tau={sq.tau:.4f}")
+
+
+def _adversarial_instance(tag, d, rng):
+    """Sites in four Gaussian blobs of spread 1e-6 beside uniform sites;
+    queries at the midpoint of every site and its nearest other site, around
+    the blob centers at scales from 1e-7 to 0.3, and uniform."""
+    per_blob, background, count = {2: (60, 100, 300), 4: (25, 40, 100)}[d]
+    centers = rng.random((4, d))
+    sites = np.concatenate([c + 1e-6 * rng.standard_normal((per_blob, d)) for c in centers]
+                           + [rng.random((background, d))])
+    gaps = np.linalg.norm(sites[:, None, :] - sites[None, :, :], axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    midpoints = 0.5 * (sites + sites[np.argmin(gaps, axis=1)])
+    dirs = rng.standard_normal((count, d))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = 10.0 ** rng.uniform(-7.0, np.log10(0.3), size=(count, 1))
+    around = centers[rng.integers(len(centers), size=count)] + radii * dirs
+    queries = np.concatenate([midpoints, around, rng.random((count, d))])
+    return gen_family(tag, sites, rng), queries
+
+
+def test_criterion_13_adversarial_clusters():
+    eps = 0.1
+    ratios = []
+    failures = configs = 0
+    for tag in ("l2", "l3", "mahalanobis"):
+        for d in (2, 4):
+            rng = np.random.default_rng(1300 + 10 * d + len(tag))
+            fns, queries = _adversarial_instance(tag, d, rng)
+            index = build_index(fns, eps)
+            best = batch_values(fns, queries).min(axis=1)
+            for q, b in zip(queries, best):
+                _, v = index.query(q)
+                failures += v > (1.0 + eps) * b * (1.0 + 1e-10) + 1e-300
+                if b > 0:
+                    ratios.append(v / b)
+            configs += 1
+    p50, p99, worst = np.quantile(ratios, [0.5, 0.99, 1.0])
+    report("criterion-13 adversarial clusters (1+eps) vs oracle", failures == 0,
+           f"{configs} configs, {len(ratios)} queries, failures={failures}, ratio "
+           f"p50={p50:.6f} p99={p99:.6f} max={worst:.6f}")

@@ -232,23 +232,27 @@ def test_patchset_geometry(rng):
         assert np.linalg.norm(qp - ball.center) <= ball.radius + 1e-9
 
 
-def test_same_ray_same_witness(rng):
+def test_same_ray_same_witness():
     """Two queries on one ray from the cluster center get the same witness
     from the patch machinery."""
     rng_local = np.random.default_rng(77)
-    cluster = np.array([5.0, 5.0]) + rng_local.uniform(-0.005, 0.005, size=(6, 2))
-    fns = [make_minkowski(p, float(rng_local.choice([2.0, 3.0])),
-                          float(rng_local.uniform(1.0, 2.0))) for p in cluster]
-    fns += [make_minkowski(np.zeros(2), 2.0)]
-    idx = build_index(fns, 0.25)
-    p_prime = None
+    center = np.array([5.0, 5.0])
+    cluster = center + rng_local.uniform(-0.005, 0.005, size=(6, 2))
+    fns = []
+    for p in cluster:
+        theta = rng_local.uniform(0.0, np.pi)
+        c, s = np.cos(theta), np.sin(theta)
+        rot = np.array([[c, -s], [s, c]])
+        fns.append(make_mahalanobis(p, rot @ np.diag([1.0, 4.0]) @ rot.T))
+    ps = InnerPatchSet(fns, list(range(6)), center, max(f.tau for f in fns), 0.25)
+    witnesses = set()
     for _ in range(40):
-        q1 = np.array([5.0, 5.0]) + rng_local.uniform(0.8, 1.2) * np.array([1.0, 0.3])
-        q2 = np.array([5.0, 5.0]) + 2.0 * (q1 - np.array([5.0, 5.0]))
-        w1, _ = idx.query(q1)
-        w2, _ = idx.query(q2)
-        if w1 < 6 and w2 < 6:  # both answered from the cluster
-            assert w1 == w2
+        ray = rng_local.standard_normal(2)
+        w1 = ps.query(center + rng_local.uniform(0.8, 1.2) * ray)
+        w2 = ps.query(center + rng_local.uniform(2.0, 3.0) * ray)
+        assert w1 == w2
+        witnesses.add(w1)
+    assert len(witnesses) > 1
 
 
 def test_inner_cluster_error_ledger(rng):

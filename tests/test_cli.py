@@ -208,6 +208,24 @@ def test_bench_smoke(tmp_path, capsys):
     assert storage["exponent"] <= 2 / 2 + 0.5
 
 
+@pytest.mark.parametrize("config,message", [
+    ("[1, 2]", "must be a JSON object, not list"),
+    ('{"kinds": ["l2"], "queries": 0}', "'queries' must be a positive integer, got 0"),
+    ('{"kinds": "l2"}', "'kinds' must be a non-empty list, got 'l2'"),
+])
+def test_bench_rejects_malformed_sweep(tmp_path, capsys, config, message):
+    """A sweep config that is not an object, asks for no queries or gives
+    a family tag where a list belongs fails with a ValueError naming it,
+    before any index is built."""
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(config)
+    with pytest.raises(ValueError, match=message):
+        cli._read_sweep(str(sweep))
+    assert main(["bench", str(sweep)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_bench_reports_cold_and_warm_passes(tmp_path, capsys, monkeypatch):
     """The first pass over the queries builds leaves, the second answers the
     same queries warm; both latencies are reported, and a warm answer that

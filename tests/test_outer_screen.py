@@ -79,15 +79,10 @@ def _compare_leaf(index, fns, leaf) -> str:
     ball = enclosing_ball(leaf.cell)
     att = index._attachment(leaf)
     inner = _fids(index, leaf.inner)
-    # The cell's sites, then a lone outer survivor, then a lone inner site
-    # (any Bregman cluster's first site); larger clusters get patches.
+    # The cell's sites, then a lone outer survivor, then every inner site of
+    # a scaling leaf (a Bregman cluster's first site).
     fixed = _fids(index, leaf.in_cell)
-    if len(inner) == 1 or (inner and index.kind == "bregman"):
-        inner_fixed = inner[:1]
-    else:
-        inner_fixed = []
-        assert (att.patchset is None) == (not inner)
-        assert att.patchset is None or att.patchset.indices == inner
+    inner_fixed = inner[:1] if index.kind == "bregman" else inner
     if not outer:
         assert att.outer_env is None and not att.brute
         assert att.fixed_fids == fixed + inner_fixed

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from eann._batch import SiteFamily, batch_values
-from eann.ann import brute_force, build_index, load_index, save_index
+from eann.ann import InnerPatchSet, brute_force, build_index, load_index, save_index
 from eann.cli import gen_family, gen_queries, gen_sites
 from eann.distances import GaugeParams, make_custom_gauge
 
@@ -43,9 +43,9 @@ def _ellipse_gauge(d):
 
 def _family(tag, rng, n, d):
     """Site functions of ``n`` sites. Scaling kinds get a tight cluster
-    (so that some leaves carry inner patch sets); Bregman sites stay below
-    0.9 in every coordinate, so queries can leave the tree's root box
-    without leaving the domain (0.1, 1)^d."""
+    (so that some leaves have an inner cluster of many sites); Bregman
+    sites stay below 0.9 in every coordinate, so queries can leave the
+    tree's root box without leaving the domain (0.1, 1)^d."""
     if tag in BREGMAN:
         return gen_family(tag, rng.uniform(0.1 + 1e-3, 0.9, size=(n, d)), rng)
     sites = gen_sites(rng, n, d, tag)
@@ -80,16 +80,22 @@ def _queries(tag, rng, index, count):
     return np.concatenate(qs)
 
 
+def _inner_fids(index, leaf) -> list[int]:
+    return np.flatnonzero(np.isin(index.tree.position_of_site, leaf.inner)).tolist()
+
+
 def reference(index, q):
     """The answer through the per-query arithmetic of the older path, and
-    the kind of leaf (or region) that produced it."""
+    the kind of leaf (or region) that produced it. Every site of a scaling
+    leaf's inner cluster is a candidate; outside the root box, scaling
+    queries and Bregman queries near the sites are scanned."""
     leaf, _ = index.tree.locate(q)
     if leaf is None:
         ball = index._site_ball
-        if float(np.linalg.norm(q - ball.center)) - ball.radius < index.beta * ball.diameter:
+        gap = float(np.linalg.norm(q - ball.center)) - ball.radius
+        if index.kind == "scaling" or gap < index.beta * ball.diameter:
             return brute_force(index.family, q), "outside"
-        fid = 0 if index.kind == "bregman" else index._outside_patchset.query(q)
-        return (fid, float(batch_values(index.family.take([fid]), q)[0, 0])), "outside"
+        return (0, float(batch_values(index.family.take([0]), q)[0, 0])), "outside"
     att = index._attachment(leaf)
     if att.brute:
         return brute_force(index.family, q), "brute"
@@ -98,9 +104,10 @@ def reference(index, q):
     if att.outer_env is not None:
         cands.append(att.outer_env.query(q))
         kind = "envelope"
-    if att.patchset is not None:
-        cands.append(att.patchset.query(q))
-        kind = "patch"
+    inner = _inner_fids(index, leaf)
+    if index.kind == "scaling" and len(inner) > 1:
+        cands += inner
+        kind = "inner"
     cands = sorted(set(cands))
     vals = batch_values(index.family.take(cands), q)[0]
     best = int(np.argmin(vals))
@@ -114,7 +121,7 @@ def _answers(index, queries, order):
     return out
 
 
-EXPECTED_KINDS = {"scaling": {"fixed", "envelope", "patch", "outside"},
+EXPECTED_KINDS = {"scaling": {"fixed", "envelope", "inner", "outside"},
                   "bregman": {"fixed", "envelope", "brute", "outside"}}
 
 
@@ -122,7 +129,8 @@ EXPECTED_KINDS = {"scaling": {"fixed", "envelope", "patch", "outside"},
 @pytest.mark.parametrize("tag", SCALING + BREGMAN)
 def test_warm_answers_match_the_per_query_reference(tag, d, tmp_path):
     """Two sites give leaves with fixed candidates only; more sites give
-    outer envelopes, patch sets or brute leaves, and queries outside."""
+    outer envelopes, many-site inner clusters or brute leaves, and
+    queries outside."""
     rng = np.random.default_rng(1000 * d + len(tag))
     kinds = set()
     for n in (2, {2: 60, 3: 40, 4: 30}[d]):
@@ -146,6 +154,50 @@ def test_warm_answers_match_the_per_query_reference(tag, d, tmp_path):
     assert kinds >= EXPECTED_KINDS[lazy.kind], kinds
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("tag", SCALING)
+def test_scaling_inner_clusters_and_outside_queries_answer_exactly(tag, d, tmp_path, monkeypatch):
+    """On a leaf whose inner cluster has several sites, the answer is no
+    worse than any of them at q; outside the root box, the answer is the
+    full scan's. Both hold on lazy, shuffled and loaded indexes, and no
+    boundary patch set is ever built."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the index built an InnerPatchSet")
+
+    monkeypatch.setattr(InnerPatchSet, "__init__", refuse)
+    rng = np.random.default_rng(7000 + 100 * d + len(tag))
+    fns = _family(tag, rng, {2: 200, 3: 120, 4: 80}[d], d)
+    lazy = build_index(fns, 0.1)
+    count = {2: 120, 3: 60, 4: 40}[d]
+    dirs = rng.standard_normal((2 * count, d))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.exp(rng.uniform(np.log(1e-4), np.log(0.4), size=(count, 1)))
+    ball = lazy._site_ball
+    gaps = np.exp(rng.uniform(np.log(1e-2), np.log(1e3), size=(count, 1)))
+    reach = ball.radius + gaps * lazy.beta * ball.diameter
+    queries = np.concatenate([0.5 + radii * dirs[:count], ball.center + reach * dirs[count:]])
+    indexes = [(lazy, range(len(queries))),
+               (build_index(fns, 0.1), rng.permutation(len(queries)))]
+    if tag != "gauge":  # custom gauges are not serializable
+        path = str(tmp_path / "index.eann")
+        save_index(lazy, path)
+        indexes.append((load_index(path), rng.permutation(len(queries))))
+    inner_hits = outside_hits = 0
+    for index, order in indexes:
+        for i in order:
+            q = queries[i]
+            answer = index.query(q)
+            leaf, _ = index.tree.locate(q)
+            if leaf is None:
+                assert answer == brute_force(index.family, q), q
+                outside_hits += 1
+            elif len(inner := _inner_fids(index, leaf)) > 1:
+                values = batch_values(index.family, q)[0, inner]
+                assert answer[1] <= values.min() * (1.0 + 1e-12), q
+                inner_hits += 1
+    assert inner_hits >= len(indexes) and outside_hits >= len(indexes) * count
+
+
 def test_warm_envelope_query_makes_one_kernel_call(monkeypatch):
     """A warm query on an outer-envelope leaf evaluates one family once and
     takes no sub-family."""
@@ -155,10 +207,10 @@ def test_warm_envelope_query_makes_one_kernel_call(monkeypatch):
     for q in gen_queries(rng, 100, 2, "l3"):
         leaf, _ = index.tree.locate(q)
         att = index._attachment(leaf)
-        if att.outer_env is not None and att.patchset is None:
+        if att.outer_env is not None:
             break
     else:
-        pytest.fail("no leaf with an outer envelope and no patch set")
+        pytest.fail("no leaf with an outer envelope")
     index.query(q)
     calls = {"values": 0, "take": 0}
     for name in calls:
@@ -196,7 +248,7 @@ def test_fallbacks_are_counted_by_reason():
     assert leaf_scans > 0 and outside_scans > 0
     assert stats["queries"] == len(queries) and stats["locate_visits"] == visits
     assert stats["fallback_domain_leaf"] == stats["brute_queries"] == leaf_scans
-    assert stats["fallback_outside_near"] == stats["outside_brute"] == outside_scans
+    assert stats["fallback_outside"] == stats["outside_brute"] == outside_scans
     assert stats["outside_queries"] == outside
     assert stats["fallback_domain_query"] == 0
 
