@@ -15,10 +15,11 @@ Per-leaf structures are built on first use and memoized (they are pure
 functions of the leaf), so results do not depend on query order. A built
 leaf keeps one candidate family: its fixed sites and the kept members of
 its outer envelope. A warm query evaluates that family once, at the query
-and, for an outer envelope, at the query's image in the envelope's unit
-ball, where the envelope picks its witness among the memoized witnesses of
-the query's lattice cell; the best of the fixed sites and the witnesses at
-the query is the answer.
+alone. The leaf's nominees are its fixed sites and, for an outer envelope,
+the memoized witnesses of the query's lattice cell; the exact best of them
+at the query is the answer. The witness that the envelope alone would
+choose (``ConcaveEnvelope.query``) is one of them, so the answer is never
+worse than it, and its (1+eps) bound holds for the answer.
 """
 
 from __future__ import annotations
@@ -151,7 +152,9 @@ class _Attachment:
     sorted union of the fixed ids and the envelope's kept ids, and
     ``family`` those members of the index family. ``fixed_cols`` and
     ``env_cols`` are the columns of the fixed ids and of the envelope's
-    kept positions in ``ids``. A warm answer evaluates ``family`` once.
+    kept positions in ``ids``. A warm answer evaluates ``family`` once, at
+    the query, and takes the exact best of its nominees: the fixed columns
+    and the ``env_cols`` of the witnesses of the query's lattice cell.
     """
 
     __slots__ = ("fixed_fids", "outer_env", "brute",
@@ -215,7 +218,13 @@ class AnnIndex:
         if self.kind == "scaling":
             self.beta = 10.0 * self.tau / self.eps
         else:
-            self.beta = 4.0 * self.tau**2 / self.eps
+            try:
+                self.beta = 4.0 * self.tau**2 / self.eps
+            except OverflowError:  # float ** raises where * gives inf
+                self.beta = math.inf
+        if not math.isfinite(self.beta):  # alpha <= beta, as tau >= 1
+            raise ValueError(f"tau {self.tau:g} is too large: the tree's separation "
+                             f"factor beta overflows at eps {self.eps:g}")
         self.points = self.family.P
         self.tree = build_avd(self.points, AvdConfig(self.alpha, self.beta))
         self._lock = threading.RLock()
@@ -322,23 +331,16 @@ class AnnIndex:
         return answer
 
     def _query_leaf(self, att: _Attachment, q: np.ndarray) -> tuple[int, float]:
-        """The best of the leaf's candidates at q, from one evaluation of its
-        cached family: at q, and for an outer envelope also at the world
-        point of q's unit-ball image, where the envelope picks its witness
-        among the memoized witnesses of q's lattice cell."""
+        """The exact best at q of the leaf's nominees, from one evaluation of
+        its cached family at q: the fixed sites and, for an outer envelope,
+        the memoized witnesses of q's lattice cell."""
         cols = set(att.fixed_cols)
         env = att.outer_env
-        if env is None:
-            vals = batch_values(att.family, q)
-        else:
-            u = env.unit_point(q)
-            pos = env.cell_witnesses(u)
-            vals = batch_values(att.family, np.vstack((q, env.nf.world_points(u))))
-            wcols = att.env_cols[pos]
-            cols.add(int(wcols[env.pick(vals[1, wcols] / env.nf.scale_h, u)[1]]))
+        if env is not None:
+            cols.update(att.env_cols[env.cell_witnesses(env.unit_point(q))].tolist())
         assert cols, "leaf produced no candidates"
         cols = sorted(cols)
-        row = vals[0, cols]
+        row = batch_values(att.family, q)[0, cols]
         best = int(np.argmin(row))
         return int(att.ids[cols[best]]), float(row[best])
 

@@ -297,19 +297,41 @@ def leaf_scaling_fit(d: int = 2, n_values=(100, 400, 1600), eps: float = 0.25,
     return {"d": d, "eps": eps, "rows": rows}
 
 
+def _is_positive_int(v) -> bool:
+    return type(v) is int and v >= 1  # a JSON true is a bool, not an int here
+
+
+# The element check of each list setting of a sweep, and the words naming it.
+_SWEEP_LISTS = {
+    "kinds": (lambda v: type(v) is str, "strings"),
+    "n": (_is_positive_int, "positive integers"),
+    "d": (_is_positive_int, "positive integers"),
+    "eps": (lambda v: type(v) in (int, float), "real numbers"),
+    "leaf_fit_n": (_is_positive_int, "positive integers"),
+}
+
+
 def _read_sweep(path: str) -> dict:
     """A sweep config: a JSON object whose list settings are non-empty
-    lists and whose ``queries`` is a positive integer."""
+    lists of valid elements, whose ``queries`` is a positive integer and
+    whose ``seed`` is an integer."""
     with open(path) as fh:
         sweep = json.load(fh)
     if not isinstance(sweep, dict):
         raise ValueError(f"sweep config must be a JSON object, not {type(sweep).__name__}")
-    for key in ("kinds", "n", "d", "eps", "leaf_fit_n"):
-        if key in sweep and not (isinstance(sweep[key], list) and sweep[key]):
+    for key, (valid, words) in _SWEEP_LISTS.items():
+        if key not in sweep:
+            continue
+        if not (isinstance(sweep[key], list) and sweep[key]):
             raise ValueError(f"sweep config '{key}' must be a non-empty list, got {sweep[key]!r}")
-    if "queries" in sweep and (type(sweep["queries"]) is not int or sweep["queries"] < 1):
+        for v in sweep[key]:
+            if not valid(v):
+                raise ValueError(f"sweep config '{key}' must hold {words}, got {v!r}")
+    if "queries" in sweep and not _is_positive_int(sweep["queries"]):
         raise ValueError(f"sweep config 'queries' must be a positive integer, "
                          f"got {sweep['queries']!r}")
+    if "seed" in sweep and type(sweep["seed"]) is not int:
+        raise ValueError(f"sweep config 'seed' must be an integer, got {sweep['seed']!r}")
     return sweep
 
 
@@ -319,7 +341,7 @@ def cmd_bench(args) -> int:
     ns = sweep.get("n", [100])
     ds = sweep.get("d", [2])
     eps_list = sweep.get("eps", [0.25])
-    seed = int(sweep.get("seed", 0))
+    seed = sweep.get("seed", 0)
     n_queries = sweep.get("queries", 200)
 
     combos = [(k, n, d, e) for k in kinds for d in ds for n in ns for e in eps_list]

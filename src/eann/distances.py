@@ -1010,14 +1010,3 @@ def _gauge_sigma_from_curvature(fn: SiteFunction, dirs: np.ndarray) -> float:
     r_min = 1.0 / kappa_max
     diam = 2.0 * float(np.max(radii))
     return min(1.0, 2.0 * r_min / diam)
-
-
-def gauge_params_from_samples(fn: SiteFunction, count: int = 1024,
-                              seed: int = _DIRECTION_SEED) -> GaugeParams:
-    """Estimate (gamma, sigma) of a gauge by boundary sampling."""
-    dirs = unit_directions(fn.dim, count, seed)
-    vals = fn._values(fn.site[None, :] + dirs)
-    radii = 1.0 / vals
-    gamma = float(np.min(radii) / np.max(radii))
-    sigma = _gauge_sigma_from_curvature(fn.resite(np.zeros(fn.dim)), dirs)
-    return GaugeParams(min(1.0, gamma), max(min(1.0, sigma), 1e-12))

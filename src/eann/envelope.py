@@ -17,9 +17,11 @@ The anchors around a query form a fixed window about its lattice cell, so a
 query's candidate witnesses depend only on that cell. ``cell_witnesses``
 memoizes each cell's sorted witness positions under an integer cell code;
 the first query in a cell gathers the window and builds its missing anchors
-in one vectorized pass. ``pick`` then selects among the witnesses' values.
-``query_absolute`` and the index's warm path both go through these two
-steps, the index with values from its own per-leaf candidate family.
+in one vectorized pass. ``query_absolute`` then picks the witness of least
+convexified value at the query. The index stops at ``cell_witnesses``: it
+nominates every witness of the query's cell and evaluates them exactly at
+the query with its own per-leaf candidate family, so its answer is never
+worse there than the envelope's pick.
 
 ``build_relative`` builds the envelope of a separated family over a world
 ball at the budget eps/5, whose witnesses are within (1+eps) of the family
@@ -182,23 +184,19 @@ class ConcaveEnvelope:
                 pos = self._cells.setdefault(code, pos)
         return pos
 
-    def pick(self, g: np.ndarray, u: np.ndarray) -> tuple[float, int]:
-        """(convexified value, index) of the smallest of the normalized
-        values ``g`` at u of ``cell_witnesses(u)``; ties go to the first."""
-        vals = convexify(g[None, :], u)[0]
-        best = int(np.argmin(vals))
-        return float(vals[best]), best
-
     def query_absolute(self, q) -> tuple[float, int]:
-        """Envelope value and witness at q, within eps_abs above the truth.
+        """Envelope value and witness at q, within eps_abs above the truth:
+        the smallest convexified value at q among ``cell_witnesses(q)``,
+        ties going to the lowest original id.
 
         The returned value is the true convexified value of the returned
         witness at q, so it never undershoots the envelope.
         """
         q = self._onto_ball(np.asarray(q, dtype=float))
         pos = self.cell_witnesses(q)
-        val, best = self.pick(self.nf.values_matrix(q)[0, pos], q)
-        return val, int(self.kept_ids[pos[best]])
+        vals = convexify(self.nf.values_matrix(q)[:, pos], q)[0]
+        best = int(np.argmin(vals))
+        return float(vals[best]), int(self.kept_ids[pos[best]])
 
     def query(self, x) -> int:
         """Witness at a point x of the family's world ball: its distance

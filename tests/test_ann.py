@@ -76,6 +76,32 @@ def test_beta_formulas():
     assert bidx.beta == pytest.approx(160.0)
 
 
+@pytest.mark.parametrize("tag,tau,eps", [
+    ("l3", 1e308, 0.5),   # alpha = 2 tau overflows
+    ("l3", 1e307, 0.01),  # beta = 10 tau / eps overflows, alpha does not
+    ("kl", 1e155, 0.5),   # tau**2 overflows
+    ("kl", 1e154, 0.5),   # tau**2 does not, 4 tau**2 / eps does
+])
+def test_tau_whose_separation_factor_overflows_is_a_value_error(tag, tau, eps):
+    """A declared tau so large that beta (and with it, possibly, alpha)
+    overflows fails with a ValueError naming tau; a thousand times less
+    builds an index whose factors follow the formulas bit for bit."""
+    pts = np.array([[0.1, 0.2], [0.9, 0.8], [0.4, 0.6]])
+    spec = generalized_kl_spec(2, 0.1, 1.0)
+
+    def family(t):
+        if tag == "l3":
+            return [make_minkowski(p, 3.0, tau=t) for p in pts]
+        return [make_bregman(spec, 0.15 + 0.8 * p, tau=t) for p in pts]
+
+    with pytest.raises(ValueError, match="tau"):
+        build_index(family(tau), eps)
+    tau /= 1e3
+    index = build_index(family(tau), eps)
+    assert index.alpha == 2.0 * tau
+    assert index.beta == (10.0 * tau / eps if tag == "l3" else 4.0 * tau**2 / eps)
+
+
 def test_single_site_index(rng):
     f = [make_minkowski([0.5, 0.5], 2.0)]
     idx = build_index(f, 0.25)
@@ -518,4 +544,57 @@ def test_load_rejects_configuration_record_unlike_the_sites(tmp_path, rng, offse
     blob += struct.pack("<I", zlib.crc32(blob))
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="derived from the sites"):
+        load_index(str(path))
+
+
+# Fixed part of every index file: magic, version, d, n, eps, family code.
+HEADER = 4 + 2 + 4 + 4 + 8 + 1
+
+
+def _repack(path, offset, fmt, value) -> None:
+    """Pack ``value`` at ``offset`` of the file and renew its checksum."""
+    blob = bytearray(path.read_bytes()[:-4])
+    struct.pack_into(fmt, blob, offset, value)
+    blob += struct.pack("<I", zlib.crc32(blob))
+    path.write_bytes(bytes(blob))
+
+
+def _index_file(tmp_path, rng, tag):
+    """A saved index of 10 sites in the plane, with the offsets of its
+    first site coordinate and of its first tau."""
+    n, d = 10, 2
+    path = tmp_path / f"{tag}.eann"
+    save_index(build_index(gen_family(tag, gen_sites(rng, n, d, tag), rng), 0.25), str(path))
+    params = {"l2": 2 * n * 8, "mahalanobis": n * d * d * 8,
+              "kl": 2 + len("generalized-kl") + 2 * d * 8 + 1}[tag]
+    sites = HEADER + params
+    return path, sites, sites + n * d * 8
+
+
+@pytest.mark.parametrize("tag,field,fmt,value,message", [
+    ("l2", "param", "<d", 1.0, "not smooth"),               # k
+    ("l2", "param", "<d", 0.5, "not smooth"),
+    ("l2", "param", "<d", float("nan"), "must be finite"),
+    ("l2", "weight", "<d", 0.0, "weight must be finite and positive"),
+    ("l2", "weight", "<d", float("inf"), "weight must be finite and positive"),
+    ("l2", "site", "<d", float("nan"), "non-finite"),
+    ("l2", "tau", "<d", float("nan"), "admissibility gate"),
+    ("l2", "tau", "<d", -1.0, "admissibility gate"),
+    ("l2", "tau", "<d", 1e308, "tau"),
+    ("mahalanobis", "off_diagonal", "<d", 7.0, "symmetric"),
+    ("mahalanobis", "param", "<d", -1.0, "positive-definite"),  # M[0, 0]
+    ("kl", "site", "<d", 5.0, "outside Bregman domain"),
+    ("kl", "tau", "<d", 1e155, "tau"),
+    ("kl", "name", "<14s", b"generalized-xx", "unknown Bregman generator"),
+])
+def test_load_rejects_checksummed_file_with_invalid_values(tmp_path, rng, tag, field, fmt,
+                                                           value, message):
+    """A file whose checksum matches but which holds a parameter, site, tau
+    or generator no index accepts fails with a ValueError, as ``eann query``
+    reports it."""
+    path, sites, taus = _index_file(tmp_path, rng, tag)
+    offset = {"param": HEADER, "weight": HEADER + 10 * 8, "off_diagonal": HEADER + 8,
+              "name": HEADER + 2, "site": sites, "tau": taus}[field]
+    _repack(path, offset, fmt, value)
+    with pytest.raises(ValueError, match=message):
         load_index(str(path))

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -212,11 +214,19 @@ def test_bench_smoke(tmp_path, capsys):
     ("[1, 2]", "must be a JSON object, not list"),
     ('{"kinds": ["l2"], "queries": 0}', "'queries' must be a positive integer, got 0"),
     ('{"kinds": "l2"}', "'kinds' must be a non-empty list, got 'l2'"),
+    ('{"eps": ["x"]}', "'eps' must hold real numbers, got 'x'"),
+    ('{"eps": [true]}', "'eps' must hold real numbers, got True"),
+    ('{"n": [1.5]}', "'n' must hold positive integers, got 1.5"),
+    ('{"n": [0]}', "'n' must hold positive integers, got 0"),
+    ('{"d": [true]}', "'d' must hold positive integers, got True"),
+    ('{"leaf_fit_n": [-50]}', "'leaf_fit_n' must hold positive integers, got -50"),
+    ('{"kinds": ["l2", 3]}', "'kinds' must hold strings, got 3"),
+    ('{"seed": null}', "'seed' must be an integer, got None"),
 ])
 def test_bench_rejects_malformed_sweep(tmp_path, capsys, config, message):
-    """A sweep config that is not an object, asks for no queries or gives
-    a family tag where a list belongs fails with a ValueError naming it,
-    before any index is built."""
+    """A sweep config that is not an object, asks for no queries, gives a
+    family tag where a list belongs or holds a list element of the wrong
+    type fails with a ValueError naming it, before any index is built."""
     sweep = tmp_path / "sweep.json"
     sweep.write_text(config)
     with pytest.raises(ValueError, match=message):
@@ -224,6 +234,24 @@ def test_bench_rejects_malformed_sweep(tmp_path, capsys, config, message):
     assert main(["bench", str(sweep)]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_query_reports_an_index_file_whose_tau_overflows(workspace, capsys):
+    """A checksummed file whose tau makes the tree's factors overflow is
+    reported as an error, not a traceback."""
+    tmp, points, config, queries = workspace
+    out = tmp / "index.eann"
+    assert main(["build", str(points), str(config), "0.25", str(out)]) == 0
+    n, d = 50, 2
+    header = 4 + 2 + 4 + 4 + 8 + 1  # magic, version, d, n, eps, family code
+    blob = bytearray(out.read_bytes()[:-4])
+    struct.pack_into("<d", blob, header + 2 * n * 8 + n * d * 8, 1e308)  # first tau
+    blob += struct.pack("<I", zlib.crc32(blob))
+    out.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["query", str(out), str(queries)]) == 1
+    captured = capsys.readouterr()
+    assert "error: tau" in captured.err and captured.out == ""
 
 
 def test_bench_reports_cold_and_warm_passes(tmp_path, capsys, monkeypatch):

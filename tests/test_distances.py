@@ -5,20 +5,24 @@ import pytest
 
 from eann.config import build_site_functions, parse_distance_config, parse_points
 from eann.distances import (
+    _DIRECTION_SEED,
     DomainError,
     GaugeParams,
+    _gauge_sigma_from_curvature,
     generalized_kl_spec,
     itakura_saito_spec,
     make_bregman,
+    make_custom_gauge,
     make_mahalanobis,
     make_minkowski,
     minkowski_gauge_params,
     squared_euclidean_spec,
     tau_for_gauge,
+    unit_directions,
 )
-from eann.numdiff import fd_gradient, fd_hessian
 
 from conftest import ellipse_gauge
+from numdiff import fd_gradient, fd_hessian
 
 
 def test_minkowski_values():
@@ -209,8 +213,17 @@ def test_minkowski_gauge_geometry():
     assert f1.tau == pytest.approx(f2.tau)
 
 
+def gauge_params_from_samples(fn, count: int = 1024) -> GaugeParams:
+    """Estimate (gamma, sigma) of a gauge by boundary sampling."""
+    dirs = unit_directions(fn.dim, count, _DIRECTION_SEED)
+    vals = fn._values(fn.site[None, :] + dirs)
+    radii = 1.0 / vals
+    gamma = float(np.min(radii) / np.max(radii))
+    sigma = _gauge_sigma_from_curvature(fn.resite(np.zeros(fn.dim)), dirs)
+    return GaugeParams(min(1.0, gamma), max(min(1.0, sigma), 1e-12))
+
+
 def test_custom_gauge_geometry_estimate():
-    from eann.distances import gauge_params_from_samples, make_custom_gauge
 
     def gv(v):
         return np.linalg.norm(v, axis=1)

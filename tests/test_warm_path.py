@@ -1,11 +1,13 @@
-"""The warm path against the per-query arithmetic it replaced.
+"""The warm path against a per-query reference.
 
 ``AnnIndex.query`` answers a built leaf from one evaluation of the leaf's
-cached candidate family. The reference below answers the same leaf the
-older way: the envelope picks its witness through ``query_absolute``, and a
-fresh ``take`` of the candidates is evaluated at the query. Both must agree
-bit for bit on every leaf kind, for every distance kind, and whether the
-index was queried lazily, loaded from a file or queried in another order.
+cached candidate family at the query. The reference below answers the same
+leaf from scratch: the exact minimum at the query, over a fresh ``take``,
+of the leaf's nominees (its fixed sites and the witnesses of the query's
+lattice cell in its outer envelope). Both must agree bit for bit on every
+leaf kind, for every distance kind, and whether the index was queried
+lazily, loaded from a file or queried in another order. The answer is
+never worse than the envelope's own witness (``ConcaveEnvelope.query``).
 """
 
 import sys
@@ -85,9 +87,11 @@ def _inner_fids(index, leaf) -> list[int]:
 
 
 def reference(index, q):
-    """The answer through the per-query arithmetic of the older path, and
-    the kind of leaf (or region) that produced it. Every site of a scaling
-    leaf's inner cluster is a candidate; outside the root box, scaling
+    """The exact best nominee at q, from a fresh ``take``, and the kind of
+    leaf (or region) that produced it. The nominees are the leaf's fixed
+    sites, every site of a scaling leaf's inner cluster and the witnesses
+    of q's lattice cell in the outer envelope; the answer is at most the
+    value at q of the envelope's own witness. Outside the root box, scaling
     queries and Bregman queries near the sites are scanned."""
     leaf, _ = index.tree.locate(q)
     if leaf is None:
@@ -101,8 +105,9 @@ def reference(index, q):
         return brute_force(index.family, q), "brute"
     cands = list(att.fixed_fids)
     kind = "fixed"
-    if att.outer_env is not None:
-        cands.append(att.outer_env.query(q))
+    env = att.outer_env
+    if env is not None:
+        cands += env.kept_ids[env.cell_witnesses(env.unit_point(q))].tolist()
         kind = "envelope"
     inner = _inner_fids(index, leaf)
     if index.kind == "scaling" and len(inner) > 1:
@@ -111,6 +116,9 @@ def reference(index, q):
     cands = sorted(set(cands))
     vals = batch_values(index.family.take(cands), q)[0]
     best = int(np.argmin(vals))
+    if env is not None:
+        witness = env.query(q)
+        assert vals[best] <= batch_values(index.family.take([witness]), q)[0, 0], q
     return (cands[best], float(vals[best])), kind
 
 
@@ -199,8 +207,8 @@ def test_scaling_inner_clusters_and_outside_queries_answer_exactly(tag, d, tmp_p
 
 
 def test_warm_envelope_query_makes_one_kernel_call(monkeypatch):
-    """A warm query on an outer-envelope leaf evaluates one family once and
-    takes no sub-family."""
+    """A warm query on an outer-envelope leaf evaluates one family once, at
+    the query alone, and takes no sub-family."""
     rng = np.random.default_rng(3)
     fns = gen_family("l3", gen_sites(rng, 200, 2, "l3"), rng)
     index = build_index(fns, 0.1)
@@ -213,16 +221,21 @@ def test_warm_envelope_query_makes_one_kernel_call(monkeypatch):
         pytest.fail("no leaf with an outer envelope")
     index.query(q)
     calls = {"values": 0, "take": 0}
+    points = []
     for name in calls:
         real = getattr(SiteFamily, name)
 
         def counted(self, *args, _name=name, _real=real):
             calls[_name] += 1
+            if _name == "values":
+                points.append(np.asarray(args[0]).reshape(-1, 2))
             return _real(self, *args)
 
         monkeypatch.setattr(SiteFamily, name, counted)
     answer = index.query(q)
     assert calls == {"values": 1, "take": 0}
+    (evaluated,) = points
+    np.testing.assert_array_equal(evaluated, q[None, :])
     monkeypatch.undo()
     assert answer == reference(index, q)[0]
 
