@@ -1,14 +1,15 @@
-"""Families of site functions as struct-of-arrays.
+"""Families of distance functions as struct-of-arrays.
 
 ``SiteFamily`` holds a family as positions, growth constants and one kernel
 of ``distances`` per kind (and per Minkowski exponent, Bregman generator or
-custom-gauge triple), with its parameter arrays. Built once per index from
-site functions, it keeps none of them: it evaluates every member at every
-point (cross values), or each member at its own row (row-paired values,
-gradients and Hessians, for points the caller keeps inside the domain), and
-bounds each member's minimum at a given Euclidean distance from its site.
-Building a family samples the deferred Bregman ``tau`` of its members in
-one pass per generator.
+custom-gauge triple), with its parameter arrays. Built by concatenating the
+one-member kernels of site functions, whose deferred ``tau`` it samples in
+one pass per kernel group, or from kernels of parameter arrays
+(``from_groups``, as ``load_index`` does), it keeps no site object. It
+evaluates every member at every point (cross values), or each member at its
+own row (row-paired values, gradients and Hessians, for points the caller
+keeps inside the domain), and bounds each member's minimum at a given
+Euclidean distance from its site.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ _RANK = {"values": 0, "gradients": 1, "hessians": 2}
 
 
 class SiteFamily:
-    """A family of site functions as struct-of-arrays.
+    """A family of distance functions as struct-of-arrays.
 
     ``P`` holds the sites (n, d), ``tau`` the growth constants, and
     ``groups`` a list of (member ids, kernel) pairs, one per kernel. The ids
@@ -35,21 +36,30 @@ class SiteFamily:
         fns = list(fns)
         if not fns:
             raise ValueError("empty family")
-        self.P = np.stack([f.site for f in fns])
         resolve_tau(fns)
-        self.tau = np.array([f._tau for f in fns])
         by_key: dict[tuple, list[int]] = {}
         for i, f in enumerate(fns):
-            cls = f._kernel_type
-            by_key.setdefault((cls, cls.group(f)), []).append(i)
-        if len(by_key) == 1:
-            ((cls, _),) = by_key
-            self.groups = [(slice(None), cls(fns, self.P))]
-            return
-        self.groups = []
-        for (cls, _), ids in by_key.items():
-            idx = np.array(ids)
-            self.groups.append((idx, cls([fns[i] for i in ids], self.P[idx])))
+            by_key.setdefault((type(f.kernel), f.kernel.key), []).append(i)
+        fam = SiteFamily.from_groups([(np.array(ids), cls.concat([fns[i].kernel for i in ids]))
+                                      for (cls, _), ids in by_key.items()],
+                                     np.array([f._tau for f in fns]))
+        self.P, self.tau, self.groups = fam.P, fam.tau, fam.groups
+
+    @classmethod
+    def from_groups(cls, groups: list, tau: np.ndarray) -> "SiteFamily":
+        """The family of the (member ids, kernel) pairs ``groups``, whose ids
+        partition ``range(len(tau))``, with growth constants ``tau``."""
+        if not groups:
+            raise ValueError("empty family")
+        fam = object.__new__(cls)
+        fam.tau = tau
+        if len(groups) == 1:
+            fam.P, fam.groups = groups[0][1].P, [(slice(None), groups[0][1])]
+        else:
+            fam.P, fam.groups = np.empty((len(tau), groups[0][1].P.shape[1])), groups
+            for idx, kern in groups:
+                fam.P[idx] = kern.P
+        return fam
 
     @classmethod
     def of(cls, family) -> "SiteFamily":

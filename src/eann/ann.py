@@ -36,10 +36,10 @@ from ._batch import SiteFamily, batch_values
 from .avd import CONFIG_RECORD, AvdConfig, AvdLeaf, AvdTree, build_avd
 from .convexify import _check_ball_in_domain, screen
 from .distances import (
-    BregmanDistance,
+    BregmanKernel,
     DomainError,
-    MahalanobisDistance,
-    MinkowskiDistance,
+    MahalanobisKernel,
+    MinkowskiKernel,
     SiteFunction,
     builtin_bregman_spec,
 )
@@ -192,20 +192,19 @@ def brute_force(sites, q) -> tuple[int, float]:
 class AnnIndex:
     """Approximate nearest-neighbor index over a uniform-kind family."""
 
-    def __init__(self, sites: list[SiteFunction], eps: float):
+    def __init__(self, sites: SiteFamily | list[SiteFunction], eps: float):
         if len(sites) == 0:
             raise ValueError("no sites")
         if not (0.0 < eps <= 1.0):
             raise ValueError("eps out of range")
-        kinds = {("bregman" if isinstance(f, BregmanDistance) else "scaling") for f in sites}
-        if len(kinds) != 1:
-            raise ValueError("mixed kinds")
-        self.kind = kinds.pop()
-        dims = {f.dim for f in sites}
-        if len(dims) != 1:
+        if not isinstance(sites, SiteFamily) and len({f.dim for f in sites}) != 1:
             raise ValueError("sites must share one dimension")
         self.eps = float(eps)
-        self.family = SiteFamily(sites)
+        self.family = SiteFamily.of(sites)
+        kinds = {isinstance(kern, BregmanKernel) for _, kern in self.family.groups}
+        if len(kinds) != 1:
+            raise ValueError("mixed kinds")
+        self.kind = "bregman" if kinds.pop() else "scaling"
         if self.kind == "bregman":
             specs = self.family.specs
             if len(specs) != 1:
@@ -227,6 +226,14 @@ class AnnIndex:
                              f"factor beta overflows at eps {self.eps:g}")
         self.points = self.family.P
         self.tree = build_avd(self.points, AvdConfig(self.alpha, self.beta))
+        # A leaf around one of two sites ``gap`` apart has a cell narrower than
+        # gap / alpha; any pair's gap (here of sorted neighbors) bounds the least.
+        P = self.tree.positions
+        gap = np.linalg.norm(np.diff(P, axis=0), axis=1)
+        ulp = np.spacing(np.maximum(np.abs(P[1:]), np.abs(P[:-1])).max(axis=1, initial=0.0))
+        if np.any(gap < self.alpha * ulp):
+            raise ValueError(f"tau {self.tau:g} is too large: a leaf around two sites would "
+                             "need a cell narrower than the float spacing of their coordinates")
         self._lock = threading.RLock()
         self.stats = Counter()
         c = self.points.mean(axis=0)
@@ -371,13 +378,13 @@ class AnnIndex:
         return {
             "leaves": len(leaves),
             "envelope_samples": env_samples,
-            "tree_expansions": self.tree._expansions,
+            "tree_expansions": self.tree.expansions,
             "tree_nodes": self.tree.tree_nodes(),
             "tree_bytes": self.tree.tree_bytes(),
         }
 
 
-def build_index(sites: list[SiteFunction], eps: float) -> AnnIndex:
+def build_index(sites: SiteFamily | list[SiteFunction], eps: float) -> AnnIndex:
     return AnnIndex(sites, eps)
 
 
@@ -505,14 +512,17 @@ def load_index(path: str) -> AnnIndex:
         raise ValueError("index file checksum mismatch")
 
     if fam_code == 0:
-        fns = [MinkowskiDistance(points[i], float(ks[i]), float(ws[i]), tau=float(taus[i]))
-               for i in range(n)]
+        # One kernel per exponent, in order of first appearance.
+        _, first = np.unique(ks, return_index=True)
+        groups = [(idx, MinkowskiKernel(points[idx], k, ws[idx]))
+                  for k in ks[np.sort(first)] for idx in [np.flatnonzero(ks == k)]]
     elif fam_code == 1:
-        fns = [MahalanobisDistance(points[i], mats[i], tau=float(taus[i])) for i in range(n)]
+        groups = [(slice(None), MahalanobisKernel(points, mats))]
     else:
-        spec = builtin_bregman_spec(name, d, lo, hi, mat)
-        fns = [BregmanDistance(spec, points[i], tau=float(taus[i])) for i in range(n)]
-    index = AnnIndex(fns, eps)
+        groups = [(slice(None), BregmanKernel(points, builtin_bregman_spec(name, d, lo, hi, mat)))]
+    if not np.all(np.isfinite(taus) & (taus > 0.0)):  # as ``_admissible_tau``
+        raise ValueError("admissibility gate: unbounded ratio")
+    index = AnnIndex(SiteFamily.from_groups(groups, np.maximum(1.0, taus)), eps)
     stored = AvdTree.from_bytes(record)
     derived = (index.dim, index.tree.cfg)
     if stored != derived:

@@ -270,7 +270,8 @@ class AvdTree:
         self._scale = float(max(np.abs(P).max(), np.abs(self.root_box.low).max(),
                                 np.abs(self.root_box.high).max()))
         self._lock = threading.RLock()
-        self._expansions = 0
+        # Nodes expanded so far, which ``storage_stats`` reports.
+        self.expansions = 0
 
         # The node table, one row per node. The columns a warm locate reads
         # on every visit are lists, whose items it reads without allocating.
@@ -551,7 +552,7 @@ class AvdTree:
             site_off = np.logical_not(held) if len(site) else _NO_IDS
             tested = self._leaf_tests(cand, X, np.einsum("md,md->m", rel, rel), site_off, cells)
             if not tested:
-                self._expansions += len(cells)
+                self.expansions += len(cells)
                 if depth + len(cells) > self._depth_budget:
                     self._commit(node, splits[:-1], held)
                     lo, hi, _ = cells[-1]
@@ -563,7 +564,7 @@ class AvdTree:
                 levels *= 2
                 continue
             (stop, inner, ball), = tested
-            self._expansions += stop + 1
+            self.expansions += stop + 1
             leaf = self._commit(node, splits[:stop], held)
             self._make_leaf(leaf, site if held[stop] else _NO_IDS, inner, ball)
             return leaf
@@ -666,7 +667,7 @@ class AvdTree:
         """Expand a pending node holding two or more sites: shrink toward
         their cluster, or split at the midpoint. Its children filter their
         near sets from its near parts plus the sites routed to the sibling."""
-        self._expansions += 1
+        self.expansions += 1
         depth = self._depth[node]
         if depth >= self._depth_budget:
             lo, hi, _ = self._cell(node)
@@ -735,7 +736,7 @@ class AvdTree:
                     if j not in passed and self._depth[n] >= self._depth_budget:
                         raise RuntimeError(
                             f"max depth exceeded at cell [{np.array(lo)}, {np.array(hi)}]")
-                self._expansions += len(batch)
+                self.expansions += len(batch)
                 for j, (n, c, held) in enumerate(batch):
                     if j in passed:
                         self._make_leaf(n, site if held else _NO_IDS, *passed[j])

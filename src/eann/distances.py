@@ -4,23 +4,24 @@ gauges, user-supplied convex gauges, and Bregman divergences.
 One kernel per kind is the only code that evaluates a site. It holds the
 parameters of ``m`` members as arrays and computes their values, gradients
 and Hessians analytically on ``(T, m, d)`` stacks of points ``X`` and
-offsets ``V = X - P`` against their sites ``P``. ``SiteFamily`` (``_batch``)
-stacks many members per kernel. A site function validates the parameters
-of one member and carries its certified growth constant ``tau``, which the
-search structures use to size separation parameters; it evaluates single
-points ``(d,)`` or batches ``(A, d)`` by running its kernel over itself
-alone, built for the call.
+offsets ``V = X - P`` against their sites ``P``. Its constructor is the only
+code that validates those parameters and derives the per-member arrays, so
+``SiteFamily.from_groups`` (``_batch``) builds a family from parameter
+arrays alone. A site function is a one-member kernel plus its certified
+growth constant ``tau``, which the search structures use to size
+separation parameters; it evaluates single points ``(d,)`` or batches
+``(A, d)``.
 
-Gauge constructors compute ``tau`` at once. A Bregman site built without a
-declared ``tau`` samples it later, at seeded points of the domain box (or
-unit directions about the site, for a quadratic generator on an unbounded
-domain): building a ``SiteFamily`` (as ``build_index``, ``brute_force`` and
-``normalize`` do) resolves every such member in one batched pass per
-generator (``resolve_tau``), and a lone site does so on its first ``.tau``
-read. A sample that fails the admissibility checks raises
-``ValueError`` there, naming the site; the checks that need no sample (site
-in domain, a declared ``tau`` for a non-quadratic generator on an unbounded
-domain) still raise in the constructor.
+Gauge constructors compute ``tau`` at once, except for a Minkowski gauge
+with k < 2, whose closed form degenerates. Such a site, and a Bregman site
+built without a declared ``tau``, samples it later: building a
+``SiteFamily`` (as ``build_index``, ``brute_force`` and ``normalize`` do)
+resolves every such member in one batched pass per kernel group
+(``resolve_tau``), and a lone site does so on its first ``.tau`` read. A
+sample that fails the admissibility checks raises ``ValueError`` there,
+naming the site; the checks that need no sample (site in domain, a
+declared ``tau`` for a non-quadratic generator on an unbounded domain)
+still raise in the constructor.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .geom import as_vector
 _DIRECTION_SEED = 20240601
 _TAU_INFLATION = 1.10
 _VALUE_FLOOR = 1e-12
-_BREGMAN_TAU_SAMPLES = 2048
+_TAU_DIRECTIONS = 1024  # unit directions about each site
+_TAU_POINTS = 2048  # or uniform points of a Bregman domain box
 _MIN_TAU_SAMPLES = 10
-# Float64 elements of one (samples, sites, d) array of the batched Bregman tau
-# pass: 16 sites a chunk at 2,048 samples in d = 2. Building a 4,000-site KL
-# index then raises peak RSS by 6 MB; chunks of 128 sites raise it by 42 MB.
+# Float64 elements of one (samples, sites, d) array of the batched tau pass:
+# 16 sites a chunk at 2,048 samples in d = 2. Building a 4,000-site KL index
+# then raises peak RSS by 6 MB; chunks of 128 sites raise it by 42 MB.
 _TAU_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -113,27 +115,47 @@ def bregman_gradients(spec, X, gP):
     return _rows(spec.gradients, X) - gP
 
 
+def _check_members(ok: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(message)`` naming the first row of ``ok`` (the
+    members) with a False entry."""
+    if np.count_nonzero(ok) != ok.size:
+        j = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+        raise ValueError(f"{message} (member {j})")
+
+
 class _Kernel:
-    """Members of one kind: positions ``P`` (m, d) and the other per-member
-    arrays named in ``arrays``, read from the site functions it is built
-    from. ``values``, ``gradients`` and ``hessians`` evaluate the members on
-    a (T, m, d) stack of points ``X`` with offsets ``V = X - P``, or every
-    member at each point of a (T, 1, d) stack. ``bounds(t)`` gives (lo, hi)
-    bounds on each member's minimum over a region at Euclidean distance t
-    from its site."""
+    """Members of one kind: positions ``P`` (m, d) and the per-member arrays
+    named in ``arrays``, which the constructor validates, naming a bad
+    member, and derives. ``values``, ``gradients`` and ``hessians`` evaluate
+    the members on a (T, m, d) stack of points ``X`` with offsets ``V = X -
+    P``, or every member at each point of a (T, 1, d) stack; ``bounds(t)``
+    bounds each member's minimum over a region at Euclidean distance t from
+    its site. Kernels of one class and ``key`` concatenate into one."""
 
     __slots__ = ("P",)
     arrays: tuple[str, ...] = ("P",)
+    key = None
 
-    @staticmethod
-    def group(f):
-        """Site functions of one kind share a kernel when their groups are equal."""
-        return None
+    def __init__(self, P):
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] < 1:
+            raise ValueError("sites must form an (m, d) array")
+        _check_members(np.isfinite(P), "site has non-finite coordinates")
+        self.P = P
 
     def take(self, sel):
+        """The members at ``sel``, a slice (as views) or an index array."""
         new = copy.copy(self)
         for name in self.arrays:
-            setattr(new, name, getattr(self, name).take(sel, axis=0))
+            arr = getattr(self, name)
+            setattr(new, name, arr[sel] if isinstance(sel, slice) else arr.take(sel, axis=0))
+        return new
+
+    @classmethod
+    def concat(cls, kernels: list) -> "_Kernel":
+        new = copy.copy(kernels[0])
+        for name in cls.arrays:
+            setattr(new, name, np.concatenate([getattr(k, name) for k in kernels]))
         return new
 
     def resite(self, p):
@@ -143,23 +165,47 @@ class _Kernel:
         new.P = np.tile(p, (len(self.P), 1))
         return new
 
+    # -- sampled growth constants (``_tau_pass``) -------------------------
+
+    def gradient_norms(self, X, V):
+        return _norms(self.gradients(X, V))
+
+    def hessian_norms(self, X, V):
+        return np.max(np.abs(np.linalg.eigvalsh(self.hessians(X, V))), axis=-1)
+
+    def ratio_bounds(self, X, V):
+        """Whether each sample counts, and (lo, hi) bounds on its growth
+        ratio, the larger of the ratios of ``admissibility_ratios``: here
+        that ratio, formed as there."""
+        vals = self.values(X, V)
+        dist = _norms(V)
+        gnorm = self.gradient_norms(X, V)
+        hnorm = np.maximum(self.hessian_norms(X, V), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Both ratios are >= 0 where used, so a NaN or inf among them
+            # carries through the maxima.
+            ratio = np.maximum(gnorm * dist / vals, np.sqrt(hnorm * dist * dist / vals))
+        return (vals >= _VALUE_FLOOR) & (dist > 0.0), ratio, ratio
+
 
 class MinkowskiKernel(_Kernel):
     """W * ||v||_k for one exponent k > 1."""
 
     kind = "minkowski"
-    __slots__ = ("k", "W", "ratio")
+    __slots__ = ("k", "key", "W", "ratio")
     arrays = ("P", "W")
 
-    def __init__(self, fns, P):
-        self.P = P
-        self.k = fns[0].k
-        self.W = np.array([f.weight for f in fns])
-        self.ratio = fns[0].dim ** abs(0.5 - 1.0 / self.k)  # max of ||v||_k/||v||_2 or its inverse
-
-    @staticmethod
-    def group(f):
-        return f.k
+    def __init__(self, P, k: float, W):
+        k = float(k)
+        if not math.isfinite(k):
+            raise ValueError("Minkowski exponent must be finite")
+        if k <= 1.0:
+            raise ValueError("not smooth: Minkowski exponent must exceed 1")
+        super().__init__(P)
+        self.k = self.key = k
+        self.W = W = np.asarray(W, dtype=float)
+        _check_members(np.isfinite(W) & (W > 0.0), "weight must be finite and positive")
+        self.ratio = self.P.shape[1] ** abs(0.5 - 1.0 / k)  # max of ||v||_k/||v||_2 or its inverse
 
     def values(self, X, V):
         # Scaled by max |v_i| against overflow.
@@ -194,6 +240,32 @@ class MinkowskiKernel(_Kernel):
         hs[..., idx, idx] += diag
         return (self.W * (k - 1.0) / m)[..., None, None] * hs
 
+    def ratio_bounds(self, X, V):
+        """The ratio within a relative 1e-9, without Hessians. With s =
+        sum a^k, the squared gradient ratio is sum a^2 / s * sum a^(2k-2) / s
+        and the squared Hessian ratio sum a^2 / s * (k - 1) * lam, where lam,
+        the top eigenvalue of diag(a^(k-2)) - b b^T / s with |b| = a^(k-1)
+        <= 1, is at most max a^(k-2) and at least max a^(k-2) - 1 / s."""
+        k = self.k
+        cols = _columns(np.abs(V))
+        mx = functools.reduce(np.maximum, cols)
+        safe = np.where(mx > 0.0, mx, 1.0)
+        a = [c / safe for c in cols]
+        ak = [x**k for x in a]
+        s = sum(ak)
+        # ``values`` bit for bit, and ``_norms(V) > 0``: a sum of squares is
+        # positive exactly where its largest term is.
+        used = (self.W * mx * s ** (1.0 / k) >= _VALUE_FLOOR) & (mx * mx > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            b = [p / x for p, x in zip(ak, a)]  # a^(k-1)
+            top = functools.reduce(np.maximum, [y / x for x, y in zip(a, b)])  # max a^(k-2)
+            r, g = sum(x * x for x in a) / s, sum(y * y for y in b) / s
+            lo = np.sqrt(r * np.maximum(g, (k - 1.0) * (top - 1.0 / s))) * (1.0 - 1e-9)
+            hi = np.sqrt(r * np.maximum(g, (k - 1.0) * top)) * (1.0 + 1e-9)
+        # Where a^k is not a normal float, a^k / a understates a^(k-1).
+        hi[functools.reduce(np.minimum, ak) < np.finfo(float).tiny] = np.inf
+        return used, lo, hi
+
     def bounds(self, t):
         if self.k >= 2.0:
             return self.W / self.ratio * t, self.W * t
@@ -201,17 +273,27 @@ class MinkowskiKernel(_Kernel):
 
 
 class MahalanobisKernel(_Kernel):
-    """sqrt(v^T M v) for an (m, d, d) stack of matrices M."""
+    """sqrt(v^T M v) for an (m, d, d) stack of symmetric matrices M, with the
+    square roots of their extreme eigenvalues ``lo``/``hi``."""
 
     kind = "mahalanobis"
     __slots__ = ("M", "lo", "hi")
     arrays = ("P", "M", "lo", "hi")
 
-    def __init__(self, fns, P):
-        self.P = P
-        self.M = np.stack([f.matrix for f in fns])
-        self.lo = np.array([f.sqrt_eig_min for f in fns])
-        self.hi = np.array([f.sqrt_eig_max for f in fns])
+    def __init__(self, P, M):
+        super().__init__(P)
+        M = np.asarray(M, dtype=float)
+        if M.shape != self.P.shape + self.P.shape[1:]:
+            raise ValueError("matrix shape does not match site dimension")
+        Mt = M.swapaxes(1, 2)
+        with np.errstate(invalid="ignore"):
+            # ``np.allclose(M, M.T, atol=1e-10)`` for each member.
+            close = ((np.abs(M - Mt) <= 1e-10 + 1e-5 * np.abs(Mt)) & np.isfinite(Mt)) | (M == Mt)
+        _check_members(close, "matrix must be symmetric")
+        self.M = 0.5 * (M + Mt)
+        w = np.linalg.eigvalsh(self.M)
+        _check_members(w[:, 0] > 0.0, "matrix must be positive-definite")
+        self.lo, self.hi = np.sqrt(w[:, 0]), np.sqrt(w[:, -1])
 
     def values(self, X, V):
         M, m = self.M, V.shape[1]
@@ -238,18 +320,20 @@ class BregmanKernel(_Kernel):
     """D_F(x, p) for one generator F, with F and grad F at the sites."""
 
     kind = "bregman"
-    __slots__ = ("spec", "fP", "gP")
+    __slots__ = ("spec", "key", "fP", "gP")
     arrays = ("P", "fP", "gP")
 
-    def __init__(self, fns, P):
-        self.P = P
-        self.spec = fns[0].spec
-        self.fP = np.array([f._site_value for f in fns])
-        self.gP = np.stack([f._site_grad for f in fns])
-
-    @staticmethod
-    def group(f):
-        return generator_key(f.spec)
+    def __init__(self, P, spec):
+        super().__init__(P)
+        if self.P.shape[1] != spec.dim:
+            raise ValueError("site dimension does not match generator")
+        _check_members(spec.in_domain(self.P), "site outside Bregman domain")
+        with np.errstate(over="ignore", invalid="ignore"):
+            fP, gP = spec.values(self.P), spec.gradients(self.P)
+        for arr in (fP, gP):
+            _check_members(np.isfinite(arr),
+                           "generator value or gradient is not finite at the site")
+        self.spec, self.key, self.fP, self.gP = spec, generator_key(spec), fP, gP
 
     def values(self, X, V):
         return bregman_values(self.spec, X, V, self.fP, self.gP)
@@ -268,6 +352,17 @@ class BregmanKernel(_Kernel):
         H = np.asarray(spec.hess, dtype=float) if spec.hess_kind == "const" else _rows(spec.hess, X)
         return np.broadcast_to(H, shape).copy()
 
+    def gradient_norms(self, X, V):
+        # ``_norms`` of the gradients by columns, whose loops then run over
+        # the members rather than over d at shared points.
+        if X.shape[-1] >= 8:
+            return super().gradient_norms(X, V)
+        G = _rows(self.spec.gradients, X)
+        return np.sqrt(sum(c * c for c in (G[..., j] - g for j, g in enumerate(self.gP.T))))
+
+    def hessian_norms(self, X, V):
+        return _rows(self.spec.hessian_norms, X)
+
     def resite(self, p):
         raise ValueError("a Bregman family cannot be re-sited")
 
@@ -281,21 +376,20 @@ class BregmanKernel(_Kernel):
 class GaugeKernel(_Kernel):
     """Custom gauges sharing one triple of batched callables about the
     origin (value, gradient, Hessian), each evaluated at every offset in
-    one call."""
+    one call, with (lo, hi) bounds on the unit sphere (by default the range
+    over seeded unit directions, widened by 5%)."""
 
     kind = "gauge"
-    __slots__ = ("gv", "gg", "gh", "lo", "hi")
+    __slots__ = ("gv", "gg", "gh", "key", "lo", "hi")
     arrays = ("P", "lo", "hi")
 
-    def __init__(self, fns, P):
-        self.P = P
-        self.gv, self.gg, self.gh = self.group(fns[0])
-        self.lo = np.array([f._bounds[0] for f in fns])
-        self.hi = np.array([f._bounds[1] for f in fns])
-
-    @staticmethod
-    def group(f):
-        return f._gv, f._gg, f._gh
+    def __init__(self, P, gv, gg, gh, bounds=None):
+        super().__init__(P)
+        if bounds is None:
+            vals = np.asarray(gv(unit_directions(self.P.shape[1], 512, _DIRECTION_SEED)), float)
+            bounds = (0.95 * float(vals.min()), 1.05 * float(vals.max()))
+        self.gv, self.gg, self.gh = self.key = gv, gg, gh
+        self.lo, self.hi = (np.full(len(self.P), b) for b in bounds)
 
     def values(self, X, V):
         return _rows(self.gv, V)
@@ -316,29 +410,27 @@ class GaugeKernel(_Kernel):
 
 
 class SiteFunction:
-    """A distance function about a fixed site: the validated parameters of
-    one member of its kind's kernel.
+    """A distance function about a fixed site: one member of its kind's
+    kernel, which validated its parameters, and its growth constant.
 
-    Subclasses check and keep the parameters and name their kernel type in
-    ``_kernel_type``. Every evaluation runs that kernel over the site as a
-    one-member stack, built for the call, on (A, d) batches of points.
-    Scaling kinds are positively 1-homogeneous about the site; the Bregman
-    kind is a divergence D(x, site) in its first argument.
+    Every evaluation runs that one-member kernel on (A, d) batches of
+    points. Scaling kinds are positively 1-homogeneous about the site; the
+    Bregman kind is a divergence D(x, site) in its first argument.
     """
 
-    kind: str = "abstract"
     is_scaling: bool = True
-    _kernel_type: type[_Kernel]
 
-    def __init__(self, site: np.ndarray, tau: float | None):
-        # ``site`` comes from ``as_vector``, which each subclass calls once.
-        self.site = site
+    def __init__(self, kernel: _Kernel, tau: float | None):
+        self.kernel = kernel
+        self.site = kernel.P[0]
         self._tau = None if tau is None else _admissible_tau(tau)
+
+    kind = property(lambda self: self.kernel.kind)
 
     @property
     def tau(self) -> float:
-        """Growth constant. A Bregman site built without one samples it on
-        this first read; ``resolve_tau`` does so for a whole family."""
+        """Growth constant. A site built without one samples it on this
+        first read; ``resolve_tau`` does so for a whole family."""
         if self._tau is None:
             resolve_tau([self])
         return self._tau
@@ -349,152 +441,93 @@ class SiteFunction:
 
     # -- evaluation ------------------------------------------------------
 
-    def value(self, x):
+    def _at(self, method: str, x, off_site: bool = True):
+        """Kernel ``method`` at a point ``(d,)`` or an (A, d) batch."""
         pts, single = _as_points(x, self.dim)
-        self._check_domain(pts)
-        vals = self._values(pts)
-        return float(vals[0]) if single else vals
+        if not np.all(self.in_domain(pts)):
+            raise DomainError("query outside domain")
+        if off_site and self.is_scaling and np.any(np.all(pts == self.site, axis=1)):
+            raise ValueError("gradient undefined at site")
+        out = self._run(method, pts)
+        return out[0] if single else out
+
+    def value(self, x):
+        vals = self._at("values", x, off_site=False)
+        return vals if isinstance(vals, np.ndarray) else float(vals)
 
     def gradient(self, x):
-        pts, single = _as_points(x, self.dim)
-        self._check_domain(pts)
-        self._check_off_site(pts)
-        grads = self._gradients(pts)
-        return grads[0] if single else grads
+        return self._at("gradients", x)
 
     def hessian(self, x):
-        pts, single = _as_points(x, self.dim)
-        self._check_domain(pts)
-        self._check_off_site(pts)
-        hs = self._hessians(pts)
-        return hs[0] if single else hs
+        return self._at("hessians", x)
 
     def __call__(self, x):
         return self.value(x)
 
     def _run(self, method: str, pts: np.ndarray) -> np.ndarray:
         """Kernel ``method`` over this site alone, at (A, d) points."""
-        kern = self._kernel_type([self], self.site[None, :])
         X = pts[:, None, :]
-        return getattr(kern, method)(X, X - kern.P)[:, 0]
+        return getattr(self.kernel, method)(X, X - self.kernel.P)[:, 0]
 
-    def _values(self, pts: np.ndarray) -> np.ndarray:
-        return self._run("values", pts)
+    _values = functools.partialmethod(_run, "values")
+    _gradients = functools.partialmethod(_run, "gradients")
+    _hessians = functools.partialmethod(_run, "hessians")
 
-    def _gradients(self, pts: np.ndarray) -> np.ndarray:
-        return self._run("gradients", pts)
-
-    def _hessians(self, pts: np.ndarray) -> np.ndarray:
-        return self._run("hessians", pts)
-
-    # -- structure -------------------------------------------------------
-
-    def resite(self, new_site) -> "SiteFunction":
-        """Same distance shape translated to a new site."""
-        raise NotImplementedError
+    # -- structure (each kind also has ``resite``: the same shape, and
+    # ``tau``, about a new site) ----------------------------------------
 
     def in_domain(self, x) -> bool:
         return True
 
-    # -- hooks -----------------------------------------------------------
-
-    def _check_domain(self, pts: np.ndarray) -> None:
-        pass
-
-    def _check_off_site(self, pts: np.ndarray) -> None:
-        if self.is_scaling:
-            v = pts - self.site[None, :]
-            if np.any(np.all(v == 0.0, axis=1)):
-                raise ValueError("gradient undefined at site")
-
 
 def _admissible_tau(tau) -> float:
-    if not np.isfinite(tau) or tau <= 0:
+    if not (math.isfinite(tau) and tau > 0):
         raise ValueError("admissibility gate: unbounded ratio")
     return max(1.0, float(tau))
 
 
 # ---------------------------------------------------------------------------
-# Minkowski gauges
+# Gauges: weighted Minkowski, Mahalanobis and user-supplied
 # ---------------------------------------------------------------------------
 
 
 class MinkowskiDistance(SiteFunction):
-    """f(x) = weight * ||x - site||_k for k > 1."""
-
-    kind = "minkowski"
-    is_scaling = True
-    _kernel_type = MinkowskiKernel
+    """f(x) = weight * ||x - site||_k for k > 1. For k < 2 the unit ball
+    loses its interior rolling ball at the axes and the closed-form ``tau``
+    degenerates, so an undeclared one is sampled, later, as for a Bregman
+    site."""
 
     def __init__(self, site, k: float, weight: float = 1.0, tau: float | None = None):
-        if not math.isfinite(k):
-            raise ValueError("Minkowski exponent must be finite")
-        if k <= 1.0:
-            raise ValueError("not smooth: Minkowski exponent must exceed 1")
-        if not (math.isfinite(weight) and weight > 0.0):
-            raise ValueError("weight must be finite and positive")
-        site = as_vector(site)
-        self.site = site  # needed by the sampled-tau fallback below
-        self.k = float(k)
-        self.weight = float(weight)
-        gamma, sigma = minkowski_gauge_params(self.k, site.size)
-        self.params = GaugeParams(gamma, sigma) if sigma > 0 else None
-        if tau is None:
-            if self.k >= 2.0:
-                tau = tau_for_gauge(self.params)
-            else:
-                # The unit ball loses its interior rolling ball at the axes for
-                # k < 2, so the closed-form constant degenerates; fall back to a
-                # sampled growth bound over directions (scale-free).
-                tau = _TAU_INFLATION * _sampled_scaling_tau_raw(self)
-        super().__init__(site, tau)
+        kernel = MinkowskiKernel(np.asarray(site, dtype=float)[None], k, [weight])
+        if tau is None and kernel.k >= 2.0:
+            tau = _minkowski_tau(kernel.k, kernel.P.shape[1])
+        super().__init__(kernel, tau)
+
+    k = property(lambda self: self.kernel.k)
+    weight = property(lambda self: float(self.kernel.W[0]))
 
     def resite(self, new_site):
         return MinkowskiDistance(new_site, self.k, self.weight, tau=self.tau)
 
 
-# ---------------------------------------------------------------------------
-# Mahalanobis gauges
-# ---------------------------------------------------------------------------
-
-
 class MahalanobisDistance(SiteFunction):
-    """f(x) = sqrt((x - site)^T M (x - site)) with M symmetric positive-definite."""
-
-    kind = "mahalanobis"
-    is_scaling = True
-    _kernel_type = MahalanobisKernel
+    """f(x) = sqrt((x - site)^T M (x - site)) with M symmetric positive-definite.
+    The kernel keeps M symmetrized; ``params`` and ``tau`` come from M as given."""
 
     def __init__(self, site, matrix, tau: float | None = None):
         M = np.asarray(matrix, dtype=float)
-        site = as_vector(site)
-        if M.shape != (site.size, site.size):
-            raise ValueError("matrix shape does not match site dimension")
-        if not np.allclose(M, M.T, atol=1e-10):
-            raise ValueError("matrix must be symmetric")
+        kernel = MahalanobisKernel(np.asarray(site, dtype=float)[None], M[None])
         eigvals = np.linalg.eigvalsh(M)
-        if eigvals[0] <= 0.0:
-            raise ValueError("matrix must be positive-definite")
-        self.matrix = 0.5 * (M + M.T)
-        self.eig_min = float(eigvals[0])
-        self.eig_max = float(eigvals[-1])
-        self.sqrt_eig_min = float(np.sqrt(self.eig_min))
-        self.sqrt_eig_max = float(np.sqrt(self.eig_max))
         # Unit ball is an ellipsoid with semi-axes 1/sqrt(lambda_i): both the
         # fatness and smoothness ratios reduce to sqrt(eig_min / eig_max).
-        axis_ratio = float(np.sqrt(self.eig_min / self.eig_max))
+        axis_ratio = float(np.sqrt(eigvals[0] / eigvals[-1]))
         self.params = GaugeParams(axis_ratio, axis_ratio)
-        if tau is None:
-            tau = tau_for_gauge(self.params)
-        super().__init__(site, tau)
+        super().__init__(kernel, tau_for_gauge(self.params) if tau is None else tau)
+
+    matrix = property(lambda self: self.kernel.M[0])
 
     def resite(self, new_site):
         return MahalanobisDistance(new_site, self.matrix, tau=self.tau)
-
-
-# ---------------------------------------------------------------------------
-# User-supplied gauges
-# ---------------------------------------------------------------------------
 
 
 class CustomGaugeDistance(SiteFunction):
@@ -504,29 +537,18 @@ class CustomGaugeDistance(SiteFunction):
     about the origin. The declared GaugeParams certify the growth constant.
     """
 
-    kind = "gauge"
-    is_scaling = True
-    _kernel_type = GaugeKernel
-
     def __init__(self, site, gauge_value, gauge_gradient, gauge_hessian,
                  params: GaugeParams, tau: float | None = None,
                  value_bounds: tuple[float, float] | None = None):
-        self._gv = gauge_value
-        self._gg = gauge_gradient
-        self._gh = gauge_hessian
         self.params = params
-        if tau is None:
-            tau = tau_for_gauge(params)
-        super().__init__(as_vector(site), tau)
-        if value_bounds is None:
-            dirs = unit_directions(self.dim, 512, _DIRECTION_SEED)
-            vals = np.asarray(gauge_value(dirs), dtype=float)
-            value_bounds = (0.95 * float(vals.min()), 1.05 * float(vals.max()))
-        self._bounds = value_bounds
+        kernel = GaugeKernel(np.asarray(site, dtype=float)[None], gauge_value, gauge_gradient,
+                             gauge_hessian, value_bounds)
+        super().__init__(kernel, tau_for_gauge(params) if tau is None else tau)
 
     def resite(self, new_site):
-        return CustomGaugeDistance(new_site, self._gv, self._gg, self._gh,
-                                   self.params, tau=self.tau, value_bounds=self._bounds)
+        k = self.kernel
+        return CustomGaugeDistance(new_site, k.gv, k.gg, k.gh, self.params, tau=self.tau,
+                                   value_bounds=(k.lo[0], k.hi[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +604,10 @@ class BregmanSpec:
         """(min, max) Hessian eigenvalue at each point."""
         if self.hess_kind == "const":
             w = np.linalg.eigvalsh(np.asarray(self.hess, dtype=float))
-            lo = np.full(len(pts), float(w[0]))
-            hi = np.full(len(pts), float(w[-1]))
-            return lo, hi
+            return np.full(len(pts), float(w[0])), np.full(len(pts), float(w[-1]))
         if self.hess_kind == "diag":
-            dg = np.asarray(self.hess(pts), dtype=float)
-            return np.min(dg, axis=1), np.max(dg, axis=1)
+            cols = _columns(np.asarray(self.hess(pts), dtype=float))
+            return functools.reduce(np.minimum, cols), functools.reduce(np.maximum, cols)
         w = np.linalg.eigvalsh(np.asarray(self.hess(pts), dtype=float))
         return w[:, 0], w[:, -1]
 
@@ -639,11 +659,17 @@ def squared_mahalanobis_spec(matrix, domain_low=None, domain_high=None) -> Bregm
     if w[0] <= 0:
         raise ValueError("matrix must be positive-definite")
     M = 0.5 * (M + M.T)
+
+    def half_grad(x):
+        # ``x @ M`` as a fold over the rows of M, which, unlike a matmul or an
+        # einsum, rounds each row the same however many rows come at once.
+        return sum(x[:, i, None] * M[i] for i in range(dim))
+
     return BregmanSpec(
         name="squared-mahalanobis",
         dim=dim,
-        f=lambda x: np.einsum("ad,de,ae->a", x, M, x),
-        grad=lambda x: 2.0 * (x @ M),
+        f=lambda x: np.sum(half_grad(x) * x, axis=1),
+        grad=lambda x: 2.0 * half_grad(x),
         hess_kind="const",
         hess=2.0 * M,
         domain_low=_expand_bound("domain_low", domain_low, dim, -np.inf),
@@ -743,35 +769,21 @@ def generator_key(spec: BregmanSpec):
 class BregmanDistance(SiteFunction):
     """D_F(x, site) as a distance function of the first argument."""
 
-    kind = "bregman"
     is_scaling = False
-    _kernel_type = BregmanKernel
 
     def __init__(self, spec: BregmanSpec, site, tau: float | None = None):
-        site = as_vector(site)
-        if site.size != spec.dim:
-            raise ValueError("site dimension does not match generator")
-        if not bool(spec.in_domain(site)):
-            raise ValueError("site outside Bregman domain")
+        kernel = BregmanKernel(np.asarray(site, dtype=float)[None], spec)
         if tau is None and not (spec.bounded or spec.hess_kind == "const"):
             raise ValueError("admissibility gate: unbounded domain needs declared tau")
-        self.spec = spec
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._site_value = float(spec.values(site[None, :])[0])
-            self._site_grad = spec.gradients(site[None, :])[0]
-        if not (np.isfinite(self._site_value) and np.all(np.isfinite(self._site_grad))):
-            raise ValueError("generator value or gradient is not finite at the site")
-        super().__init__(site, tau)
+        super().__init__(kernel, tau)
+
+    spec = property(lambda self: self.kernel.spec)
 
     def resite(self, new_site):
         return BregmanDistance(self.spec, new_site, tau=self.tau)
 
     def in_domain(self, x):
         return self.spec.in_domain(x)
-
-    def _check_domain(self, pts):
-        if not np.all(self.spec.in_domain(pts)):
-            raise DomainError("query outside domain")
 
 
 # ---------------------------------------------------------------------------
@@ -819,121 +831,78 @@ def admissibility_ratios(fn: SiteFunction, pts: np.ndarray,
     dir_ratio  = <grad f, x - p> / f.
     Samples with f below ``value_floor`` or at the site are skipped.
     """
-    p = fn.site
-    rel = pts - p[None, :]
+    rel = pts - fn.site[None, :]
     dist = np.linalg.norm(rel, axis=1)
     vals = fn._values(pts)
     used = (vals >= value_floor) & (dist > 0.0)
-    if not np.any(used):
-        empty = np.zeros(0)
-        return empty, empty, empty, used
-    sel = pts[used]
-    rel = rel[used]
-    dist = dist[used]
-    vals = vals[used]
-    grads = fn._gradients(sel)
-    gnorm = np.linalg.norm(grads, axis=1)
-    if isinstance(fn, BregmanDistance) and fn.spec.hess_kind in ("const", "diag"):
-        hnorm = fn.spec.hessian_norms(sel)
-    else:
-        hs = fn._hessians(sel)
-        hnorm = np.max(np.abs(np.linalg.eigvalsh(hs)), axis=1)
-    grad_ratio = gnorm * dist / vals
-    hess_ratio = np.sqrt(np.maximum(hnorm, 0.0) * dist * dist / vals)
-    dir_ratio = np.einsum("ad,ad->a", grads, rel) / vals
-    return grad_ratio, hess_ratio, dir_ratio, used
-
-
-def _sampled_scaling_tau_raw(fn: SiteFunction, count: int = 1024,
-                             seed: int = _DIRECTION_SEED) -> float:
-    """Raw sampled growth constant for a scaling function.
-
-    1-homogeneity makes the ratios constant along rays, so sampling unit
-    directions about the site covers all of space.
-    """
-    dirs = unit_directions(fn.dim, count, seed)
-    g, h, _, _ = admissibility_ratios(fn, fn.site[None, :] + dirs)
-    if g.size == 0 or not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-        raise ValueError("admissibility gate: unbounded ratio")
-    return max(1.0, float(np.max(g)), float(np.max(h)))
+    rel, dist, vals, X = rel[used], dist[used], vals[used], pts[used][:, None, :]
+    grads = fn._gradients(X[:, 0])
+    hnorm = fn.kernel.hessian_norms(X, X - fn.kernel.P)[:, 0]
+    return (np.linalg.norm(grads, axis=1) * dist / vals,
+            np.sqrt(np.maximum(hnorm, 0.0) * dist * dist / vals),
+            np.einsum("ad,ad->a", grads, rel) / vals, used)
 
 
 def resolve_tau(fns) -> None:
-    """Sample ``tau`` for every Bregman site in ``fns`` built without one, in
-    one ``_bregman_tau_pass`` per generator. A site whose sample fails the
-    admissibility checks raises ``ValueError`` naming its index in ``fns``."""
-    pending: dict[object, list[int]] = {}
+    """Sample ``tau`` for every site in ``fns`` built without one, in one
+    ``_tau_pass`` per kernel group and dimension. A site whose sample fails
+    the admissibility checks raises ``ValueError`` naming its index in
+    ``fns``."""
+    pending: dict[tuple, list[int]] = {}
     for i, f in enumerate(fns):
         if f._tau is None:
-            pending.setdefault(generator_key(f.spec), []).append(i)
-    for ids in pending.values():
-        members = [fns[i] for i in ids]
-        raw, used = _bregman_tau_pass(
-            members[0].spec, np.stack([f.site for f in members]),
-            np.array([f._site_value for f in members]),
-            np.stack([f._site_grad for f in members]))
+            pending.setdefault((type(f.kernel), f.kernel.key, f.dim), []).append(i)
+    for (cls, _, _), ids in pending.items():
+        raw, used = _tau_pass(cls.concat([fns[i].kernel for i in ids]))
         bad = (used < _MIN_TAU_SAMPLES) | ~np.isfinite(raw)
         if np.any(bad):
             j = int(np.argmax(bad))
             reason = ("degenerate sample" if used[j] < _MIN_TAU_SAMPLES
                       else "admissibility gate: unbounded ratio")
             raise ValueError(f"{reason} at site {ids[j]}")
-        for f, tau in zip(members, _TAU_INFLATION * raw):
-            f._tau = _admissible_tau(tau)
+        for i, tau in zip(ids, _TAU_INFLATION * raw):
+            fns[i]._tau = _admissible_tau(tau)
 
 
-def _bregman_tau_pass(spec: BregmanSpec, P, fP, gP) -> tuple[np.ndarray, np.ndarray]:
-    """Raw sampled growth constants of the Bregman sites ``P`` (m, d), whose
-    generator values and gradients are ``fP`` and ``gP``, with the number of
-    samples each one used.
+def _tau_pass(kern: _Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Raw sampled growth constants of the members of ``kern``, with the
+    number of samples each one used.
 
-    Per site the constant is ``max(1, max g, max h)`` over the gradient and
-    Hessian ratios of ``admissibility_ratios`` at seeded sample points; it is
-    not finite when one of those ratios is not. The sample points and their
-    Hessian norms are shared by all sites, which go through the kernel in
-    chunks of ``_TAU_CHUNK_ELEMENTS``.
+    Per member the constant is ``max(1, max g, max h)`` over the ratios of
+    ``admissibility_ratios`` (not finite when one of them is not) at unit
+    directions about the site where they depend on the direction alone,
+    else at uniform points of the domain box. Members go through the kernel
+    in chunks of ``_TAU_CHUNK_ELEMENTS``. Where ``ratio_bounds`` brackets the
+    ratios, the samples whose upper bound reaches their member's largest
+    lower bound, every maximum among them, are evaluated exactly.
     """
-    m, d = P.shape
-    if spec.hess_kind == "const" and not spec.bounded:
-        # Quadratic generator: the ratios depend only on the direction from
-        # the site, so each site samples unit directions about itself.
-        pts = unit_directions(d, _BREGMAN_TAU_SAMPLES // 2, _DIRECTION_SEED)
-        about_site = True
-    else:
-        rng = np.random.default_rng(_DIRECTION_SEED)
-        pts = rng.uniform(spec.domain_low, spec.domain_high, size=(_BREGMAN_TAU_SAMPLES, d))
-        about_site = False
+    m, d = kern.P.shape
+    spec = getattr(kern, "spec", None)
+    about_site = spec is None or (spec.hess_kind == "const" and not spec.bounded)
+    pts = (unit_directions(d, _TAU_DIRECTIONS, _DIRECTION_SEED) if about_site else
+           np.random.default_rng(_DIRECTION_SEED).uniform(spec.domain_low, spec.domain_high,
+                                                          size=(_TAU_POINTS, d)))
     step = max(1, min(m, _TAU_CHUNK_ELEMENTS // pts.size))
-    # A "const" Hessian has the same norm at the directions as at the points.
-    hnorm = np.maximum(spec.hessian_norms(pts), 0.0)[:, None]
-    # The points (and shared gradients) repeated for a chunk of sites, so
-    # that differences against the sites run over long contiguous rows.
-    wide_pts = np.repeat(pts[:, None], step, axis=1)
-    if not about_site:
-        wide_grads = np.repeat(spec.gradients(pts)[:, None], step, axis=1)
-    raw = np.empty(m)
-    used_count = np.empty(m, dtype=np.intp)
+    # The points repeated for a chunk of members, so that differences
+    # against the sites run over long contiguous rows.
+    wide = np.repeat(pts[:, None], step, axis=1)
+    raw, used_count = np.empty(m), np.empty(m, dtype=np.intp)
     for start in range(0, m, step):
-        c = slice(start, start + step)
-        k = len(P[c])
-        if about_site:
-            X = P[c] + wide_pts[:, :k]
-            at, grads = X, bregman_gradients(spec, X, gP[c])
-        else:
-            X = wide_pts[:, :k]
-            # The kernel evaluates F at a (T, 1, d) stack: once per point.
-            at, grads = pts[:, None], wide_grads[:, :k] - gP[c]
-        V = X - P[c]
-        vals = bregman_values(spec, at, V, fP[c], gP[c])
-        dist = _norms(V)
-        gnorm = _norms(grads)
-        used = (vals >= _VALUE_FLOOR) & (dist > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Both ratios are >= 0 where used, so a NaN or inf among them
-            # carries through the maxima.
-            ratio = np.maximum(gnorm * dist / vals, np.sqrt(hnorm * dist * dist / vals))
-        used_count[c] = np.count_nonzero(used, axis=0)
-        raw[c] = np.max(np.where(used, ratio, -np.inf), axis=0)
+        part = kern.take(slice(start, start + step))
+        k = len(part.P)
+        # Shared points go through the kernel as a (T, 1, d) stack, so that
+        # what depends on the point alone is computed once per point.
+        X = part.P + wide[:, :k] if about_site else pts[:, None]
+        V = (X if about_site else wide[:, :k]) - part.P
+        used, lo, hi = part.ratio_bounds(X, V)
+        best = np.max(np.where(used, lo, -np.inf), axis=0)
+        if hi is not lo:
+            t, j = np.nonzero(used & ~(hi < best))
+            Xc, Vc = np.broadcast_to(X, V.shape)[t, j][None], V[t, j][None]
+            best = np.full(k, -np.inf)
+            np.maximum.at(best, j, _Kernel.ratio_bounds(part.take(j), Xc, Vc)[1][0])
+        raw[start:start + k] = best
+        used_count[start:start + k] = np.count_nonzero(used, axis=0)
     return np.maximum(1.0, raw), used_count
 
 
@@ -945,9 +914,7 @@ def _norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(A[..., j] * A[..., j] for j in range(A.shape[-1])))
 
 
-_MINK_GEOMETRY_CACHE: dict[tuple[float, int], tuple[float, float]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def minkowski_gauge_params(k: float, dim: int) -> tuple[float, float]:
     """(gamma, sigma) for the l_k unit ball in the given dimension.
 
@@ -955,20 +922,17 @@ def minkowski_gauge_params(k: float, dim: int) -> tuple[float, float]:
     curvature; for k < 2 the curvature blows up at the axes and sigma is
     reported as 0 (no positive smoothness constant exists).
     """
-    key = (round(float(k), 12), int(dim))
-    if key in _MINK_GEOMETRY_CACHE:
-        return _MINK_GEOMETRY_CACHE[key]
     gamma = float(dim) ** (-abs(0.5 - 1.0 / k))
     if k < 2.0:
-        sigma = 0.0
-    else:
-        # Placeholder entry so the probe construction below does not recurse.
-        _MINK_GEOMETRY_CACHE[key] = (gamma, 0.0)
-        probe = MinkowskiDistance(np.zeros(dim), k, 1.0, tau=1.0)
-        dirs = _minkowski_probe_directions(dim)
-        sigma = _gauge_sigma_from_curvature(probe, dirs)
-    _MINK_GEOMETRY_CACHE[key] = (gamma, sigma)
-    return gamma, sigma
+        return gamma, 0.0
+    probe = MinkowskiDistance(np.zeros(dim), k, 1.0, tau=1.0)
+    return gamma, _gauge_sigma_from_curvature(probe, _minkowski_probe_directions(dim))
+
+
+@functools.lru_cache(maxsize=None)
+def _minkowski_tau(k: float, dim: int) -> float:
+    """``tau_for_gauge`` of the l_k unit ball, for k >= 2."""
+    return tau_for_gauge(GaugeParams(*minkowski_gauge_params(k, dim)))
 
 
 def _minkowski_probe_directions(dim: int) -> np.ndarray:

@@ -84,12 +84,14 @@ def test_beta_formulas():
 ])
 def test_tau_whose_separation_factor_overflows_is_a_value_error(tag, tau, eps):
     """A declared tau so large that beta (and with it, possibly, alpha)
-    overflows fails with a ValueError naming tau; a thousand times less
-    builds an index whose factors follow the formulas bit for bit."""
+    overflows fails with a ValueError naming tau. A thousand times less
+    fails too, as its leaves would need cells below the float spacing,
+    except for a lone site, whose index has factors that follow the
+    formulas bit for bit."""
     pts = np.array([[0.1, 0.2], [0.9, 0.8], [0.4, 0.6]])
     spec = generalized_kl_spec(2, 0.1, 1.0)
 
-    def family(t):
+    def family(t, pts=pts):
         if tag == "l3":
             return [make_minkowski(p, 3.0, tau=t) for p in pts]
         return [make_bregman(spec, 0.15 + 0.8 * p, tau=t) for p in pts]
@@ -97,7 +99,9 @@ def test_tau_whose_separation_factor_overflows_is_a_value_error(tag, tau, eps):
     with pytest.raises(ValueError, match="tau"):
         build_index(family(tau), eps)
     tau /= 1e3
-    index = build_index(family(tau), eps)
+    with pytest.raises(ValueError, match="tau .* float spacing"):
+        build_index(family(tau), eps)
+    index = build_index(family(tau, pts[:1]), eps)
     assert index.alpha == 2.0 * tau
     assert index.beta == (10.0 * tau / eps if tag == "l3" else 4.0 * tau**2 / eps)
 

@@ -140,7 +140,7 @@ def test_serialization_roundtrip(rng):
         tree = build_avd(sites, cfg)
         blob = tree.to_bytes()
         assert len(blob) == 24
-        assert tree._expansions == 0
+        assert tree.expansions == 0
         assert AvdTree.from_bytes(blob) == (3, cfg)
     with pytest.raises(ValueError, match="23 bytes"):
         AvdTree.from_bytes(blob[:-1])
@@ -240,9 +240,9 @@ def test_built_leaves_expand_nothing(rng):
     tree = build_avd(rng.random((40, 2)), AvdConfig(2.83, 40.0))
     assert tree.built_leaves() == []
     leaf, _ = tree.locate(np.full(2, 0.5))
-    expansions = tree._expansions
+    expansions = tree.expansions
     assert leaf in tree.built_leaves()
-    assert tree._expansions == expansions
+    assert tree.expansions == expansions
     assert tree.leaves() == tree.built_leaves()
 
 

@@ -88,13 +88,13 @@ def test_family_mixing_preset_and_deferred_tau_builds(rng):
 
 def test_construction_and_loading_do_no_sampling(monkeypatch, tmp_path, rng):
     calls = []
-    batched = distances._bregman_tau_pass
+    batched = distances._tau_pass
 
-    def counting(spec, P, fP, gP):
-        calls.append(len(P))
-        return batched(spec, P, fP, gP)
+    def counting(kern):
+        calls.append(len(kern.P))
+        return batched(kern)
 
-    monkeypatch.setattr(distances, "_bregman_tau_pass", counting)
+    monkeypatch.setattr(distances, "_tau_pass", counting)
     spec = generalized_kl_spec(2, 0.1, 1.0)
     sites = rng.uniform(0.11, 0.99, size=(45, 2))
     fns = [make_bregman(spec, p) for p in sites]
@@ -122,13 +122,13 @@ def test_family_of_fresh_sites_samples_tau_in_one_pass(monkeypatch, rng):
     """``brute_force`` on a list of fresh sites builds a ``SiteFamily``,
     which resolves every deferred ``tau`` in one pass, not one per site."""
     calls = []
-    batched = distances._bregman_tau_pass
+    batched = distances._tau_pass
 
-    def counting(spec, P, fP, gP):
-        calls.append(len(P))
-        return batched(spec, P, fP, gP)
+    def counting(kern):
+        calls.append(len(kern.P))
+        return batched(kern)
 
-    monkeypatch.setattr(distances, "_bregman_tau_pass", counting)
+    monkeypatch.setattr(distances, "_tau_pass", counting)
     spec = generalized_kl_spec(2, 0.1, 1.0)
     sites = rng.uniform(0.11, 0.99, size=(3 * chunk_sites(spec) + 5, 2))
     fns = [make_bregman(spec, p) for p in sites]
