@@ -23,13 +23,9 @@ from .ann import (
 from .avd import AvdConfig, AvdLeaf, AvdTree, build_avd, check_leaf
 from .convexify import NormalizedFamily, check_invariants, convexify, normalize
 from .distances import (
-    BregmanDistance,
     BregmanSpec,
-    CustomGaugeDistance,
     DomainError,
     GaugeParams,
-    MahalanobisDistance,
-    MinkowskiDistance,
     SiteFunction,
     generalized_kl_spec,
     itakura_saito_spec,

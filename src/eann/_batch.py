@@ -2,21 +2,22 @@
 
 ``SiteFamily`` holds a family as positions, growth constants and one kernel
 of ``distances`` per kind (and per Minkowski exponent, Bregman generator or
-custom-gauge triple), with its parameter arrays. Built by concatenating the
-one-member kernels of site functions, whose deferred ``tau`` it samples in
-one pass per kernel group, or from kernels of parameter arrays
-(``from_groups``, as ``load_index`` does), it keeps no site object. It
-evaluates every member at every point (cross values), or each member at its
-own row (row-paired values, gradients and Hessians, for points the caller
-keeps inside the domain), and bounds each member's minimum at a given
-Euclidean distance from its site.
+custom-gauge triple), with its parameter arrays. Built from the kernels and
+``tau`` that the per-kind constructors return (``from_groups``, as the
+config reader and ``load_index`` do), or by concatenating the one-member
+kernels of site functions, it samples every deferred ``tau`` in one pass
+per kernel group and keeps no site object; ``member`` views one as a site
+function. It evaluates every member at every point (cross values), or each
+member at its own row (row-paired values, gradients and Hessians, for
+points the caller keeps inside the domain), and bounds each member's
+minimum at a given Euclidean distance from its site.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distances import BregmanKernel, DomainError, resolve_tau
+from .distances import BregmanKernel, DomainError, SiteFunction, sampled_tau
 
 # Trailing axes a kernel method adds per member: none, (d,) or (d, d).
 _RANK = {"values": 0, "gradients": 1, "hessians": 2}
@@ -33,32 +34,44 @@ class SiteFamily:
     __slots__ = ("P", "tau", "groups")
 
     def __init__(self, fns):
+        """The family of the site functions ``fns``, whose ``tau`` it
+        samples where they have none and writes back into them."""
         fns = list(fns)
         if not fns:
             raise ValueError("empty family")
-        resolve_tau(fns)
         by_key: dict[tuple, list[int]] = {}
         for i, f in enumerate(fns):
             by_key.setdefault((type(f.kernel), f.kernel.key), []).append(i)
-        fam = SiteFamily.from_groups([(np.array(ids), cls.concat([fns[i].kernel for i in ids]))
-                                      for (cls, _), ids in by_key.items()],
-                                     np.array([f._tau for f in fns]))
+        tau = np.array([f._tau for f in fns])
+        fam = SiteFamily.from_groups([(np.array(ids), cls.concat([fns[i].kernel for i in ids]),
+                                       tau[ids]) for (cls, _), ids in by_key.items()])
+        for i in np.flatnonzero(np.isnan(tau)).tolist():
+            fns[i]._tau = float(fam.tau[i])
         self.P, self.tau, self.groups = fam.P, fam.tau, fam.groups
 
     @classmethod
-    def from_groups(cls, groups: list, tau: np.ndarray) -> "SiteFamily":
-        """The family of the (member ids, kernel) pairs ``groups``, whose ids
-        partition ``range(len(tau))``, with growth constants ``tau``."""
+    def from_groups(cls, groups: list) -> "SiteFamily":
+        """The family of the (member ids, kernel, tau) triples ``groups``,
+        whose ids partition the members, with ``tau`` one number for the
+        group or one per member. A NaN ``tau`` is sampled, in one
+        ``sampled_tau`` pass per group."""
         if not groups:
             raise ValueError("empty family")
         fam = object.__new__(cls)
-        fam.tau = tau
         if len(groups) == 1:
-            fam.P, fam.groups = groups[0][1].P, [(slice(None), groups[0][1])]
+            _, kern, tau = groups[0]
+            fam.P, fam.tau, fam.groups = kern.P, np.full(len(kern.P), tau), [(slice(None), kern)]
         else:
-            fam.P, fam.groups = np.empty((len(tau), groups[0][1].P.shape[1])), groups
-            for idx, kern in groups:
-                fam.P[idx] = kern.P
+            n = sum(len(kern.P) for _, kern, _ in groups)
+            fam.P, fam.tau = np.empty((n, groups[0][1].P.shape[1])), np.empty(n)
+            fam.groups = [(idx, kern) for idx, kern, _ in groups]
+            for idx, kern, tau in groups:
+                fam.P[idx], fam.tau[idx] = kern.P, tau
+        for idx, kern in fam.groups:
+            sel = np.flatnonzero(np.isnan(fam.tau[idx]))
+            if sel.size:
+                ids = np.arange(len(fam.tau))[idx][sel]
+                fam.tau[ids] = sampled_tau(kern.take(sel), ids)
         return fam
 
     @classmethod
@@ -145,6 +158,11 @@ class SiteFamily:
             if sel.size:
                 sub.groups.append((sel, kern.take(slot[idx[sel]])))
         return sub
+
+    def member(self, j: int) -> SiteFunction:
+        """Member ``j`` as a site function over its kernel row and ``tau``."""
+        sub = self.take([j])
+        return SiteFunction(sub.groups[0][1], float(sub.tau[0]))
 
     def resite(self, p) -> "SiteFamily":
         """Every member of a scaling family translated to the site ``p``."""

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .distances import (
+    MIN_TAU_SAMPLES,
+    TAU_INFLATION,
+    VALUE_FLOOR,
     BregmanSpec,
     SiteFunction,
     admissibility_ratios,
@@ -19,9 +22,6 @@ from .distances import (
     bregman_values,
 )
 from .geom import EuclideanBall, as_vector, is_separated, separation_ratio
-
-CERTIFY_INFLATION = 1.10
-VALUE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,9 @@ def measure_admissibility(f: SiteFunction, s: SampleSpec) -> ComplexityReport:
     applies the 10% inflation used wherever a certified constant is needed.
     """
     pts = s.draw()
-    grad_r, hess_r, dir_r, used = admissibility_ratios(f, pts, VALUE_FLOOR)
+    grad_r, hess_r, dir_r, used = admissibility_ratios(f, pts)
     n_used = int(np.count_nonzero(used))
-    if n_used < 10:
+    if n_used < MIN_TAU_SAMPLES:
         raise ValueError("degenerate sample")
     tau_grad = float(np.max(grad_r))
     tau_hess = float(np.max(hess_r))
@@ -88,7 +88,7 @@ def measure_admissibility(f: SiteFunction, s: SampleSpec) -> ComplexityReport:
         tau_grad=tau_grad,
         tau_hess=tau_hess,
         tau=tau,
-        tau_certified=CERTIFY_INFLATION * tau,
+        tau_certified=TAU_INFLATION * tau,
         mu_dir=float(np.max(dir_r)),
         samples_used=n_used,
     )

@@ -38,10 +38,11 @@ from .convexify import _check_ball_in_domain, screen
 from .distances import (
     BregmanKernel,
     DomainError,
-    MahalanobisKernel,
-    MinkowskiKernel,
     SiteFunction,
+    bregman_sites,
     builtin_bregman_spec,
+    mahalanobis_sites,
+    minkowski_sites,
 )
 from .envelope import ConcaveEnvelope, build_relative
 from .geom import EuclideanBall, enclosing_ball
@@ -211,7 +212,7 @@ class AnnIndex:
                 raise ValueError("bregman sites must share one generator")
             if specs[0].eig_low is None or specs[0].eig_high is None:
                 raise ValueError("generator lacks Hessian eigenvalue bounds")
-        # Every site's tau is finite and at least 1 (``_admissible_tau``).
+        # Every site's tau is finite and at least 1 (``distances._admissible_tau``).
         self.tau = float(np.max(self.family.tau))
         self.alpha = 2.0 * self.tau
         if self.kind == "scaling":
@@ -226,12 +227,14 @@ class AnnIndex:
                              f"factor beta overflows at eps {self.eps:g}")
         self.points = self.family.P
         self.tree = build_avd(self.points, AvdConfig(self.alpha, self.beta))
-        # A leaf around one of two sites ``gap`` apart has a cell narrower than
-        # gap / alpha; any pair's gap (here of sorted neighbors) bounds the least.
+        # A leaf around one of two sites ``gap`` apart has sides below about
+        # gap / (4 alpha + 2) (``avd._depth_budget``); any pair's gap (here of
+        # sorted neighbors) bounds the least. Within 4 float spacings, a cell's
+        # center may round onto its edge (at 2.4 one did).
         P = self.tree.positions
         gap = np.linalg.norm(np.diff(P, axis=0), axis=1)
         ulp = np.spacing(np.maximum(np.abs(P[1:]), np.abs(P[:-1])).max(axis=1, initial=0.0))
-        if np.any(gap < self.alpha * ulp):
+        if np.any(gap < 4.0 * (4.0 * self.alpha + 2.0) * ulp):
             raise ValueError(f"tau {self.tau:g} is too large: a leaf around two sites would "
                              "need a cell narrower than the float spacing of their coordinates")
         self._lock = threading.RLock()
@@ -514,15 +517,14 @@ def load_index(path: str) -> AnnIndex:
     if fam_code == 0:
         # One kernel per exponent, in order of first appearance.
         _, first = np.unique(ks, return_index=True)
-        groups = [(idx, MinkowskiKernel(points[idx], k, ws[idx]))
+        groups = [(idx, *minkowski_sites(points[idx], k, ws[idx], taus[idx]))
                   for k in ks[np.sort(first)] for idx in [np.flatnonzero(ks == k)]]
     elif fam_code == 1:
-        groups = [(slice(None), MahalanobisKernel(points, mats))]
+        groups = [(slice(None), *mahalanobis_sites(points, mats, taus))]
     else:
-        groups = [(slice(None), BregmanKernel(points, builtin_bregman_spec(name, d, lo, hi, mat)))]
-    if not np.all(np.isfinite(taus) & (taus > 0.0)):  # as ``_admissible_tau``
-        raise ValueError("admissibility gate: unbounded ratio")
-    index = AnnIndex(SiteFamily.from_groups(groups, np.maximum(1.0, taus)), eps)
+        spec = builtin_bregman_spec(name, d, lo, hi, mat)
+        groups = [(slice(None), *bregman_sites(spec, points, taus))]
+    index = AnnIndex(SiteFamily.from_groups(groups), eps)
     stored = AvdTree.from_bytes(record)
     derived = (index.dim, index.tree.cfg)
     if stored != derived:

@@ -25,7 +25,6 @@ from .admissibility import (
 from .ann import brute_force, build_index, load_index, save_index
 from .config import build_site_functions, load_distance_config, load_points
 from .distances import (
-    BregmanDistance,
     DomainError,
     SiteFunction,
     generalized_kl_spec,
@@ -101,8 +100,7 @@ def cmd_build(args) -> int:
     if not (0.0 < args.eps <= 1.0):
         print("error: eps out of range", file=sys.stderr)
         return 1
-    fns = build_site_functions(cfg, points)
-    index = build_index(fns, args.eps)
+    index = build_index(build_site_functions(cfg, points), args.eps)
     nbytes = save_index(index, args.out)
     print(f"n = {index.n}")
     print(f"d = {index.dim}")
@@ -156,22 +154,22 @@ def cmd_verify(args) -> int:
     else:
         print("error: need --site or --points", file=sys.stderr)
         return 1
-    fns = build_site_functions(cfg, site[None, :])
-    fn = fns[0]
+    fn = build_site_functions(cfg, site[None, :]).member(0)
+    breg_spec = getattr(fn.kernel, "spec", None)
     d = site.size
     low = np.array([float(t) for t in args.region_low.split()]) if args.region_low else None
     high = np.array([float(t) for t in args.region_high.split()]) if args.region_high else None
     if low is None or high is None:
-        if isinstance(fn, BregmanDistance) and fn.spec.bounded:
-            low, high = fn.spec.domain_low, fn.spec.domain_high
+        if breg_spec is not None and breg_spec.bounded:
+            low, high = breg_spec.domain_low, breg_spec.domain_high
         else:
             low, high = site - 2.0, site + 2.0
     spec = SampleSpec((low, high), args.samples, args.seed)
     report = measure_admissibility(fn, spec)
     payload = report.as_dict()
     ok = np.isfinite(report.tau)
-    if isinstance(fn, BregmanDistance):
-        breg = measure_bregman_complexity(fn.spec, spec)
+    if breg_spec is not None:
+        breg = measure_bregman_complexity(breg_spec, spec)
         payload["mu_asym"] = breg.mu_asym
         payload["mu_sim"] = breg.mu_sim
         payload["mu_dir"] = breg.mu_dir
@@ -179,9 +177,9 @@ def cmd_verify(args) -> int:
         rng = np.random.default_rng(args.seed + 1)
         pts = rng.uniform(low, high, size=(60, d))
         resid = max(
-            check_three_point(fn.spec, pts[i], pts[i + 20], pts[i + 40]) for i in range(20)
+            check_three_point(breg_spec, pts[i], pts[i + 20], pts[i + 40]) for i in range(20)
         )
-        sandwich = all(check_eigen_sandwich(fn.spec, pts[i], pts[i + 20]) for i in range(20))
+        sandwich = all(check_eigen_sandwich(breg_spec, pts[i], pts[i + 20]) for i in range(20))
         payload["three_point_residual"] = resid
         payload["eigen_sandwich"] = sandwich
         ok = ok and np.isfinite(breg.mu_dir) and sandwich and resid < 1e-9 * 100

@@ -5,23 +5,19 @@ One kernel per kind is the only code that evaluates a site. It holds the
 parameters of ``m`` members as arrays and computes their values, gradients
 and Hessians analytically on ``(T, m, d)`` stacks of points ``X`` and
 offsets ``V = X - P`` against their sites ``P``. Its constructor is the only
-code that validates those parameters and derives the per-member arrays, so
-``SiteFamily.from_groups`` (``_batch``) builds a family from parameter
-arrays alone. A site function is a one-member kernel plus its certified
-growth constant ``tau``, which the search structures use to size
-separation parameters; it evaluates single points ``(d,)`` or batches
-``(A, d)``.
+code that validates those parameters and derives the per-member arrays.
+One function per kind (``*_sites``) builds that kernel from parameter
+arrays with each member's certified growth constant ``tau``, which the
+search structures use to size separation parameters: for ``make_*`` (one
+site, a ``SiteFunction``), the config reader and ``load_index`` alike.
 
-Gauge constructors compute ``tau`` at once, except for a Minkowski gauge
-with k < 2, whose closed form degenerates. Such a site, and a Bregman site
-built without a declared ``tau``, samples it later: building a
-``SiteFamily`` (as ``build_index``, ``brute_force`` and ``normalize`` do)
-resolves every such member in one batched pass per kernel group
-(``resolve_tau``), and a lone site does so on its first ``.tau`` read. A
-sample that fails the admissibility checks raises ``ValueError`` there,
-naming the site; the checks that need no sample (site in domain, a
-declared ``tau`` for a non-quadratic generator on an unbounded domain)
-still raise in the constructor.
+A Minkowski gauge with k < 2, whose closed-form ``tau`` degenerates, and a
+Bregman site without a declared one sample ``tau`` later, when
+``SiteFamily.from_groups`` builds a family (one batched pass per kernel
+group), or on a lone site's first ``.tau`` read. A failing sample raises
+``ValueError`` there, naming the site; the checks that need no sample
+(site in domain, a declared ``tau`` for a non-quadratic generator on an
+unbounded domain) still raise in the constructor.
 """
 
 from __future__ import annotations
@@ -36,11 +32,11 @@ import numpy as np
 from .geom import as_vector
 
 _DIRECTION_SEED = 20240601
-_TAU_INFLATION = 1.10
-_VALUE_FLOOR = 1e-12
+TAU_INFLATION = 1.10
+VALUE_FLOOR = 1e-12
 _TAU_DIRECTIONS = 1024  # unit directions about each site
 _TAU_POINTS = 2048  # or uniform points of a Bregman domain box
-_MIN_TAU_SAMPLES = 10
+MIN_TAU_SAMPLES = 10
 # Float64 elements of one (samples, sites, d) array of the batched tau pass:
 # 16 sites a chunk at 2,048 samples in d = 2. Building a 4,000-site KL index
 # then raises peak RSS by 6 MB; chunks of 128 sites raise it by 42 MB.
@@ -69,7 +65,7 @@ def tau_for_gauge(params: GaugeParams) -> float:
     """Growth constant sqrt(2 / (sigma * gamma^3)), clamped below at 1; inf
     when sigma * gamma^3 underflows, which the admissibility gate rejects."""
     denom = params.sigma * params.gamma**3
-    return max(1.0, float(np.sqrt(2.0 / denom))) if denom > 0.0 else math.inf
+    return max(1.0, math.sqrt(2.0 / denom)) if denom > 0.0 else math.inf
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -185,7 +181,7 @@ class _Kernel:
             # Both ratios are >= 0 where used, so a NaN or inf among them
             # carries through the maxima.
             ratio = np.maximum(gnorm * dist / vals, np.sqrt(hnorm * dist * dist / vals))
-        return (vals >= _VALUE_FLOOR) & (dist > 0.0), ratio, ratio
+        return (vals >= VALUE_FLOOR) & (dist > 0.0), ratio, ratio
 
 
 class MinkowskiKernel(_Kernel):
@@ -255,7 +251,7 @@ class MinkowskiKernel(_Kernel):
         s = sum(ak)
         # ``values`` bit for bit, and ``_norms(V) > 0``: a sum of squares is
         # positive exactly where its largest term is.
-        used = (self.W * mx * s ** (1.0 / k) >= _VALUE_FLOOR) & (mx * mx > 0.0)
+        used = (self.W * mx * s ** (1.0 / k) >= VALUE_FLOOR) & (mx * mx > 0.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             b = [p / x for p, x in zip(ak, a)]  # a^(k-1)
             top = functools.reduce(np.maximum, [y / x for x, y in zip(a, b)])  # max a^(k-2)
@@ -376,20 +372,19 @@ class BregmanKernel(_Kernel):
 class GaugeKernel(_Kernel):
     """Custom gauges sharing one triple of batched callables about the
     origin (value, gradient, Hessian), each evaluated at every offset in
-    one call, with (lo, hi) bounds on the unit sphere (by default the range
-    over seeded unit directions, widened by 5%)."""
+    one call, with (lo, hi) bounds on the unit sphere: the range over
+    seeded unit directions, widened by 5%."""
 
     kind = "gauge"
     __slots__ = ("gv", "gg", "gh", "key", "lo", "hi")
     arrays = ("P", "lo", "hi")
 
-    def __init__(self, P, gv, gg, gh, bounds=None):
+    def __init__(self, P, gv, gg, gh):
         super().__init__(P)
-        if bounds is None:
-            vals = np.asarray(gv(unit_directions(self.P.shape[1], 512, _DIRECTION_SEED)), float)
-            bounds = (0.95 * float(vals.min()), 1.05 * float(vals.max()))
+        vals = np.asarray(gv(unit_directions(self.P.shape[1], 512, _DIRECTION_SEED)), float)
         self.gv, self.gg, self.gh = self.key = gv, gg, gh
-        self.lo, self.hi = (np.full(len(self.P), b) for b in bounds)
+        self.lo = np.full(len(self.P), 0.95 * float(vals.min()))
+        self.hi = np.full(len(self.P), 1.05 * float(vals.max()))
 
     def values(self, X, V):
         return _rows(self.gv, V)
@@ -402,153 +397,6 @@ class GaugeKernel(_Kernel):
 
     def bounds(self, t):
         return self.lo * t, self.hi * t
-
-
-# ---------------------------------------------------------------------------
-# Site functions
-# ---------------------------------------------------------------------------
-
-
-class SiteFunction:
-    """A distance function about a fixed site: one member of its kind's
-    kernel, which validated its parameters, and its growth constant.
-
-    Every evaluation runs that one-member kernel on (A, d) batches of
-    points. Scaling kinds are positively 1-homogeneous about the site; the
-    Bregman kind is a divergence D(x, site) in its first argument.
-    """
-
-    is_scaling: bool = True
-
-    def __init__(self, kernel: _Kernel, tau: float | None):
-        self.kernel = kernel
-        self.site = kernel.P[0]
-        self._tau = None if tau is None else _admissible_tau(tau)
-
-    kind = property(lambda self: self.kernel.kind)
-
-    @property
-    def tau(self) -> float:
-        """Growth constant. A site built without one samples it on this
-        first read; ``resolve_tau`` does so for a whole family."""
-        if self._tau is None:
-            resolve_tau([self])
-        return self._tau
-
-    @property
-    def dim(self) -> int:
-        return self.site.size
-
-    # -- evaluation ------------------------------------------------------
-
-    def _at(self, method: str, x, off_site: bool = True):
-        """Kernel ``method`` at a point ``(d,)`` or an (A, d) batch."""
-        pts, single = _as_points(x, self.dim)
-        if not np.all(self.in_domain(pts)):
-            raise DomainError("query outside domain")
-        if off_site and self.is_scaling and np.any(np.all(pts == self.site, axis=1)):
-            raise ValueError("gradient undefined at site")
-        out = self._run(method, pts)
-        return out[0] if single else out
-
-    def value(self, x):
-        vals = self._at("values", x, off_site=False)
-        return vals if isinstance(vals, np.ndarray) else float(vals)
-
-    def gradient(self, x):
-        return self._at("gradients", x)
-
-    def hessian(self, x):
-        return self._at("hessians", x)
-
-    def __call__(self, x):
-        return self.value(x)
-
-    def _run(self, method: str, pts: np.ndarray) -> np.ndarray:
-        """Kernel ``method`` over this site alone, at (A, d) points."""
-        X = pts[:, None, :]
-        return getattr(self.kernel, method)(X, X - self.kernel.P)[:, 0]
-
-    _values = functools.partialmethod(_run, "values")
-    _gradients = functools.partialmethod(_run, "gradients")
-    _hessians = functools.partialmethod(_run, "hessians")
-
-    # -- structure (each kind also has ``resite``: the same shape, and
-    # ``tau``, about a new site) ----------------------------------------
-
-    def in_domain(self, x) -> bool:
-        return True
-
-
-def _admissible_tau(tau) -> float:
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("admissibility gate: unbounded ratio")
-    return max(1.0, float(tau))
-
-
-# ---------------------------------------------------------------------------
-# Gauges: weighted Minkowski, Mahalanobis and user-supplied
-# ---------------------------------------------------------------------------
-
-
-class MinkowskiDistance(SiteFunction):
-    """f(x) = weight * ||x - site||_k for k > 1. For k < 2 the unit ball
-    loses its interior rolling ball at the axes and the closed-form ``tau``
-    degenerates, so an undeclared one is sampled, later, as for a Bregman
-    site."""
-
-    def __init__(self, site, k: float, weight: float = 1.0, tau: float | None = None):
-        kernel = MinkowskiKernel(np.asarray(site, dtype=float)[None], k, [weight])
-        if tau is None and kernel.k >= 2.0:
-            tau = _minkowski_tau(kernel.k, kernel.P.shape[1])
-        super().__init__(kernel, tau)
-
-    k = property(lambda self: self.kernel.k)
-    weight = property(lambda self: float(self.kernel.W[0]))
-
-    def resite(self, new_site):
-        return MinkowskiDistance(new_site, self.k, self.weight, tau=self.tau)
-
-
-class MahalanobisDistance(SiteFunction):
-    """f(x) = sqrt((x - site)^T M (x - site)) with M symmetric positive-definite.
-    The kernel keeps M symmetrized; ``params`` and ``tau`` come from M as given."""
-
-    def __init__(self, site, matrix, tau: float | None = None):
-        M = np.asarray(matrix, dtype=float)
-        kernel = MahalanobisKernel(np.asarray(site, dtype=float)[None], M[None])
-        eigvals = np.linalg.eigvalsh(M)
-        # Unit ball is an ellipsoid with semi-axes 1/sqrt(lambda_i): both the
-        # fatness and smoothness ratios reduce to sqrt(eig_min / eig_max).
-        axis_ratio = float(np.sqrt(eigvals[0] / eigvals[-1]))
-        self.params = GaugeParams(axis_ratio, axis_ratio)
-        super().__init__(kernel, tau_for_gauge(self.params) if tau is None else tau)
-
-    matrix = property(lambda self: self.kernel.M[0])
-
-    def resite(self, new_site):
-        return MahalanobisDistance(new_site, self.matrix, tau=self.tau)
-
-
-class CustomGaugeDistance(SiteFunction):
-    """f(x) = gauge(x - site) for a user-supplied smooth convex gauge.
-
-    ``gauge_value``/``gauge_gradient``/``gauge_hessian`` are batched callables
-    about the origin. The declared GaugeParams certify the growth constant.
-    """
-
-    def __init__(self, site, gauge_value, gauge_gradient, gauge_hessian,
-                 params: GaugeParams, tau: float | None = None,
-                 value_bounds: tuple[float, float] | None = None):
-        self.params = params
-        kernel = GaugeKernel(np.asarray(site, dtype=float)[None], gauge_value, gauge_gradient,
-                             gauge_hessian, value_bounds)
-        super().__init__(kernel, tau_for_gauge(params) if tau is None else tau)
-
-    def resite(self, new_site):
-        k = self.kernel
-        return CustomGaugeDistance(new_site, k.gv, k.gg, k.gh, self.params, tau=self.tau,
-                                   value_bounds=(k.lo[0], k.hi[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -766,46 +614,168 @@ def generator_key(spec: BregmanSpec):
     return (spec.name, spec.dim, spec.domain_low.tobytes(), spec.domain_high.tobytes(), matrix)
 
 
-class BregmanDistance(SiteFunction):
-    """D_F(x, site) as a distance function of the first argument."""
+# ---------------------------------------------------------------------------
+# Sites. One constructor per kind turns (m, d) sites and parameter arrays
+# into (kernel, tau), tau the declared one or the kind's own (a number for
+# every member, or m values), NaN where ``SiteFamily.from_groups`` samples
+# it; ``make_*`` call it for one site.
+# ---------------------------------------------------------------------------
 
-    is_scaling = False
 
-    def __init__(self, spec: BregmanSpec, site, tau: float | None = None):
-        kernel = BregmanKernel(np.asarray(site, dtype=float)[None], spec)
-        if tau is None and not (spec.bounded or spec.hess_kind == "const"):
-            raise ValueError("admissibility gate: unbounded domain needs declared tau")
-        super().__init__(kernel, tau)
+class SiteFunction:
+    """A distance function about a fixed site: a one-member kernel, which
+    validated its parameters, and its growth constant. ``make_*`` build one,
+    and ``SiteFamily.member`` views one member of a family as one.
 
-    spec = property(lambda self: self.kernel.spec)
+    Every evaluation runs the kernel on (A, d) batches of points. Scaling
+    kinds are positively 1-homogeneous about the site; the Bregman kind is a
+    divergence D(x, site) in its first argument.
+    """
 
-    def resite(self, new_site):
-        return BregmanDistance(self.spec, new_site, tau=self.tau)
+    def __init__(self, kernel: _Kernel, tau: float):
+        """``tau`` is NaN until sampled."""
+        self.kernel = kernel
+        self.site = kernel.P[0]
+        self._tau = tau
+
+    @property
+    def tau(self) -> float:
+        """Growth constant. A site built without one samples it on this
+        first read, unless a ``SiteFamily`` of it did."""
+        if math.isnan(self._tau):
+            self._tau = float(sampled_tau(self.kernel, [0])[0])
+        return self._tau
+
+    @property
+    def dim(self) -> int:
+        return self.site.size
+
+    # -- evaluation ------------------------------------------------------
+
+    def _at(self, method: str, x, off_site: bool = True):
+        """Kernel ``method`` at a point ``(d,)`` or an (A, d) batch."""
+        pts, single = _as_points(x, self.dim)
+        if not np.all(self.in_domain(pts)):
+            raise DomainError("query outside domain")
+        if off_site and self.kernel.kind != "bregman" and np.any(np.all(pts == self.site, axis=1)):
+            raise ValueError("gradient undefined at site")
+        out = self._run(method, pts)
+        return out[0] if single else out
+
+    def value(self, x):
+        vals = self._at("values", x, off_site=False)
+        return vals if isinstance(vals, np.ndarray) else float(vals)
+
+    def gradient(self, x):
+        return self._at("gradients", x)
+
+    def hessian(self, x):
+        return self._at("hessians", x)
+
+    def __call__(self, x):
+        return self.value(x)
+
+    def _run(self, method: str, pts: np.ndarray) -> np.ndarray:
+        """Kernel ``method`` over this site alone, at (A, d) points."""
+        X = pts[:, None, :]
+        return getattr(self.kernel, method)(X, X - self.kernel.P)[:, 0]
+
+    _values = functools.partialmethod(_run, "values")
+    _gradients = functools.partialmethod(_run, "gradients")
+    _hessians = functools.partialmethod(_run, "hessians")
 
     def in_domain(self, x):
-        return self.spec.in_domain(x)
+        return self.kernel.spec.in_domain(x) if self.kernel.kind == "bregman" else True
+
+    def resite(self, p) -> "SiteFunction":
+        """The same shape and ``tau`` about the site ``p``; not for Bregman sites."""
+        return SiteFunction(self.kernel.resite(as_vector(p)), self.tau)
 
 
-# ---------------------------------------------------------------------------
-# Constructors matching the public operation surface
-# ---------------------------------------------------------------------------
+def _admissible_tau(tau):
+    """Growth constants ``tau``, a number or an array, clamped below at 1;
+    each must be finite and positive."""
+    if isinstance(tau, (int, float)):  # one number: no array arithmetic
+        ok, tau = 0.0 < tau < math.inf, max(1.0, float(tau))
+    else:
+        tau = np.asarray(tau, dtype=float)
+        ok = 0.0 < tau.min(initial=math.inf) and tau.max(initial=0.0) < math.inf
+        tau = np.maximum(1.0, tau)
+    if not ok:
+        raise ValueError("admissibility gate: unbounded ratio")
+    return tau
 
 
-def make_minkowski(p, k: float, weight: float = 1.0, tau: float | None = None) -> MinkowskiDistance:
-    return MinkowskiDistance(p, k, weight, tau=tau)
+def minkowski_sites(P, k: float, W, tau=None) -> tuple[MinkowskiKernel, float | np.ndarray]:
+    """``W * ||x - p||_k`` for k > 1. For k < 2 the unit ball loses its
+    interior rolling ball at the axes and the closed-form ``tau``
+    degenerates, so it is sampled, as for a Bregman site."""
+    kern = MinkowskiKernel(P, k, W)
+    if tau is None:
+        if kern.k < 2.0:
+            return kern, math.nan
+        tau = _minkowski_tau(kern.k, kern.P.shape[1])
+    return kern, _admissible_tau(tau)
 
 
-def make_mahalanobis(p, matrix, tau: float | None = None) -> MahalanobisDistance:
-    return MahalanobisDistance(p, matrix, tau=tau)
+def mahalanobis_sites(P, M, tau=None) -> tuple[MahalanobisKernel, float | np.ndarray]:
+    """``sqrt((x - p)^T M (x - p))`` for an (m, d, d) stack of symmetric
+    positive-definite M. The kernel keeps M symmetrized; ``tau`` comes from
+    M as given: the unit ball is an ellipsoid with semi-axes
+    1/sqrt(lambda_i), so both its fatness and smoothness ratios are
+    sqrt(eig_min / eig_max)."""
+    M = np.asarray(M, dtype=float)
+    kern = MahalanobisKernel(P, M)
+    if tau is None:
+        # In Python floats, once per distinct ratio: numpy's vectorized
+        # ``r**3`` rounds differently from ``float.__pow__``. A lower
+        # triangle that is not positive-definite gives 0, which fails.
+        ratios = [math.sqrt(max(w[0], 0.0) / w[-1]) for w in np.linalg.eigvalsh(M).tolist()]
+        taus = {r: tau_for_gauge(GaugeParams(r, r)) for r in set(ratios)}
+        tau = taus[ratios[0]] if len(taus) == 1 else [taus[r] for r in ratios]
+    return kern, _admissible_tau(tau)
 
 
-def make_bregman(spec: BregmanSpec, p, tau: float | None = None) -> BregmanDistance:
-    return BregmanDistance(spec, p, tau=tau)
+def gauge_sites(P, gauge_value, gauge_gradient, gauge_hessian, params: GaugeParams,
+                tau=None) -> tuple[GaugeKernel, float | np.ndarray]:
+    """``gauge(x - p)`` for a user-supplied smooth convex gauge: batched
+    callables about the origin. The declared ``params`` certify ``tau``."""
+    kern = GaugeKernel(P, gauge_value, gauge_gradient, gauge_hessian)
+    return kern, _admissible_tau(tau_for_gauge(params) if tau is None else tau)
+
+
+def bregman_sites(spec: BregmanSpec, P, tau=None) -> tuple[BregmanKernel, float | np.ndarray]:
+    """``D_F(x, p)`` as a distance function of the first argument. An
+    undeclared ``tau`` is sampled, which needs a bounded domain or a
+    quadratic generator."""
+    kern = BregmanKernel(P, spec)
+    if tau is not None:
+        return kern, _admissible_tau(tau)
+    if not (spec.bounded or spec.hess_kind == "const"):
+        raise ValueError("admissibility gate: unbounded domain needs declared tau")
+    return kern, math.nan
+
+
+def _row(p) -> np.ndarray:
+    return np.asarray(p, dtype=float)[None]
+
+
+def make_minkowski(p, k: float, weight: float = 1.0, tau: float | None = None) -> SiteFunction:
+    return SiteFunction(*minkowski_sites(_row(p), k, [weight], tau))
+
+
+def make_mahalanobis(p, matrix, tau: float | None = None) -> SiteFunction:
+    return SiteFunction(*mahalanobis_sites(_row(p), _row(matrix), tau))
+
+
+def make_bregman(spec: BregmanSpec, p, tau: float | None = None) -> SiteFunction:
+    return SiteFunction(*bregman_sites(spec, _row(p), tau))
 
 
 def make_custom_gauge(p, gauge_value, gauge_gradient, gauge_hessian,
-                      params: GaugeParams, tau: float | None = None) -> CustomGaugeDistance:
-    return CustomGaugeDistance(p, gauge_value, gauge_gradient, gauge_hessian, params, tau=tau)
+                      params: GaugeParams, tau: float | None = None) -> SiteFunction:
+    return SiteFunction(*gauge_sites(_row(p), gauge_value, gauge_gradient, gauge_hessian,
+                                     params, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -821,20 +791,19 @@ def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
     return u / norms[:, None]
 
 
-def admissibility_ratios(fn: SiteFunction, pts: np.ndarray,
-                         value_floor: float = _VALUE_FLOOR):
+def admissibility_ratios(fn: SiteFunction, pts: np.ndarray):
     """Per-sample growth ratios of a site function.
 
     Returns (grad_ratio, hess_ratio, dir_ratio, used_mask) where
     grad_ratio = ||grad f|| * ||x - p|| / f,
     hess_ratio = sqrt(||hess f|| * ||x - p||^2 / f),
     dir_ratio  = <grad f, x - p> / f.
-    Samples with f below ``value_floor`` or at the site are skipped.
+    Samples with f below ``VALUE_FLOOR`` or at the site are skipped.
     """
     rel = pts - fn.site[None, :]
     dist = np.linalg.norm(rel, axis=1)
     vals = fn._values(pts)
-    used = (vals >= value_floor) & (dist > 0.0)
+    used = (vals >= VALUE_FLOOR) & (dist > 0.0)
     rel, dist, vals, X = rel[used], dist[used], vals[used], pts[used][:, None, :]
     grads = fn._gradients(X[:, 0])
     hnorm = fn.kernel.hessian_norms(X, X - fn.kernel.P)[:, 0]
@@ -843,25 +812,19 @@ def admissibility_ratios(fn: SiteFunction, pts: np.ndarray,
             np.einsum("ad,ad->a", grads, rel) / vals, used)
 
 
-def resolve_tau(fns) -> None:
-    """Sample ``tau`` for every site in ``fns`` built without one, in one
-    ``_tau_pass`` per kernel group and dimension. A site whose sample fails
-    the admissibility checks raises ``ValueError`` naming its index in
-    ``fns``."""
-    pending: dict[tuple, list[int]] = {}
-    for i, f in enumerate(fns):
-        if f._tau is None:
-            pending.setdefault((type(f.kernel), f.kernel.key, f.dim), []).append(i)
-    for (cls, _, _), ids in pending.items():
-        raw, used = _tau_pass(cls.concat([fns[i].kernel for i in ids]))
-        bad = (used < _MIN_TAU_SAMPLES) | ~np.isfinite(raw)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            reason = ("degenerate sample" if used[j] < _MIN_TAU_SAMPLES
-                      else "admissibility gate: unbounded ratio")
-            raise ValueError(f"{reason} at site {ids[j]}")
-        for i, tau in zip(ids, _TAU_INFLATION * raw):
-            fns[i]._tau = _admissible_tau(tau)
+def sampled_tau(kern: _Kernel, members: np.ndarray) -> np.ndarray:
+    """Certified growth constants of every member of ``kern``, sampled in
+    one ``_tau_pass`` and inflated by ``TAU_INFLATION``. A member whose
+    sample fails the admissibility checks raises ``ValueError`` naming its
+    entry of ``members``."""
+    raw, used = _tau_pass(kern)
+    bad = (used < MIN_TAU_SAMPLES) | ~np.isfinite(raw)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        reason = ("degenerate sample" if used[j] < MIN_TAU_SAMPLES
+                  else "admissibility gate: unbounded ratio")
+        raise ValueError(f"{reason} at site {members[j]}")
+    return _admissible_tau(TAU_INFLATION * raw)
 
 
 def _tau_pass(kern: _Kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -925,7 +888,7 @@ def minkowski_gauge_params(k: float, dim: int) -> tuple[float, float]:
     gamma = float(dim) ** (-abs(0.5 - 1.0 / k))
     if k < 2.0:
         return gamma, 0.0
-    probe = MinkowskiDistance(np.zeros(dim), k, 1.0, tau=1.0)
+    probe = make_minkowski(np.zeros(dim), k, tau=1.0)
     return gamma, _gauge_sigma_from_curvature(probe, _minkowski_probe_directions(dim))
 
 

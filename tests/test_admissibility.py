@@ -10,11 +10,11 @@ from eann.admissibility import (
     measure_bregman_complexity,
 )
 from eann.distances import (
-    CustomGaugeDistance,
     GaugeParams,
     generalized_kl_spec,
     itakura_saito_spec,
     make_bregman,
+    make_custom_gauge,
     make_mahalanobis,
     make_minkowski,
     squared_euclidean_spec,
@@ -74,7 +74,7 @@ def test_measure_power_distance_growth(rng):
             return c * (n**(c - 2.0))[:, None, None] * eye + \
                 c * (c - 2.0) * (n**(c - 4.0))[:, None, None] * outer
 
-        f = CustomGaugeDistance([0.0, 0.0], gv, gg, gh, GaugeParams(1.0, 1.0), tau=4.0)
+        f = make_custom_gauge([0.0, 0.0], gv, gg, gh, GaugeParams(1.0, 1.0), tau=4.0)
         rep = measure_admissibility(f, SampleSpec(BOX2, 1500, seed=7))
         assert rep.tau_grad == pytest.approx(c, abs=1e-9)
 
@@ -198,7 +198,7 @@ def test_mu_dir_bounded_by_tau(rng):
     ]
     region = BOX2 if True else None
     for f in fns:
-        if f.kind == "bregman":
+        if f.kernel.kind == "bregman":
             region = (np.full(2, 0.1), np.ones(2))
         else:
             region = BOX2

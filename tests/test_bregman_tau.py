@@ -26,7 +26,7 @@ def reference_tau(fn) -> float:
     """1.10 * max(1, max g, max h) over the seeded sample points of one site:
     2,048 uniform points of a bounded domain, else 1,024 unit directions
     about the site."""
-    spec = fn.spec
+    spec = fn.kernel.spec
     if spec.bounded:
         rng = np.random.default_rng(SEED)
         pts = rng.uniform(spec.domain_low, spec.domain_high, size=(2048, spec.dim))

@@ -48,8 +48,8 @@ def test_mahalanobis_values():
         assert f.value(x) == pytest.approx(g.value(x))
     fd = make_mahalanobis([0.0, 0.0], np.diag([4.0, 1.0]))
     assert fd.value([1.0, 1.0]) == pytest.approx(np.sqrt(5.0))
-    # Ellipse semi-axes 1/2 and 1 give gamma = 1/2.
-    assert fd.params.gamma == pytest.approx(0.5)
+    # Ellipse semi-axes 1/2 and 1 give gamma = sigma = 1/2.
+    assert fd.tau == tau_for_gauge(GaugeParams(0.5, 0.5))
 
 
 def test_mahalanobis_rejects_bad_matrix():
@@ -266,23 +266,38 @@ def test_parse_points_errors():
 
 def test_parse_distance_config():
     cfg = parse_distance_config("kind = minkowski\nk = 3\nweight = 1.5\n")
-    fns = build_site_functions(cfg, np.array([[0.0, 0.0]]))
-    assert fns[0].k == 3.0 and fns[0].weight == 1.5
+    (_, kern), = build_site_functions(cfg, np.array([[0.0, 0.0]])).groups
+    assert kern.k == 3.0 and kern.W.tolist() == [1.5]
 
     cfg = parse_distance_config("kind = mahalanobis\nmatrix = 4 0 0 1\n")
-    fns = build_site_functions(cfg, np.array([[0.0, 0.0]]))
-    assert fns[0].value([1.0, 1.0]) == pytest.approx(np.sqrt(5.0))
+    fam = build_site_functions(cfg, np.array([[0.0, 0.0]]))
+    assert fam.values([1.0, 1.0])[0, 0] == pytest.approx(np.sqrt(5.0))
 
     cfg = parse_distance_config(
         "kind = bregman\ngenerator = generalized-kl\n"
         "domain_low = 0.1 0.1\ndomain_high = 1 1\n")
-    fns = build_site_functions(cfg, np.array([[0.5, 0.5]]))
-    assert fns[0].kind == "bregman"
+    (_, kern), = build_site_functions(cfg, np.array([[0.5, 0.5]])).groups
+    assert kern.kind == "bregman"
 
     with pytest.raises(ValueError, match="unknown kind"):
         parse_distance_config("kind = nosuch\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_distance_config("kind minkowski\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind = minkowski\nwieght = 2\n", r"line 2: key 'wieght' is unknown"),
+    ("kind = bregman\n# k is Minkowski's\nk = 3\n",
+     "line 3: key 'k' does not apply to kind bregman"),
+    ("kind = minkowski\nk = 2\nk = 3\n", r"line 3: repeated key 'k' \(first on line 2\)"),
+    ("kind = minkowski\nweights = 1 2\n\nweight = 2\n",
+     "line 4: keys 'weight' and 'weights' exclude each other"),
+])
+def test_config_rejects_misspelled_foreign_and_repeated_keys(text, message):
+    """Each of these used to build: weight 1.0, k ignored, the last k, and
+    the per-site weights."""
+    with pytest.raises(ValueError, match=message):
+        parse_distance_config(text)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -307,7 +322,7 @@ def test_domain_bounds_need_one_value_per_axis():
 def test_per_site_weights_config():
     cfg = parse_distance_config("kind = minkowski\nk = 2\nweights = 1.0 2.0\n")
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    fns = build_site_functions(cfg, pts)
-    assert fns[0].weight == 1.0 and fns[1].weight == 2.0
+    (_, kern), = build_site_functions(cfg, pts).groups
+    assert kern.W.tolist() == [1.0, 2.0]
     with pytest.raises(ValueError, match="weights"):
         build_site_functions(cfg, np.zeros((3, 2)))

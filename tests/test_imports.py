@@ -1,5 +1,7 @@
-"""No module of the package keeps a module-level import it never uses, and
-no top-level private name that no module of the package reads.
+"""No module of the package keeps a module-level import it never uses, no
+top-level private name that no module of the package reads, and no public
+top-level function or class that neither the package, the tests nor the
+benchmark reads.
 
 The toolchain has no linter, so these checks catch names left behind when
 code is deleted.
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "eann"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "eann"
 # __init__.py imports names to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -84,3 +87,43 @@ def test_checker_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def public_definitions(source: str) -> dict[str, int]:
+    """Top-level public functions and classes of a module, each with its
+    line."""
+    return {node.name: node.lineno for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def unread_public_names(defining: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Public functions and classes defined in one of ``defining`` (file name
+    -> text) that no expression or ``from`` import of any of ``readers``
+    reads."""
+    read = set()
+    for source in readers.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    return [f"{name} ({file} line {line})" for file, source in defining.items()
+            for name, line in public_definitions(source).items() if name not in read]
+
+
+def test_checker_finds_an_unread_public_name():
+    a = "def used():\n    pass\n\n\nclass Left:\n    pass\n\n\ndef imported():\n    pass\n"
+    b = "from a import imported\n\nused()\n"
+    assert unread_public_names({"a.py": a}, {"a.py": a, "b.py": b}) == ["Left (a.py line 5)"]
+
+
+def test_every_public_name_is_read():
+    """``__init__.py`` only re-exports, so its imports read nothing."""
+    defining = {p.name: p.read_text() for p in MODULES}
+    readers = {str(p.relative_to(ROOT)): p.read_text()
+               for p in MODULES + sorted((ROOT / "tests").glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py"))}
+    assert unread_public_names(defining, readers) == []

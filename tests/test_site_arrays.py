@@ -18,7 +18,7 @@ import pytest
 
 from eann import distances
 from eann._batch import SiteFamily
-from eann.ann import build_index, load_index, save_index
+from eann.ann import brute_force, build_index, load_index, save_index
 from eann.cli import gen_family, gen_sites
 from eann.distances import (
     BregmanKernel,
@@ -179,7 +179,8 @@ def test_one_pass_per_exponent_and_dimension(monkeypatch, rng):
            + [make_minkowski(p, 1.5) for p in rng.random((20, 2))]
            + [make_minkowski(p, 1.5) for p in rng.random((7, 3))])
     assert calls == []
-    distances.resolve_tau(fns)
+    SiteFamily(fns[:-7])
+    SiteFamily(fns[-7:])
     assert calls == [(1.5, (60, 2)), (1.8, (30, 2)), (1.5, (7, 3))]
     for f in fns[:3] + fns[-3:]:
         assert f.tau == reference_tau(f)
@@ -202,22 +203,23 @@ def test_lone_minkowski_site_resolves_tau_on_first_read(monkeypatch):
 
 def test_tau_too_large_for_the_float_spacing_fails_at_build_and_load(tmp_path):
     """With alpha = 2 tau, a leaf around one of two sites ``gap`` apart
-    needs a cell narrower than gap / alpha. At tau 1e15 that is below the
-    float spacing of coordinates in [0, 1), and queries used to fail with
-    depth or envelope errors; at 1e14 every query answers."""
+    has sides below about gap / (4 alpha + 2). At tau 1e14 that is within a
+    few float spacings of coordinates in [0, 1), and queries used to fail
+    with envelope errors; at 1e13 every query answers within (1 + eps)."""
     rng = np.random.default_rng(0)
     P, Q = rng.random((10, 2)), rng.random((30, 2))
-    index = build_index([make_minkowski(p, 3.0, tau=1e14) for p in P], 0.5)
-    assert all(index.query(q) is not None for q in Q)
-    message = r"tau 1e\+15 is too large: .* float spacing"
+    index = build_index([make_minkowski(p, 3.0, tau=1e13) for p in P], 0.5)
+    for q in Q:
+        assert index.query(q)[1] <= 1.5 * brute_force(index.family, q)[1] * (1.0 + 1e-10)
+    message = r"tau 1e\+14 is too large: .* float spacing"
     with pytest.raises(ValueError, match=message):
-        build_index([make_minkowski(p, 3.0, tau=1e15) for p in P], 0.5)
+        build_index([make_minkowski(p, 3.0, tau=1e14) for p in P], 0.5)
 
     path = tmp_path / "l3.eann"
     save_index(index, str(path))
     # Header, exponents, weights and sites come before the 10 tau values.
     blob = bytearray(path.read_bytes()[:-4])
-    struct.pack_into("<10d", blob, 23 + 2 * 10 * 8 + 10 * 2 * 8, *[1e15] * 10)
+    struct.pack_into("<10d", blob, 23 + 2 * 10 * 8 + 10 * 2 * 8, *[1e14] * 10)
     path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
     with pytest.raises(ValueError, match=message):
         load_index(str(path))
