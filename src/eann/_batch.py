@@ -23,6 +23,14 @@ from .distances import BregmanKernel, DomainError, SiteFunction, sampled_tau
 _RANK = {"values": 0, "gradients": 1, "hessians": 2}
 
 
+def _one_dimension(kernels) -> None:
+    """Raise ``ValueError`` naming the dimensions unless the sites of every
+    kernel share one."""
+    dims = sorted({kern.P.shape[1] for kern in kernels})
+    if len(dims) > 1:
+        raise ValueError(f"sites must share one dimension, got {dims}")
+
+
 class SiteFamily:
     """A family of distance functions as struct-of-arrays.
 
@@ -39,6 +47,7 @@ class SiteFamily:
         fns = list(fns)
         if not fns:
             raise ValueError("empty family")
+        _one_dimension(f.kernel for f in fns)
         by_key: dict[tuple, list[int]] = {}
         for i, f in enumerate(fns):
             by_key.setdefault((type(f.kernel), f.kernel.key), []).append(i)
@@ -57,6 +66,7 @@ class SiteFamily:
         ``sampled_tau`` pass per group."""
         if not groups:
             raise ValueError("empty family")
+        _one_dimension(kern for _, kern, _ in groups)
         fam = object.__new__(cls)
         if len(groups) == 1:
             _, kern, tau = groups[0]

@@ -12,14 +12,15 @@ the true distances of the candidates and returns the best, so the internal
 approximations surface as a single checkable (1+eps) inequality.
 
 Per-leaf structures are built on first use and memoized (they are pure
-functions of the leaf), so results do not depend on query order. A built
-leaf keeps one candidate family: its fixed sites and the kept members of
-its outer envelope. A warm query evaluates that family once, at the query
-alone. The leaf's nominees are its fixed sites and, for an outer envelope,
-the memoized witnesses of the query's lattice cell; the exact best of them
-at the query is the answer. The witness that the envelope alone would
-choose (``ConcaveEnvelope.query``) is one of them, so the answer is never
-worse than it, and its (1+eps) bound holds for the answer.
+functions of the leaf), so results do not depend on query order. A query's
+nominees are its leaf's fixed sites and, for an outer envelope, the
+memoized witnesses of its lattice cell; the exact best of them at the query
+is the answer. A leaf keeps one family per distinct nominee set, and a warm
+query evaluates its set's family once, at the query alone, so leaf work
+does not grow with the envelope's kept members. The witness that the
+envelope alone would choose (``ConcaveEnvelope.query``) is one of the
+nominees, so the answer is never worse than it, and its (1+eps) bound holds
+for the answer.
 """
 
 from __future__ import annotations
@@ -149,37 +150,21 @@ class _Attachment:
     (two or more outer survivors). A ``brute`` leaf, whose ball leaves a
     Bregman domain, answers by full scan.
 
-    Every other leaf caches its candidate family once: ``ids`` holds the
-    sorted union of the fixed ids and the envelope's kept ids, and
-    ``family`` those members of the index family. ``fixed_cols`` and
-    ``env_cols`` are the columns of the fixed ids and of the envelope's
-    kept positions in ``ids``. A warm answer evaluates ``family`` once, at
-    the query, and takes the exact best of its nominees: the fixed columns
-    and the ``env_cols`` of the witnesses of the query's lattice cell.
+    A query's nominees are the fixed sites and the memoized witnesses of
+    its lattice cell. ``nominees`` maps the bytes of those witnesses' kept
+    positions (empty without an envelope) to the sorted nominee ids and
+    their members of the index family, built on first use. Neighboring
+    cells mostly share one witness set, so a leaf keeps a few small
+    families, one per distinct set.
     """
 
-    __slots__ = ("fixed_fids", "outer_env", "brute",
-                 "ids", "family", "fixed_cols", "env_cols")
+    __slots__ = ("fixed_fids", "outer_env", "brute", "nominees")
 
     def __init__(self):
         self.fixed_fids: list[int] = []
         self.outer_env: ConcaveEnvelope | None = None
         self.brute = False
-        self.ids: np.ndarray | None = None
-        self.family: SiteFamily | None = None
-        self.fixed_cols: tuple[int, ...] = ()
-        self.env_cols: np.ndarray | None = None
-
-    def cache_family(self, family: SiteFamily) -> None:
-        """Take the leaf's candidate members out of the index ``family``."""
-        ids = set(self.fixed_fids)
-        if self.outer_env is not None:
-            ids.update(self.outer_env.kept_ids.tolist())
-        self.ids = np.array(sorted(ids), dtype=np.intp)
-        self.family = family.take(self.ids)
-        self.fixed_cols = tuple(np.searchsorted(self.ids, self.fixed_fids).tolist())
-        if self.outer_env is not None:
-            self.env_cols = np.searchsorted(self.ids, self.outer_env.kept_ids)
+        self.nominees: dict[bytes, tuple[np.ndarray, SiteFamily]] = {}
 
 
 def brute_force(sites, q) -> tuple[int, float]:
@@ -198,8 +183,6 @@ class AnnIndex:
             raise ValueError("no sites")
         if not (0.0 < eps <= 1.0):
             raise ValueError("eps out of range")
-        if not isinstance(sites, SiteFamily) and len({f.dim for f in sites}) != 1:
-            raise ValueError("sites must share one dimension")
         self.eps = float(eps)
         self.family = SiteFamily.of(sites)
         kinds = {isinstance(kern, BregmanKernel) for _, kern in self.family.groups}
@@ -306,8 +289,6 @@ class AnnIndex:
                     att.brute = True
                     self.stats["brute_leaves"] += 1
             att.fixed_fids += inner_fids[:1] if self.kind == "bregman" else inner_fids
-            if not att.brute:
-                att.cache_family(self.family)
             leaf.attachment = att
             return att
 
@@ -342,17 +323,22 @@ class AnnIndex:
 
     def _query_leaf(self, att: _Attachment, q: np.ndarray) -> tuple[int, float]:
         """The exact best at q of the leaf's nominees, from one evaluation of
-        its cached family at q: the fixed sites and, for an outer envelope,
-        the memoized witnesses of q's lattice cell."""
-        cols = set(att.fixed_cols)
+        their family at q: the fixed sites and, for an outer envelope, the
+        memoized witnesses of q's lattice cell. The ids are sorted, so ties
+        go to the lowest."""
         env = att.outer_env
-        if env is not None:
-            cols.update(att.env_cols[env.cell_witnesses(env.unit_point(q))].tolist())
-        assert cols, "leaf produced no candidates"
-        cols = sorted(cols)
-        row = batch_values(att.family, q)[0, cols]
+        pos = None if env is None else env.cell_witnesses(env.unit_point(q))
+        key = b"" if pos is None else pos.tobytes()
+        nominees = att.nominees.get(key)
+        if nominees is None:
+            wit = () if pos is None else env.kept_ids[pos].tolist()
+            ids = np.array(sorted({*att.fixed_fids, *wit}), dtype=np.intp)
+            assert ids.size, "leaf produced no candidates"
+            nominees = att.nominees.setdefault(key, (ids, self.family.take(ids)))
+        ids, family = nominees
+        row = batch_values(family, q)[0]
         best = int(np.argmin(row))
-        return int(att.ids[cols[best]]), float(row[best])
+        return int(ids[best]), float(row[best])
 
     def _query_outside(self, q: np.ndarray) -> tuple[tuple[int, float] | None, str | None]:
         """The answer outside the tree's root box, or None and the fallback

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,21 @@ from eann.admissibility import (
     measure_bregman_complexity,
 )
 from eann.ann import build_index
-from eann.cli import gen_family, gen_queries, gen_sites, leaf_scaling_fit, storage_exponent_fit
+from eann.cli import (
+    gen_family,
+    gen_queries,
+    gen_sites,
+    leaf_scaling_fit,
+    random_rotation,
+    storage_exponent_fit,
+)
 from eann.convexify import check_invariants, convexify, normalize
 from eann.distances import (
     GaugeParams,
     generalized_kl_spec,
     itakura_saito_spec,
     make_bregman,
+    make_mahalanobis,
     make_minkowski,
     squared_euclidean_spec,
     tau_for_gauge,
@@ -364,3 +374,64 @@ def test_criterion_13_adversarial_clusters():
     report("criterion-13 adversarial clusters (1+eps) vs oracle", failures == 0,
            f"{configs} configs, {len(ratios)} queries, failures={failures}, ratio "
            f"p50={p50:.6f} p99={p99:.6f} max={worst:.6f}")
+
+
+def _stretched_mahalanobis(d, rng, n=200, count=200):
+    """Sites whose Mahalanobis matrices have eigenvalue ratio 100 (tau
+    about 141), each rotated at random; queries at the midpoint of a site
+    and its nearest other site, and uniform."""
+    eig = np.geomspace(1.0, 100.0, d)
+    sites = rng.random((n, d))
+    fns = []
+    for p in sites:
+        rot = random_rotation(rng, d)
+        fns.append(make_mahalanobis(p, rot @ np.diag(eig) @ rot.T))
+    gaps = np.linalg.norm(sites[:, None, :] - sites[None, :, :], axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    midpoints = 0.5 * (sites + sites[np.argmin(gaps, axis=1)])
+    return fns, np.concatenate([midpoints[: count // 2], rng.random((count // 2, d))])
+
+
+def _kl_near_domain_edge(d, rng, n=200, count=400):
+    """``kl`` sites in the domain box (0.1, 1)^d; queries uniform in it,
+    each with one coordinate moved to between 1e-9 and 1e-6 inside a face."""
+    fns = gen_family("kl", gen_sites(rng, n, d, "kl"), rng)
+    queries = gen_sites(rng, count, d, "kl")
+    inset = 10.0 ** rng.uniform(-9.0, -6.0, size=count)
+    axis = rng.integers(d, size=count)
+    high = rng.random(count) < 0.5
+    queries[np.arange(count), axis] = np.where(high, 1.0 - inset, 0.1 + inset)
+    return fns, queries
+
+
+def test_criterion_14_large_tau_and_domain_edges():
+    """Answers stay within (1+eps) of the oracle at large ``tau`` and next
+    to a Bregman domain's faces. The full scans are reported by reason: a
+    leaf whose ball leaves the domain answers by scan, so near-face ``kl``
+    queries are mostly ``domain_leaf`` fallbacks."""
+    eps = 0.1
+    ratios = []
+    fallbacks = Counter()
+    failures = configs = kl_queries = 0
+    for make, d in ((_stretched_mahalanobis, 2), (_stretched_mahalanobis, 3),
+                    (_kl_near_domain_edge, 2), (_kl_near_domain_edge, 4)):
+        rng = np.random.default_rng(1400 + 10 * d + len(make.__name__))
+        fns, queries = make(d, rng)
+        index = build_index(fns, eps)
+        best = batch_values(fns, queries).min(axis=1)
+        for q, b in zip(queries, best):
+            _, v = index.query(q)
+            failures += v > (1.0 + eps) * b * (1.0 + 1e-10) + 1e-300
+            if b > 0:
+                ratios.append(v / b)
+        fallbacks.update({k[len("fallback_"):]: v for k, v in index.stats.items()
+                          if k.startswith("fallback_")})
+        if index.kind == "bregman":
+            kl_queries += len(queries)
+        configs += 1
+    p50, p99, worst = np.quantile(ratios, [0.5, 0.99, 1.0])
+    report("criterion-14 large tau and domain edges (1+eps) vs oracle", failures == 0,
+           f"{configs} configs, {len(ratios)} queries, failures={failures}, ratio "
+           f"p50={p50:.6f} p99={p99:.6f} max={worst:.6f}, fallbacks "
+           f"{dict(sorted(fallbacks.items()))}, near-face kl scans "
+           f"{fallbacks['domain_leaf']}/{kl_queries}")

@@ -1,7 +1,7 @@
 """No module of the package keeps a module-level import it never uses, no
-top-level private name that no module of the package reads, and no public
+top-level private name that no module of the package reads, no public
 top-level function or class that neither the package, the tests nor the
-benchmark reads.
+benchmark reads, and no ``__slots__`` entry that the package never reads.
 
 The toolchain has no linter, so these checks catch names left behind when
 code is deleted.
@@ -127,3 +127,50 @@ def test_every_public_name_is_read():
                for p in MODULES + sorted((ROOT / "tests").glob("*.py"))
                + sorted((ROOT / "perfbench").glob("*.py"))}
     assert unread_public_names(defining, readers) == []
+
+
+def _strings(node) -> list[str]:
+    """The string constants of a tuple or list literal."""
+    if not isinstance(node, (ast.Tuple, ast.List)):
+        return []
+    return [e.value for e in node.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+
+
+def unread_slots(sources: dict[str, str]) -> list[str]:
+    """``__slots__`` entries of a class in one of ``sources`` (file name ->
+    text) that no expression of any of them reads as an attribute and no
+    kernel's ``arrays`` tuple names."""
+    read, slots = set(), []
+    for file, source in sources.items():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ClassDef):
+                for stmt in n.body:
+                    if isinstance(stmt, ast.Assign):
+                        targets, value = stmt.targets, stmt.value
+                    elif isinstance(stmt, ast.AnnAssign):
+                        targets, value = [stmt.target], stmt.value
+                    else:
+                        continue
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                    if "arrays" in names:
+                        read.update(_strings(value))
+                    if "__slots__" in names:
+                        slots += [(name, n.name, file, stmt.lineno) for name in _strings(value)]
+    return [f"{cls}.{name} ({file} line {line})" for name, cls, file, line in slots
+            if name not in read]
+
+
+def test_checker_finds_an_unread_slot():
+    a = ("class Kernel:\n    __slots__ = ('P', 'k')\n    arrays: tuple = ('P',)\n\n\n"
+         "class Leaf:\n    __slots__ = ('ids', 'env', 'left')\n\n"
+         "    def __init__(self):\n        self.ids = self.env = self.left = None\n")
+    b = "def f(leaf, kern):\n    return leaf.env, kern.k\n"
+    assert unread_slots({"a.py": a, "b.py": b}) == [
+        "Leaf.ids (a.py line 7)", "Leaf.left (a.py line 7)"]
+
+
+def test_every_slot_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_slots(sources) == []

@@ -197,3 +197,18 @@ def test_equal_builtin_generators_held_apart_share_one_kernel(rng):
     with pytest.raises(ValueError, match="share one generator"):
         build_index([make_bregman(generalized_kl_spec(2), P[0]),
                      make_bregman(generalized_kl_spec(2, 0.05, 1.0), P[1])], 0.25)
+
+
+def test_sites_of_different_dimensions_rejected_by_name(rng):
+    """A family, a brute-force scan or an index over a 2-d and a 3-d site
+    raises a ``ValueError`` naming both dimensions, whether the family comes
+    from site functions or from kernel groups."""
+    fns = [make_minkowski(rng.random(2), 2.0), make_minkowski(rng.random(3), 2.0)]
+    message = r"sites must share one dimension, got \[2, 3\]"
+    for call in (SiteFamily, lambda f: brute_force(f, np.zeros(2)),
+                 lambda f: build_index(f, 0.25), lambda f: build_index(f[::-1], 0.25)):
+        with pytest.raises(ValueError, match=message):
+            call(fns)
+    groups = [(np.array([0]), fns[0].kernel, 1.0), (np.array([1]), fns[1].kernel, 1.0)]
+    with pytest.raises(ValueError, match=message):
+        SiteFamily.from_groups(groups)

@@ -1,13 +1,13 @@
 """The warm path against a per-query reference.
 
-``AnnIndex.query`` answers a built leaf from one evaluation of the leaf's
-cached candidate family at the query. The reference below answers the same
-leaf from scratch: the exact minimum at the query, over a fresh ``take``,
-of the leaf's nominees (its fixed sites and the witnesses of the query's
-lattice cell in its outer envelope). Both must agree bit for bit on every
-leaf kind, for every distance kind, and whether the index was queried
-lazily, loaded from a file or queried in another order. The answer is
-never worse than the envelope's own witness (``ConcaveEnvelope.query``).
+``AnnIndex.query`` answers a built leaf from one evaluation at the query of
+the family of its nominees, memoized per nominee set. The reference below
+answers the same leaf from scratch: the exact minimum at the query, over a
+fresh ``take``, of the leaf's nominees (its fixed sites and the witnesses
+of the query's lattice cell in its outer envelope). Both must agree bit for
+bit on every leaf kind, for every distance kind, and whether the index was
+queried lazily, loaded from a file or queried in another order. The answer
+is never worse than the envelope's own witness (``ConcaveEnvelope.query``).
 """
 
 import sys
@@ -18,7 +18,7 @@ import pytest
 from eann._batch import SiteFamily, batch_values
 from eann.ann import InnerPatchSet, brute_force, build_index, load_index, save_index
 from eann.cli import gen_family, gen_queries, gen_sites
-from eann.distances import GaugeParams, make_custom_gauge
+from eann.distances import GaugeParams, make_custom_gauge, minkowski_sites
 
 SCALING = ("l2", "l3", "mahalanobis", "gauge")
 BREGMAN = ("kl", "is")
@@ -238,6 +238,60 @@ def test_warm_envelope_query_makes_one_kernel_call(monkeypatch):
     np.testing.assert_array_equal(evaluated, q[None, :])
     monkeypatch.undo()
     assert answer == reference(index, q)[0]
+
+
+def test_large_survivor_leaves_evaluate_only_the_cell_nominees(monkeypatch):
+    """``l3`` sites on a circle (d = 2) or a sphere (d = 3) about the point
+    0.5 keep every site as an outer survivor of the leaves around that
+    point. A warm query there evaluates one family at q whose members are
+    exactly its nominees, a count that stays small as m grows to 8,000;
+    two lattice cells with equal witness sets share that family."""
+    eps = 0.1
+    evaluated = []
+    real_values = SiteFamily.values
+    shared_cells = 0
+    for m, d in ((500, 2), (8000, 2), (2000, 3)):
+        rng = np.random.default_rng(m + d)
+        if d == 2:
+            angles = 2.0 * np.pi * np.arange(m) / m
+            dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        else:
+            dirs = rng.standard_normal((m, d))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        family = SiteFamily.from_groups([(slice(None),
+                                          *minkowski_sites(0.5 + 0.4 * dirs, 3.0, np.ones(m)))])
+        index = build_index(family, eps)
+        offsets = rng.standard_normal((120, d))
+        offsets *= 0.01 * rng.random((120, 1)) / np.linalg.norm(offsets, axis=1)[:, None]
+        queries = 0.5 + offsets
+        for q in queries:
+            answer = index.query(q)
+            assert answer == reference(index, q)[0], q
+            assert answer[1] <= (1.0 + eps) * brute_force(family, q)[1] * (1.0 + 1e-12), q
+
+        monkeypatch.setattr(SiteFamily, "values",
+                            lambda self, X: evaluated.append(self) or real_values(self, X))
+        by_cell, by_witnesses = {}, {}
+        for q in queries:
+            evaluated.clear()
+            index.query(q)
+            (got,) = evaluated
+            leaf, _ = index.tree.locate(q)
+            att = index._attachment(leaf)
+            env = att.outer_env
+            assert env.kept_ids.size == m  # every site survives the screen
+            u = env.unit_point(q)
+            pos = env.cell_witnesses(u)
+            nominees = set(att.fixed_fids) | set(env.kept_ids[pos].tolist())
+            assert len(got) == len(nominees) <= 24, (m, d, len(got))
+            cell = (id(leaf), *np.floor(u / env.spacing + 1e-9).astype(int).tolist())
+            assert by_cell.setdefault(cell, got) is got
+            by_witnesses.setdefault((id(leaf), pos.tobytes()), {})[cell] = got
+        monkeypatch.undo()
+        for cells in by_witnesses.values():
+            assert len({id(f) for f in cells.values()}) == 1
+            shared_cells += len(cells) > 1
+    assert shared_cells > 0, "no two cells with equal witness sets"
 
 
 def test_fallbacks_are_counted_by_reason():
