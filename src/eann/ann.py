@@ -12,12 +12,17 @@ the true distances of the candidates and returns the best, so the internal
 approximations surface as a single checkable (1+eps) inequality.
 
 Per-leaf structures are built on first use and memoized (they are pure
-functions of the leaf), so results do not depend on query order. A query's
-nominees are its leaf's fixed sites and, for an outer envelope, the
-memoized witnesses of its lattice cell; the exact best of them at the query
-is the answer. A leaf keeps one family per distinct nominee set, and a warm
-query evaluates its set's family once, at the query alone, so leaf work
-does not grow with the envelope's kept members. The witness that the
+functions of the leaf), so results do not depend on query order. A leaf's
+outer envelope is the witness lattice of the survivors of its prune screen,
+read as a ``NormalizedFamily`` of scale 1: the index family, the leaf ball
+and the survivor ids. A witness is an argmin, which neither the scale nor
+the keep rule of the paper's ``normalize`` moves, so the leaf computes no
+ball minima and keeps no copy of the survivors' family. A query's nominees are
+its leaf's fixed sites and, for an outer envelope, the memoized witnesses
+of its lattice cell; the exact best of them at the query is the answer. A
+leaf keeps one family per distinct nominee set, and a warm query evaluates
+its set's family once, at the query alone, so leaf work does not grow with
+the envelope's survivors. The witness that the
 envelope alone would choose (``ConcaveEnvelope.query``) is one of the
 nominees, so the answer is never worse than it, and its (1+eps) bound holds
 for the answer.
@@ -35,7 +40,7 @@ import numpy as np
 
 from ._batch import SiteFamily, batch_values
 from .avd import CONFIG_RECORD, AvdConfig, AvdLeaf, AvdTree, build_avd
-from .convexify import _check_ball_in_domain, screen
+from .convexify import NormalizedFamily, _check_ball_in_domain, screen
 from .distances import (
     BregmanKernel,
     DomainError,
@@ -275,16 +280,16 @@ class AnnIndex:
             if np.any(outer):
                 ball = enclosing_ball(leaf.cell)
                 try:
-                    fids = screen(self.family, ball, outer, range(self.n)).tolist()
+                    fids = screen(self.family, ball, outer, range(self.n))
                     if np.count_nonzero(outer) > 1:
                         # A leaf with two or more outer sites whose ball
                         # leaves the domain is brute, even with one survivor.
                         _check_ball_in_domain(self.family, ball)
                     if len(fids) == 1:
-                        att.fixed_fids += fids
+                        att.fixed_fids += fids.tolist()
                     else:
-                        att.outer_env = build_relative(self.family.take(fids), ball,
-                                                       self.eps, indices=fids)
+                        att.outer_env = ConcaveEnvelope(
+                            NormalizedFamily(ball, 1.0, self.family, fids), self.eps / 5.0)
                 except DomainError:
                     att.brute = True
                     self.stats["brute_leaves"] += 1
@@ -357,7 +362,7 @@ class AnnIndex:
     def storage_stats(self) -> dict:
         """Sizes of the structures built so far; expands no node.
         ``tree_nodes`` counts the rows of the tree's node table and
-        ``tree_bytes`` the bytes its columns and id pool hold."""
+        ``tree_bytes`` the bytes its columns, hole table and id pool hold."""
         env_samples = 0
         leaves = self.tree.built_leaves()
         for leaf in leaves:

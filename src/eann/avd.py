@@ -15,9 +15,10 @@ for statistics and invariant checks. For the same reason a tree is
 serialized as its configuration record alone (``to_bytes``): a loader
 rebuilds the lazy tree from the sites and checks the record against it.
 
-Nodes are rows of a flat table: columns of kind, split axis and midpoint,
-outer and hole bounds, child ids and depth, with no object per node. Only a
-built leaf has an object, ``AvdLeaf``, which ``locate`` returns. Site ids
+Nodes are rows of a flat table of typed arrays: kind, split axis and
+midpoint, outer bounds, child ids and depth, with no object per node. The
+few holed cells keep their hole bounds in a side table. Only a built leaf
+has an object, ``AvdLeaf``, which ``locate`` returns. Site ids
 live in one int32 pool: a pending node's ``assigned`` sites, the positions
 routed into its cell, are a span of it, and its near parts a chain of spans.
 
@@ -186,15 +187,18 @@ def _split(cell) -> tuple[int, float, tuple]:
     hi_lo[axis] = mid
     inner_lo = inner_hi = None
     if hole is not None:
+        # Each side keeps its part of the hole, so that no cell overlaps
+        # it. The midpoint cuts a hole where rounded widths pick a longest
+        # axis other than the one the shrink's quadtree box was halved along.
         ilo, ihi = hole
-        if 0.5 * (ilo[axis] + ihi[axis]) < mid:
-            ihi = ihi.copy()
-            ihi[axis] = min(ihi[axis], mid)
-            inner_lo = (ilo, ihi)
-        else:
-            ilo = ilo.copy()
-            ilo[axis] = max(ilo[axis], mid)
-            inner_hi = (ilo, ihi)
+        if ilo[axis] < mid:
+            top = ihi.copy()
+            top[axis] = min(ihi[axis], mid)
+            inner_lo = (ilo, top)
+        if ihi[axis] > mid:
+            bottom = ilo.copy()
+            bottom[axis] = max(ilo[axis], mid)
+            inner_hi = (bottom, ihi)
     return axis, mid, (_nonempty(_make_cell(lo, lo_hi, inner_lo)),
                        _nonempty(_make_cell(hi_lo, hi, inner_hi)))
 
@@ -273,15 +277,15 @@ class AvdTree:
         # Nodes expanded so far, which ``storage_stats`` reports.
         self.expansions = 0
 
-        # The node table, one row per node. The columns a warm locate reads
-        # on every visit are lists, whose items it reads without allocating.
-        self._kind: list[int] = []
-        self._axis: list[int] = []  # split axis, or -1
-        self._mid: list[float] = []  # split midpoint
-        self._kids: list[int] = []  # two per node, -1 where a side has no child
+        # The node table, one row per node, in typed columns.
+        self._kind = array("b")
+        self._axis = array("i")   # split axis, or -1
+        self._mid = array("d")    # split midpoint
+        self._kids = array("i")   # two per node, -1 where a side has no child
         self._depth = array("i")
-        self._box = array("d")    # 4d per node: outer low, outer high, hole low, hole high
-        self._holed = array("b")
+        self._box = array("d")    # 2d per node: outer low, outer high
+        self._hole = array("i")   # a holed cell's row in _holes, or -1
+        self._holes = array("d")  # 2d per holed cell: hole low, hole high
         self._span = array("i")   # two per node: offset and count of its assigned ids
         self._near = array("i")   # a pending node's last near-part segment, or -1
         self._leaf = array("i")   # a leaf's index in _leaves, or -1
@@ -291,7 +295,6 @@ class AvdTree:
         self._seg = array("i")
         self._ids = np.empty(max(64, 2 * self.n_positions), dtype=_ID)
         self._n_ids = 0
-        self._no_hole = [0.0] * (2 * self.dim)
         self._leaves: list[AvdLeaf] = []
         root = self.root_box
         self._root_lo, self._root_hi = root.low.tolist(), root.high.tolist()
@@ -328,12 +331,15 @@ class AvdTree:
         """Append pending nodes, one per (depth, cell, span, near) row;
         returns the id of the first."""
         first, n = len(self._kind), len(rows)
-        box, holed, spans = [], [], []
+        box, holes, spans = [], [], []
         for _, (lo, hi, hole), span, _ in rows:
             box += lo
             box += hi
-            box += self._no_hole if hole is None else hole[0] + hole[1]
-            holed.append(hole is not None)
+            if hole is None:
+                holes.append(-1)
+            else:
+                holes.append(len(self._holes) // (2 * self.dim))
+                self._holes.extend(hole[0] + hole[1])
             spans += span
         self._kind.extend([_PENDING] * n)
         self._axis.extend([-1] * n)
@@ -341,7 +347,7 @@ class AvdTree:
         self._kids.extend([-1] * (2 * n))
         self._depth.extend([row[0] for row in rows])
         self._box.extend(box)
-        self._holed.extend(holed)
+        self._hole.extend(holes)
         self._span.extend(spans)
         self._near.extend([row[3] for row in rows])
         self._leaf.extend([-1] * n)
@@ -349,9 +355,13 @@ class AvdTree:
 
     def _cell(self, node: int):
         d = self.dim
-        b = self._box[4 * d * node:4 * d * (node + 1)].tolist()
-        hole = (b[2 * d:3 * d], b[3 * d:]) if self._holed[node] else None
-        return b[:d], b[d:2 * d], hole
+        b = self._box[2 * d * node:2 * d * (node + 1)].tolist()
+        h = self._hole[node]
+        hole = None
+        if h >= 0:
+            hb = self._holes[2 * d * h:2 * d * (h + 1)].tolist()
+            hole = hb[:d], hb[d:]
+        return b[:d], b[d:], hole
 
     def _assigned(self, node: int) -> np.ndarray:
         off, n = self._span[2 * node:2 * node + 2]
@@ -367,16 +377,11 @@ class AvdTree:
         return len(self._kind)
 
     def tree_bytes(self) -> int:
-        """Bytes held by the node columns, the segments and the id pool. A
-        list column holds an 8-byte slot per item, and the float of each
-        split's midpoint and the int of each child id above the ints Python
-        shares are objects of 24 and 28 bytes."""
-        lists = (self._kind, self._axis, self._mid, self._kids)
-        arrays = (self._depth, self._box, self._holed, self._span, self._near, self._leaf,
-                  self._seg)
-        return (sum(8 * len(c) for c in lists) + sum(c.itemsize * len(c) for c in arrays)
-                + 24 * self._kind.count(_SPLIT) + 28 * sum(k > 256 for k in self._kids)
-                + self._ids.nbytes)
+        """Bytes held by the node columns, the hole table, the segments and
+        the id pool."""
+        columns = (self._kind, self._axis, self._mid, self._kids, self._depth, self._box,
+                   self._hole, self._holes, self._span, self._near, self._leaf, self._seg)
+        return sum(c.itemsize * len(c) for c in columns) + self._ids.nbytes
 
     # -- expansion ---------------------------------------------------------
 
@@ -628,7 +633,7 @@ class AvdTree:
             self._retire(parent, _SPLIT)
             self._axis[parent] = axis
             self._mid[parent] = mid
-            self._kids[2 * parent:2 * parent + 2] = kids_of[j]
+            self._kids[2 * parent:2 * parent + 2] = array("i", kids_of[j])
         return path[-1]
 
     def _make_leaf(self, node: int, in_cell: np.ndarray, inner: np.ndarray,
@@ -703,7 +708,7 @@ class AvdTree:
         self._retire(node, kind)
         self._axis[node] = axis
         self._mid[node] = mid
-        self._kids[2 * node:2 * node + 2] = ids
+        self._kids[2 * node:2 * node + 2] = array("i", ids)
 
     def _expand_subtree(self, node: int) -> None:
         """Expand the pending node ``node``, which holds at most one site,
@@ -775,7 +780,7 @@ class AvdTree:
                     return self._leaves[self._leaf[node]], self._depth[node] + 1
                 elif k == shrink:
                     # A shrink's first child is its quadtree box.
-                    b = 4 * d * kids[2 * node]
+                    b = 2 * d * kids[2 * node]
                     i = 2 * node + (not all(box[b + a] <= qa[a] < box[b + d + a]
                                             for a in range(d)))
                 else:

@@ -13,7 +13,10 @@ every member concave while leaving argmins and vertical gaps untouched;
 leaf build: it checks the separation and drops every member whose distance
 bounds place its ball minimum beyond the prune threshold. Screening its own
 survivors keeps all of them, so a caller may screen a family before handing
-the survivors to ``normalize``.
+the survivors to ``normalize``. The index does not: a leaf envelope reads
+its survivors as a ``NormalizedFamily`` with h = 1, since its witnesses are
+argmins. ``normalize`` serves ``check_invariants``, ``build_relative`` and
+the acceptance criteria.
 
 One batched estimator, ``fast_min_estimates``, supplies the ball minima of
 the survivors. Weighted Euclidean members are solved in closed form. Every
@@ -106,19 +109,34 @@ def fast_min_estimates(family, ball: EuclideanBall) -> np.ndarray:
 
 
 class NormalizedFamily:
-    """Kept members rescaled to the unit ball: g_i(u) = f_i(c + r*u) / h."""
+    """Members of a family rescaled to the unit ball: g_i(u) = f_i(c + r*u) / h
+    for the members at positions ``members`` of ``source``, whose original
+    ids are ``kept_indices``.
 
-    def __init__(self, ball: EuclideanBall, scale_h: float, kept_indices, kept: SiteFamily,
-                 f1_min: float):
+    It holds a reference to the source family, not a copy, and the
+    positions and ids as int32; ``family`` takes the members only while they
+    are evaluated. ``normalize`` gives h = 5 * f1_min; the index's leaves
+    give h = 1 and their screen survivors, since they read only argmins."""
+
+    __slots__ = ("ball", "scale_h", "source", "members", "kept_indices")
+
+    def __init__(self, ball: EuclideanBall, scale_h: float, source: SiteFamily, members,
+                 kept_indices=None):
         self.ball = ball
         self.scale_h = float(scale_h)
-        self.kept_indices = list(kept_indices)
-        self.family = kept
-        self.f1_min = float(f1_min)
+        self.source = source
+        self.members = np.asarray(members, dtype=np.int32)
+        self.kept_indices = (self.members if kept_indices is None
+                             else np.asarray(kept_indices, dtype=np.int32))
 
     @property
     def size(self) -> int:
-        return len(self.family)
+        return len(self.members)
+
+    @property
+    def family(self) -> SiteFamily:
+        """The members as a family of their own."""
+        return self.source.take(self.members)
 
     def world_points(self, U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -173,8 +191,7 @@ def normalize(family, ball: EuclideanBall, indices=None) -> NormalizedFamily:
     estimates = fast_min_estimates(family.take(screened), ball)
     f1_min = float(np.min(estimates))
     kept = screened[estimates <= 2.0 * (1.0 + PRUNE_DELTA) * f1_min]
-    return NormalizedFamily(ball, 5.0 * f1_min, [indices[i] for i in kept], family.take(kept),
-                            f1_min)
+    return NormalizedFamily(ball, 5.0 * f1_min, family, kept, [indices[i] for i in kept])
 
 
 def convexify(g: np.ndarray, U) -> np.ndarray:
@@ -197,9 +214,9 @@ def check_invariants(nf: NormalizedFamily, n_samples: int = 10000, seed: int = 0
     g_vals = nf.values_matrix(U)
     ghat = convexify(g_vals, U)
     X = np.broadcast_to(nf.world_points(U)[:, None, :], (n_samples, nf.size, d))
-    r, h = nf.ball.radius, nf.scale_h
-    grads = nf.family.gradients(X) * (r / h)
-    eigs = np.linalg.eigvalsh(nf.family.hessians(X) * (r**2 / h))
+    r, h, family = nf.ball.radius, nf.scale_h, nf.family
+    grads = family.gradients(X) * (r / h)
+    eigs = np.linalg.eigvalsh(family.hessians(X) * (r**2 / h))
     return {
         "g_min": float(np.min(g_vals)),
         "g_max": float(np.max(g_vals)),

@@ -1,10 +1,14 @@
 """The leaf envelope: lattice witnesses of the concave lower envelope of a
 normalized family over the unit ball.
 
-``ConcaveEnvelope(nf, eps_abs)`` takes a ``NormalizedFamily`` and adds the
-concavifying offset of ``convexify`` to its members' values. Anchors live
-on an axis-aligned lattice clipped to the ball (lattice points just outside
-are projected radially onto the sphere, which preserves the covering radius
+``ConcaveEnvelope(nf, eps_abs)`` takes a ``NormalizedFamily``: the
+paper's, from ``normalize``, or an index leaf's screen survivors at scale 1.
+The concavifying offset phi of ``convexify`` is common to every member and
+the scale positive, so neither moves an argmin. An anchor's witness is the
+argmin of the members' values there without phi, as adding phi to values
+far below it would round their differences away. Anchors live on an
+axis-aligned lattice clipped to the ball (lattice points just outside are
+projected radially onto the sphere, which preserves the covering radius
 because projection onto a convex set is non-expansive). Each anchor stores
 only its integer lattice code and its argmin member, the witness, as a kept
 position; its point is derived from the code. A query re-evaluates the
@@ -25,8 +29,9 @@ answer is never worse there than the envelope's pick.
 
 ``build_relative`` builds the envelope of a separated family over a world
 ball at the budget eps/5, whose witnesses are within (1+eps) of the family
-minimum. Anchors and cells are pure functions of the family and the lattice
-index, so results do not depend on query order.
+minimum; the index builds its leaf envelopes at that budget too. Anchors
+and cells are pure functions of the family and the lattice index, so
+results do not depend on query order.
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ from .convexify import NormalizedFamily, convexify, normalize
 from .geom import EuclideanBall
 
 SPACING_SAFETY = 0.8
+@functools.lru_cache(maxsize=None)
+def _radix(base: int, dim: int) -> np.ndarray:
+    """Place values ``base ** j`` of lattice codes; read-only, as every
+    envelope of one lattice shares them."""
+    radix = base ** np.arange(dim, dtype=np.int64)
+    radix.flags.writeable = False
+    return radix
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,11 +69,13 @@ class ConcaveEnvelope:
     """Lattice-indexed witnesses of min_i g_i + phi over the unit ball, for
     the members g_i of a normalized family ``nf``."""
 
+    __slots__ = ("nf", "dim", "cover_radius", "spacing", "window", "_kmax",
+                 "_base", "_radix", "kept_ids", "_codes", "_wit", "_cells", "_lock")
+
     def __init__(self, nf: NormalizedFamily, eps_abs: float):
         if not (0.0 < eps_abs <= 1.0):
             raise ValueError("eps out of range")
         self.nf = nf
-        self.eps_abs = float(eps_abs)
         self.dim = d = nf.ball.dim
         # Covering radius from the quadratic tangent-error budget: curvature
         # at least -5/16 keeps the overestimate below (5/32) r^2 <= eps/2.
@@ -76,8 +90,9 @@ class ConcaveEnvelope:
         if radix**d >= 2**62:
             raise ValueError("eps too small for the envelope lattice")
         self._base = radix
-        self._radix = radix ** np.arange(d, dtype=np.int64)
-        self.kept_ids = np.asarray(nf.kept_indices, dtype=np.intp)
+        self._radix = _radix(radix, d)
+        # Original ids by kept position: the family's own int32 array.
+        self.kept_ids = np.asarray(nf.kept_indices)
         # Anchors sorted by code, with the kept position of each witness.
         self._codes = np.empty(0, dtype=np.int64)
         self._wit = np.empty(0, dtype=np.int32)
@@ -115,7 +130,7 @@ class ConcaveEnvelope:
             new[~new] = self._codes[at[~new]] != codes[~new]
             if new.any():
                 Xn = X[new]
-                pos = np.argmin(convexify(self.nf.values_matrix(Xn), Xn), axis=1)
+                pos = np.argmin(self.nf.values_matrix(Xn), axis=1)
                 codes_all = np.concatenate([self._codes, codes[new]])
                 order = np.argsort(codes_all, kind="stable")
                 self._codes = codes_all[order]

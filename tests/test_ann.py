@@ -26,6 +26,7 @@ from eann.distances import (
     make_mahalanobis,
     make_minkowski,
 )
+from eann.envelope import ConcaveEnvelope
 
 
 def oracle_check(index, fns, queries, eps):
@@ -398,7 +399,7 @@ def test_persistence_roundtrip(tmp_path, rng):
             assert v == v_exp  # bit-for-bit
 
 
-def test_domain_error_while_answering_leaves_the_leaf_alone(rng):
+def test_domain_error_while_answering_leaves_the_leaf_alone(rng, monkeypatch):
     """A DomainError inside one answer sends that query to brute force; the
     leaf keeps its envelope, so later answers do not depend on query order."""
     pts = gen_sites(rng, 60, 2, "kl")
@@ -412,16 +413,17 @@ def test_domain_error_while_answering_leaves_the_leaf_alone(rng):
             break
     else:
         pytest.fail("no leaf with an outer envelope")
-    real = att.outer_env.cell_witnesses
+    real = ConcaveEnvelope.cell_witnesses
     calls = []
 
-    def flaky(u):
-        calls.append(u)
-        if len(calls) == 1:
-            raise DomainError("injected")
-        return real(u)
+    def flaky(env, u):
+        if env is att.outer_env:
+            calls.append(u)
+            if len(calls) == 1:
+                raise DomainError("injected")
+        return real(env, u)
 
-    att.outer_env.cell_witnesses = flaky
+    monkeypatch.setattr(ConcaveEnvelope, "cell_witnesses", flaky)
     before = index.stats["brute_leaves"]
     assert index.query(q) == brute_force(fns, q)
     assert index.stats["brute_queries"] == index.stats["fallback_domain_query"] == 1

@@ -274,3 +274,20 @@ def test_tree_bytes_per_cold_leaf():
     assert stats["tree_nodes"] == index.tree.tree_nodes() > stats["leaves"] > 150
     assert stats["tree_bytes"] / stats["leaves"] <= 0.5 * 20.9 * 1024
     assert index.storage_stats() == stats
+
+
+def test_no_cell_overlaps_a_shrink_hole():
+    """A midpoint that cuts a shrink's hole leaves each side its part, so
+    every materialized leaf without a hole is the leaf its own center
+    locates. Rounded widths of these blobs (1e-6 wide, shrunk in a cell
+    twice as deep as wide) once split the outer cell across its hole, and
+    a side that kept no hole covered leaves the hole's subtree had too."""
+    base = np.array([[0.0, 0.0, 0.0], [0.125, 0.0, 0.625], [0.002589, 0.01, 0.000457]])
+    sites = np.concatenate([base, base + 2.5e-7 * np.array([[-1, 0, -1], [3, 2, 3], [4, 0, 0]])])
+    tree = build_avd(sites, AvdConfig(2.0, 4.0))
+    leaves = tree.leaves()
+    for leaf in leaves:
+        if leaf.cell.inner is None:
+            center = 0.5 * (leaf.cell.outer.low + leaf.cell.outer.high)
+            assert tree.locate(center)[0] is leaf, leaf.node
+        assert check_leaf(tree, leaf) == []

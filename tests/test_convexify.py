@@ -165,16 +165,17 @@ def test_normalize_single_family_example():
     nf = normalize([f], BALL)
     assert nf.scale_h == pytest.approx(25.0)
     assert nf.values_matrix(np.zeros((1, 2)))[0, 0] == pytest.approx(6.0 / 25.0)
-    assert nf.kept_indices == [0]
+    assert nf.kept_indices.tolist() == [0]
 
 
 def test_normalize_prunes_far_member():
     f_near = make_minkowski([6.0, 0.0], 2.0, tau=1.0)
     f_far = make_minkowski([40.0, 0.0], 2.0, tau=1.0)
     nf = normalize([f_near, f_far], BALL)
-    assert nf.kept_indices == [0]
-    # The pruned member's estimated minimum exceeds twice the family minimum.
-    assert fast_min_estimates([f_far], BALL)[0] > 2.0 * nf.f1_min
+    assert nf.kept_indices.tolist() == [0]
+    # The pruned member's estimated minimum exceeds twice the family minimum,
+    # a fifth of the scale.
+    assert fast_min_estimates([f_far], BALL)[0] > 2.0 * nf.scale_h / 5.0
 
 
 def test_normalize_keeps_exactly_the_members_within_the_threshold():
@@ -189,9 +190,9 @@ def test_normalize_keeps_exactly_the_members_within_the_threshold():
     assert prune_screen(*batch_value_bounds(fns, dists)).tolist() == [True, True, False]
     est = fast_min_estimates(fns[:2], BALL)
     nf = normalize(fns, BALL)
-    assert nf.f1_min == est.min()
+    assert nf.scale_h == 5.0 * est.min()
     assert est[1] > 2.0 * (1.0 + PRUNE_DELTA) * est.min()
-    assert nf.kept_indices == [0]
+    assert nf.kept_indices.tolist() == [0]
 
 
 def test_normalize_reports_offender():

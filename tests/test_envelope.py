@@ -129,7 +129,7 @@ def test_tangents_dominate_envelope(rng):
     probes /= np.maximum(1.0, np.linalg.norm(probes, axis=1))[:, None]
     truth = convexified(nf, probes).min(axis=1)
     for a, w in zip(env.anchors, env.witnesses):
-        pos = nf.kept_indices.index(w)
+        pos = nf.kept_indices.tolist().index(w)
         at_anchor = convexified(nf, a[None, :])[0]
         assert at_anchor[pos] == at_anchor.min()
         x = np.tile(nf.world_points(a), (nf.size, 1))

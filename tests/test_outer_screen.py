@@ -1,10 +1,11 @@
-"""The index's outer-site screen against the unscreened leaf build.
+"""The index's outer-site screen against the paper's leaf build.
 
-Before a leaf envelope is built, AnnIndex drops every outer site that the
-prune screen of ``normalize`` would discard unestimated. The reference here
-is the build without that step: ``normalize`` over the leaf's full outer
-site list, which must keep the same members at the same scale and send the
-same leaves to brute force.
+A leaf's envelope is built over every outer site that survives the prune
+screen, with no ball-minimum estimates, keep rule or scale. The references
+here are ``normalize`` over the leaf's full outer site list, which must send
+the same leaves to brute force and keep the same lone survivor, and the
+envelope the paper builds over the survivors (``normalize`` at eps/5), whose
+cell witnesses must equal the index's.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from eann.distances import (
     make_custom_gauge,
     squared_mahalanobis_spec,
 )
+from eann.envelope import ConcaveEnvelope
 from eann.geom import EuclideanBall, enclosing_ball
 
 from conftest import random_gauge_fn
@@ -73,8 +75,8 @@ def _fids(index, positions):
 
 
 def _compare_leaf(index, fns, leaf) -> str:
-    """Check one leaf's attachment against the unscreened build from the
-    site functions ``fns`` of the index; returns which case the leaf fell in."""
+    """Check one leaf's attachment against the paper's build from the site
+    functions ``fns`` of the index; returns which case the leaf fell in."""
     outer = _fids(index, leaf.outer_positions())
     ball = enclosing_ball(leaf.cell)
     att = index._attachment(leaf)
@@ -97,17 +99,23 @@ def _compare_leaf(index, fns, leaf) -> str:
         assert att.brute and att.outer_env is None
         return "brute"
     assert not att.brute
+    members = np.isin(np.arange(index.n), outer)
+    survivors = screen(index.family, ball, members, range(index.n)).tolist()
     env = att.outer_env
     if env is None:
         survivor = att.fixed_fids[len(fixed)]
-        assert survivor in outer and ref.kept_indices == [survivor]
+        assert survivors == ref.kept_indices.tolist() == [survivor]
         assert att.fixed_fids == fixed + [survivor] + inner_fixed
         return "single survivor"
     assert att.fixed_fids == fixed + inner_fixed
-    assert set(env.nf.kept_indices) <= set(outer)
-    assert env.nf.kept_indices == ref.kept_indices
-    assert env.nf.scale_h == ref.scale_h
-    assert env.nf.f1_min == ref.f1_min
+    assert env.kept_ids.tolist() == survivors
+    paper = ConcaveEnvelope(normalize(index.family.take(survivors), ball, indices=survivors),
+                            index.eps / 5.0)
+    box = leaf.cell.outer
+    for x in np.random.default_rng(leaf.node).uniform(box.low, box.high, (12, index.dim)):
+        u = env.unit_point(x)
+        assert (env.kept_ids[env.cell_witnesses(u)].tolist()
+                == paper.kept_ids[paper.cell_witnesses(u)].tolist())
     return "envelope"
 
 
