@@ -7,9 +7,9 @@ custom-gauge triple), with its parameter arrays. Built from the kernels and
 config reader and ``load_index`` do), or by concatenating the one-member
 kernels of site functions, it samples every deferred ``tau`` in one pass
 per kernel group and keeps no site object; ``member`` views one as a site
-function. It evaluates every member at every point (cross values), or each
-member at its own row (row-paired values, gradients and Hessians, for
-points the caller keeps inside the domain), and bounds each member's
+function. At points the caller keeps inside the domain, it evaluates every
+member at every point (cross values), or each member at its own row
+(row-paired values, gradients and Hessians), and bounds each member's
 minimum at a given Euclidean distance from its site.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distances import BregmanKernel, DomainError, SiteFunction, sampled_tau
+from .distances import BregmanKernel, SiteFunction, sampled_tau
 
 # Trailing axes a kernel method adds per member: none, (d,) or (d, d).
 _RANK = {"values": 0, "gradients": 1, "hessians": 2}
@@ -112,17 +112,11 @@ class SiteFamily:
         X = np.asarray(X, dtype=float)
         return self._apply(method, X) if X.ndim == 3 else self._apply(method, X[None])[0]
 
-    def check_domain(self, X: np.ndarray) -> None:
-        for spec in self.specs:
-            if not np.all(spec.in_domain(X)):
-                raise DomainError("query outside domain")
-
     def values(self, X) -> np.ndarray:
-        """Every member at every point: shape (A, n) for X of shape (A, d) or (d,)."""
+        """Every member at every point: shape (A, n) for X of shape (A, d) or
+        (d,), which the caller keeps inside the domain, as for ``paired``."""
         X = np.asarray(X, dtype=float)
-        X = X.reshape(-1, X.shape[-1])
-        self.check_domain(X)
-        return self._apply("values", X[:, None, :])
+        return self._apply("values", X.reshape(-1, X.shape[-1])[:, None, :])
 
     def paired(self, X) -> np.ndarray:
         """Member i at X[i] (X of shape (n, d)), or at X[t, i] of a (T, n, d) grid."""

@@ -172,10 +172,27 @@ class _Attachment:
         self.nominees: dict[bytes, tuple[np.ndarray, SiteFamily]] = {}
 
 
+def _checked_query(family: SiteFamily, q) -> np.ndarray:
+    """``q`` as a float vector of the family's dimension, finite and inside
+    its Bregman domains: the one check of a query, before any kernel call."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != family.P.shape[1:]:
+        raise ValueError("query dimension mismatch")
+    if not np.isfinite(q).all():
+        raise ValueError("query must be finite")
+    for spec in family.specs:
+        if not spec.in_domain(q):
+            raise DomainError("query outside domain")
+    return q
+
+
 def brute_force(sites, q) -> tuple[int, float]:
     """Exact argmin/min by full scan of a ``SiteFamily`` or a list of site
-    functions; ties go to the lowest index."""
-    vals = batch_values(SiteFamily.of(sites), q)[0]
+    functions; ties go to the lowest index. As in ``AnnIndex.query``, a
+    malformed or non-finite ``q`` raises ``ValueError``, and one outside a
+    Bregman domain ``DomainError``."""
+    family = SiteFamily.of(sites)
+    vals = batch_values(family, _checked_query(family, q))[0]
     idx = int(np.argmin(vals))
     return idx, float(vals[idx])
 
@@ -246,9 +263,9 @@ class AnnIndex:
 
     def _bump(self, visits: int, outside: bool, fallback: str | None) -> None:
         """Count one query, under one lock acquisition. A brute-force
-        fallback is counted under its reason (``fallback_domain_leaf``,
-        ``fallback_domain_query`` or ``fallback_outside``) and under
-        ``brute_queries`` or, outside the tree, ``outside_brute``."""
+        fallback is counted under its reason (``fallback_domain_leaf`` or
+        ``fallback_outside``) and under ``brute_queries`` or, outside the
+        tree, ``outside_brute``."""
         with self._lock:
             stats = self.stats
             stats["queries"] += 1
@@ -301,13 +318,7 @@ class AnnIndex:
 
     def query(self, q) -> tuple[int, float]:
         """(site index, value) with value <= (1+eps) * min_i f_i(q)."""
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.dim,):
-            raise ValueError("query dimension mismatch")
-        if not np.isfinite(q).all():
-            raise ValueError("query must be finite")
-        if self.kind == "bregman" and not self.family.specs[0].in_domain(q):
-            raise DomainError("query outside domain")
+        q = _checked_query(self.family, q)
         leaf, visits = self.tree.locate(q)
         answer = fallback = None
         if leaf is None:
@@ -315,12 +326,7 @@ class AnnIndex:
         elif (att := self._attachment(leaf)).brute:
             fallback = "domain_leaf"
         else:
-            try:
-                answer = self._query_leaf(att, q)
-            except DomainError:
-                # Only this query falls back; the leaf keeps its structures,
-                # so later answers do not depend on query order.
-                fallback = "domain_query"
+            answer = self._query_leaf(att, q)
         if answer is None:
             answer = brute_force(self.family, q)
         self._bump(visits, leaf is None, fallback)

@@ -175,7 +175,7 @@ class ConcaveEnvelope:
     def _onto_ball(u: np.ndarray) -> np.ndarray:
         """u, pulled onto the unit ball from at most 1e-9 outside it."""
         norm = float(np.linalg.norm(u))
-        if norm > 1.0 + 1e-9:
+        if not norm <= 1.0 + 1e-9:  # NaN included
             raise ValueError("query outside envelope domain")
         return u / norm if norm > 1.0 else u
 

@@ -26,7 +26,6 @@ from eann.distances import (
     make_mahalanobis,
     make_minkowski,
 )
-from eann.envelope import ConcaveEnvelope
 
 
 def oracle_check(index, fns, queries, eps):
@@ -180,6 +179,31 @@ def test_bregman_query_outside_domain(rng):
     idx = build_index(fns, 0.25)
     with pytest.raises(DomainError):
         idx.query(np.array([5.0, 0.5]))
+
+
+@pytest.mark.parametrize("tag", ["l2", "kl"])
+@pytest.mark.parametrize("as_family", [True, False])
+def test_malformed_queries_fail_alike_in_the_index_and_the_oracle(tag, as_family, rng):
+    """``AnnIndex.query`` and ``brute_force`` check a query the same way: a
+    non-finite, wrong-length or batched point raises ``ValueError`` with one
+    message, and a point outside a Bregman domain ``DomainError``."""
+    fns = gen_family(tag, gen_sites(rng, 30, 2, tag), rng)
+    index = build_index(fns, 0.25)
+    sites = index.family if as_family else fns
+    q = gen_queries(rng, 1, 2, tag)[0]
+    malformed = [(np.array([np.nan, q[1]]), "query must be finite"),
+                 (np.array([q[0], np.inf]), "query must be finite"),
+                 (np.append(q, q[0]), "query dimension mismatch"),
+                 (np.stack([q, q]), "query dimension mismatch")]
+    for bad, message in malformed:
+        for answer in (index.query, lambda x: brute_force(sites, x)):
+            with pytest.raises(ValueError, match=message):
+                answer(bad)
+    if tag == "kl":
+        for answer in (index.query, lambda x: brute_force(sites, x)):
+            with pytest.raises(DomainError, match="query outside domain"):
+                answer(np.array([q[0], 50.0]))
+    assert index.stats["queries"] == 0
 
 
 def test_outside_root_queries(rng):
@@ -397,42 +421,6 @@ def test_persistence_roundtrip(tmp_path, rng):
             w, v = loaded.query(q)
             assert w == w_exp
             assert v == v_exp  # bit-for-bit
-
-
-def test_domain_error_while_answering_leaves_the_leaf_alone(rng, monkeypatch):
-    """A DomainError inside one answer sends that query to brute force; the
-    leaf keeps its envelope, so later answers do not depend on query order."""
-    pts = gen_sites(rng, 60, 2, "kl")
-    fns = gen_family("kl", pts, rng)
-    index = build_index(fns, 0.25)
-    queries = gen_queries(rng, 200, 2, "kl")
-    for q in queries:
-        leaf, _ = index.tree.locate(q)
-        att = index._attachment(leaf)
-        if att.outer_env is not None and not att.brute:
-            break
-    else:
-        pytest.fail("no leaf with an outer envelope")
-    real = ConcaveEnvelope.cell_witnesses
-    calls = []
-
-    def flaky(env, u):
-        if env is att.outer_env:
-            calls.append(u)
-            if len(calls) == 1:
-                raise DomainError("injected")
-        return real(env, u)
-
-    monkeypatch.setattr(ConcaveEnvelope, "cell_witnesses", flaky)
-    before = index.stats["brute_leaves"]
-    assert index.query(q) == brute_force(fns, q)
-    assert index.stats["brute_queries"] == index.stats["fallback_domain_query"] == 1
-    assert index.stats["brute_leaves"] == before
-    assert not att.brute
-    fresh = build_index(fns, 0.25)
-    assert index.query(q) == fresh.query(q)
-    assert len(calls) == 2  # the envelope answered the second query
-    assert index.stats["brute_queries"] == 1
 
 
 def _mixed_scaling(rng, order):

@@ -72,6 +72,10 @@ def test_query_outside_domain():
         env.query_absolute(np.array([2.0, 0.0]))
     with pytest.raises(ValueError, match="query outside envelope domain"):
         env.query(np.array([0.0, -2.0]))
+    # A non-finite point is refused too, before the lattice gathers around it.
+    for q in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="query outside envelope domain"):
+            env.query(np.array(q))
 
 
 def test_covering_radius_invariant(rng):

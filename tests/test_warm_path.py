@@ -18,7 +18,7 @@ import pytest
 from eann._batch import SiteFamily, batch_values
 from eann.ann import InnerPatchSet, brute_force, build_index, load_index, save_index
 from eann.cli import gen_family, gen_queries, gen_sites
-from eann.distances import GaugeParams, make_custom_gauge, minkowski_sites
+from eann.distances import BregmanSpec, GaugeParams, make_custom_gauge, minkowski_sites
 
 SCALING = ("l2", "l3", "mahalanobis", "gauge")
 BREGMAN = ("kl", "is")
@@ -240,6 +240,37 @@ def test_warm_envelope_query_makes_one_kernel_call(monkeypatch):
     assert answer == reference(index, q)[0]
 
 
+def test_a_leaf_query_checks_its_domain_once(monkeypatch):
+    """A query on a built leaf checks the Bregman domain once, where it
+    enters; the leaf's kernel call does not check it again. A scaling
+    family has no domain to check."""
+    calls = []
+    real = BregmanSpec.in_domain
+
+    def counted(spec, x):
+        calls.append(x)
+        return real(spec, x)
+
+    for tag, expected in (("kl", 48), ("l3", 0)):
+        rng = np.random.default_rng(23)
+        index = build_index(gen_family(tag, gen_sites(rng, 400, 2, tag), rng), 0.25)
+        queries = []
+        for q in gen_queries(rng, 400, 2, tag):
+            leaf, _ = index.tree.locate(q)
+            if leaf is not None and not index._attachment(leaf).brute:
+                index.query(q)
+                queries.append(q)
+        queries = queries[:48]
+        assert len(queries) == 48
+        monkeypatch.setattr(BregmanSpec, "in_domain", counted)
+        calls.clear()
+        for q in queries:
+            index.query(q)
+        monkeypatch.undo()
+        assert len(calls) == expected
+        assert index.stats["brute_queries"] == 0
+
+
 def test_large_survivor_leaves_evaluate_only_the_cell_nominees(monkeypatch):
     """``l3`` sites on a circle (d = 2) or a sphere (d = 3) about the point
     0.5 keep every site as an outer survivor of the leaves around that
@@ -317,7 +348,6 @@ def test_fallbacks_are_counted_by_reason():
     assert stats["fallback_domain_leaf"] == stats["brute_queries"] == leaf_scans
     assert stats["fallback_outside"] == stats["outside_brute"] == outside_scans
     assert stats["outside_queries"] == outside
-    assert stats["fallback_domain_query"] == 0
 
 
 def test_threads_building_cells_concurrently_match_sequential_answers():
