@@ -12,20 +12,27 @@ the true distances of the candidates and returns the best, so the internal
 approximations surface as a single checkable (1+eps) inequality.
 
 Per-leaf structures are built on first use and memoized (they are pure
-functions of the leaf), so results do not depend on query order. A leaf's
-outer envelope is the witness lattice of the survivors of its prune screen,
-read as a ``NormalizedFamily`` of scale 1: the index family, the leaf ball
-and the survivor ids. A witness is an argmin, which neither the scale nor
-the keep rule of the paper's ``normalize`` moves, so the leaf computes no
-ball minima and keeps no copy of the survivors' family. A query's nominees are
-its leaf's fixed sites and, for an outer envelope, the memoized witnesses
-of its lattice cell; the exact best of them at the query is the answer. A
-leaf keeps one family per distinct nominee set, and a warm query evaluates
-its set's family once, at the query alone, so leaf work does not grow with
-the envelope's survivors. The witness that the
-envelope alone would choose (``ConcaveEnvelope.query``) is one of the
-nominees, so the answer is never worse than it, and its (1+eps) bound holds
-for the answer.
+functions of the leaf), so results do not depend on query order. A leaf
+build is local: the leaf's own sites come from a CSR of the sites by tree
+position, and its prune screen runs over the sites that a uniform grid of
+the sites, built once, finds near the leaf ball (``AnnIndex._screen``),
+with the survivors of the screen over all n. By the paper's prune
+argument, no site the screen drops is nearest anywhere in the leaf ball.
+So an exact leaf, one with at most ``EXACT_MAX`` survivors, keeps their ids
+beside its cell's and inner sites' in one sorted int32 array, and a query
+there takes the exact best of them, from one kernel call at the query: the
+exact nearest site, up to the Bregman inner-cluster collapse.
+
+Above ``EXACT_MAX`` survivors, a leaf's outer envelope is the witness
+lattice of its survivors, read as a ``NormalizedFamily`` of scale 1: the
+index family, the leaf ball and the survivor ids. A witness is an argmin,
+which neither the scale nor the keep rule of the paper's ``normalize``
+moves, so the leaf computes no ball minima. A query's nominees there are
+its leaf's ids and the memoized witnesses of its lattice cell; the leaf
+keeps one family per distinct nominee set, so leaf work does not grow with
+the envelope's survivors. The witness that the envelope alone would choose
+(``ConcaveEnvelope.query``) is one of the nominees, so the answer is never
+worse than it, and its (1+eps) bound holds for the answer.
 """
 
 from __future__ import annotations
@@ -40,7 +47,13 @@ import numpy as np
 
 from ._batch import SiteFamily, batch_values
 from .avd import CONFIG_RECORD, AvdConfig, AvdLeaf, AvdTree, build_avd
-from .convexify import NormalizedFamily, _check_ball_in_domain, screen
+from .convexify import (
+    NormalizedFamily,
+    _check_ball_in_domain,
+    ball_gaps,
+    prune_threshold,
+    screen,
+)
 from .distances import (
     BregmanKernel,
     DomainError,
@@ -51,10 +64,14 @@ from .distances import (
     minkowski_sites,
 )
 from .envelope import ConcaveEnvelope, build_relative
-from .geom import EuclideanBall, enclosing_ball
+from .geom import EuclideanBall, PointGrid, concat_ranges, enclosing_ball
 
 MAGIC = b"EANN"
 FORMAT_VERSION = 3
+# A leaf whose prune screen keeps at most this many outer sites evaluates
+# them all at each query; above it, a witness lattice nominates a few.
+EXACT_MAX = 128
+_NO_IDS = np.zeros(0, dtype=np.int32)
 
 
 def ray_to_hypercube_boundary(p_prime, q) -> np.ndarray:
@@ -149,27 +166,30 @@ class InnerPatchSet:
 
 
 class _Attachment:
-    """A leaf's candidates: ``fixed_fids`` (the cell's sites, a lone outer
-    survivor of the prune screen, and a scaling leaf's whole inner cluster
-    or a Bregman cluster's first site), plus the witnesses of ``outer_env``
-    (two or more outer survivors). A ``brute`` leaf, whose ball leaves a
-    Bregman domain, answers by full scan.
+    """A leaf's candidates, as sorted int32 site ``ids``: the cell's sites,
+    a scaling leaf's whole inner cluster or a Bregman cluster's first site
+    and, on an exact leaf, every outer survivor of the prune screen. A warm
+    query on an exact leaf evaluates the index family at q over exactly
+    these ids. Above ``EXACT_MAX`` survivors (and never for one), the
+    survivors' witness lattice ``outer_env`` nominates a few of them
+    instead. A ``brute`` leaf, whose ball leaves a Bregman domain, answers
+    by full scan.
 
-    A query's nominees are the fixed sites and the memoized witnesses of
-    its lattice cell. ``nominees`` maps the bytes of those witnesses' kept
-    positions (empty without an envelope) to the sorted nominee ids and
-    their members of the index family, built on first use. Neighboring
-    cells mostly share one witness set, so a leaf keeps a few small
-    families, one per distinct set.
+    On an envelope leaf a query's nominees are the ids and the memoized
+    witnesses of its lattice cell. ``nominees`` maps the bytes of those
+    witnesses' kept positions to the sorted nominee ids and their members
+    of the index family, built on first use. Neighboring cells mostly share
+    one witness set, so such a leaf keeps a few small families, one per
+    distinct set.
     """
 
-    __slots__ = ("fixed_fids", "outer_env", "brute", "nominees")
+    __slots__ = ("ids", "outer_env", "brute", "nominees")
 
     def __init__(self):
-        self.fixed_fids: list[int] = []
+        self.ids = _NO_IDS
         self.outer_env: ConcaveEnvelope | None = None
         self.brute = False
-        self.nominees: dict[bytes, tuple[np.ndarray, SiteFamily]] = {}
+        self.nominees: dict[bytes, tuple[np.ndarray, SiteFamily]] | None = None
 
 
 def _checked_query(family: SiteFamily, q) -> np.ndarray:
@@ -247,6 +267,21 @@ class AnnIndex:
         c = self.points.mean(axis=0)
         r = float(np.max(np.linalg.norm(self.points - c[None, :], axis=1))) * (1.0 + 1e-9)
         self._site_ball = EuclideanBall(c, r)
+        # The sites at each tree position, as a CSR over the positions.
+        order = np.argsort(self.tree.position_of_site, kind="stable")
+        self._site_order = order.astype(np.int32)
+        self._site_start = np.searchsorted(self.tree.position_of_site.take(order),
+                                           np.arange(self.tree.n_positions + 1))
+        # A leaf's screen takes its candidates from a grid of the sites.
+        # Each member's minimum at distance t from its site lies between
+        # lo * t**power and hi * t**power, so a site ``_spread`` times
+        # farther from a ball than another fails the prune screen there.
+        self._grid = PointGrid(self.points)
+        lo, hi = self.family.value_bounds(np.ones(self.n))
+        power = 2.0 if self.kind == "bregman" else 1.0
+        self._spread = math.inf
+        if lo.min() > 0.0:
+            self._spread = float((prune_threshold(hi.max()) / lo.min()) ** (1.0 / power))
 
     @property
     def dim(self) -> int:
@@ -279,6 +314,19 @@ class AnnIndex:
     # -- per-leaf structures ------------------------------------------------
 
     def _attachment(self, leaf: AvdLeaf) -> _Attachment:
+        """The leaf's candidates, built on first use.
+
+        Its ball B encloses the cell, and every outer site lies at least
+        2*tau diameters from B (``screen`` checks it). Along any path in B,
+        a site's value then changes by a factor below e^(1/2), as its
+        gradient is at most tau times its value over its distance to the
+        site. The screen bounds each site's minimum over B by (lo, hi) and
+        drops a site whose lo exceeds about twice the smallest hi, that of
+        a site j. Such a site exceeds f_j everywhere in B, where f_j stays
+        below e^(1/2) times hi. So the exact minimum over the survivors is
+        the exact nearest outer site at every query in the cell, ties
+        included, and an exact leaf's answer is the full scan's but for a
+        collapsed Bregman inner cluster."""
         att = leaf.attachment
         if att is not None:
             return att
@@ -287,32 +335,72 @@ class AnnIndex:
             if att is not None:
                 return att
             att = _Attachment()
-            role = np.zeros(self.tree.n_positions, dtype=np.int8)  # 0: outer
-            role[leaf.in_cell] = 1
-            role[leaf.inner] = 2
-            site_role = role[self.tree.position_of_site]
-            att.fixed_fids = np.flatnonzero(site_role == 1).tolist()
-            inner_fids = np.flatnonzero(site_role == 2).tolist()
-            outer = site_role == 0
-            if np.any(outer):
+            fixed, inner = self._sites_at(leaf.in_cell), self._sites_at(leaf.inner)
+            used = np.sort(np.concatenate([fixed, inner]))
+            outer_count = self.n - used.size
+            if self.kind == "bregman":
+                inner = np.sort(inner)[:1]
+            survivors = _NO_IDS
+            if outer_count:
                 ball = enclosing_ball(leaf.cell)
                 try:
-                    fids = screen(self.family, ball, outer, range(self.n))
-                    if np.count_nonzero(outer) > 1:
+                    survivors = self._screen(ball, used)
+                    if outer_count > 1:
                         # A leaf with two or more outer sites whose ball
                         # leaves the domain is brute, even with one survivor.
                         _check_ball_in_domain(self.family, ball)
-                    if len(fids) == 1:
-                        att.fixed_fids += fids.tolist()
-                    else:
-                        att.outer_env = ConcaveEnvelope(
-                            NormalizedFamily(ball, 1.0, self.family, fids), self.eps / 5.0)
                 except DomainError:
                     att.brute = True
                     self.stats["brute_leaves"] += 1
-            att.fixed_fids += inner_fids[:1] if self.kind == "bregman" else inner_fids
+                    leaf.attachment = att
+                    return att
+                if survivors.size > max(EXACT_MAX, 1):
+                    att.outer_env = ConcaveEnvelope(
+                        NormalizedFamily(ball, 1.0, self.family, survivors), self.eps / 5.0)
+                    att.nominees = {}
+                    survivors = _NO_IDS
+            att.ids = np.sort(np.concatenate([fixed, survivors, inner]))
             leaf.attachment = att
             return att
+
+    def _sites_at(self, positions: np.ndarray) -> np.ndarray:
+        """The ids of the sites at the given tree positions."""
+        if positions.size == 0:
+            return _NO_IDS
+        return concat_ranges(self._site_order, self._site_start.take(positions),
+                             self._site_start.take(positions + 1))
+
+    def _screen(self, ball: EuclideanBall, used: np.ndarray) -> np.ndarray:
+        """The ids of the outer sites (every site but the sorted ``used``)
+        that ``screen`` keeps over the ball, in id order, screened among the
+        sites the grid finds within a radius r + R of its center.
+
+        R is at least 2*tau ball diameters, which holds every site that
+        fails the separation test, so ``screen`` names the same site as over
+        all n. Where the nearest site found lies g from the ball, the prune
+        threshold is at most the one that site's upper bound sets, and a
+        site beyond ``_spread`` * g has a lower bound above it; R widens to
+        that. Each site beyond R then fails the screen, as its upper bound
+        exceeds the smallest one too, so the threshold and the survivors
+        are those of ``screen`` over every outer site. The first R also
+        covers about ``_spread`` half grid cells, where the nearest site
+        usually lies, so one search mostly suffices."""
+        reach = max(2.0 * self.tau * ball.diameter * (1.0 + 1e-9),
+                    0.5 * self._grid.side * self._spread)
+        while (cand := self._outer_near(ball.center, ball.radius + reach, used)).size == 0:
+            reach = max(2.0 * reach, self._grid.side)
+        gap = float(ball_gaps(self.points.take(cand, axis=0), ball).min())
+        if (need := self._spread * gap * (1.0 + 1e-6)) > reach:
+            cand = self._outer_near(ball.center, ball.radius + need, used)
+        return cand[screen(self.family.take(cand), ball, np.ones(cand.size, dtype=bool), cand)]
+
+    def _outer_near(self, center: np.ndarray, radius: float, used: np.ndarray) -> np.ndarray:
+        """Sorted ids of the grid's sites near ``center`` (every one within
+        ``radius``) but for the sorted ids ``used``."""
+        ids = self._grid.near(center, radius)
+        if used.size:
+            ids = ids[used.take(np.searchsorted(used, ids), mode="clip") != ids]
+        return ids
 
     # -- queries --------------------------------------------------------------
 
@@ -334,19 +422,20 @@ class AnnIndex:
 
     def _query_leaf(self, att: _Attachment, q: np.ndarray) -> tuple[int, float]:
         """The exact best at q of the leaf's nominees, from one evaluation of
-        their family at q: the fixed sites and, for an outer envelope, the
+        their family at q: the leaf's ids and, for an outer envelope, the
         memoized witnesses of q's lattice cell. The ids are sorted, so ties
         go to the lowest."""
         env = att.outer_env
-        pos = None if env is None else env.cell_witnesses(env.unit_point(q))
-        key = b"" if pos is None else pos.tobytes()
-        nominees = att.nominees.get(key)
-        if nominees is None:
-            wit = () if pos is None else env.kept_ids[pos].tolist()
-            ids = np.array(sorted({*att.fixed_fids, *wit}), dtype=np.intp)
-            assert ids.size, "leaf produced no candidates"
-            nominees = att.nominees.setdefault(key, (ids, self.family.take(ids)))
-        ids, family = nominees
+        if env is None:
+            ids = att.ids
+            family = self.family.take(ids)
+        else:
+            pos = env.cell_witnesses(env.unit_point(q))
+            nominees = att.nominees.get(key := pos.tobytes())
+            if nominees is None:
+                ids = np.union1d(att.ids, env.kept_ids[pos])
+                nominees = att.nominees.setdefault(key, (ids, self.family.take(ids)))
+            ids, family = nominees
         row = batch_values(family, q)[0]
         best = int(np.argmin(row))
         return int(ids[best]), float(row[best])
@@ -367,16 +456,25 @@ class AnnIndex:
 
     def storage_stats(self) -> dict:
         """Sizes of the structures built so far; expands no node.
-        ``tree_nodes`` counts the rows of the tree's node table and
-        ``tree_bytes`` the bytes its columns, hole table and id pool hold."""
-        env_samples = 0
+        ``exact_leaves`` and ``envelope_leaves`` count the built leaves of
+        each kind (``stats["brute_leaves"]`` counts the brute ones),
+        ``tree_nodes`` the rows of the tree's node table and ``tree_bytes``
+        the bytes its columns, hole table and id pool hold."""
+        env_samples = exact = envelope = 0
         leaves = self.tree.built_leaves()
         for leaf in leaves:
             att = leaf.attachment
-            if att is not None and att.outer_env is not None:
+            if att is None or att.brute:
+                continue
+            if att.outer_env is None:
+                exact += 1
+            else:
+                envelope += 1
                 env_samples += att.outer_env.sample_count
         return {
             "leaves": len(leaves),
+            "exact_leaves": exact,
+            "envelope_leaves": envelope,
             "envelope_samples": env_samples,
             "tree_expansions": self.tree.expansions,
             "tree_nodes": self.tree.tree_nodes(),

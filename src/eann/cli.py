@@ -25,7 +25,6 @@ from .admissibility import (
 from .ann import brute_force, build_index, load_index, save_index
 from .config import build_site_functions, load_distance_config, load_points
 from .distances import (
-    DomainError,
     SiteFunction,
     generalized_kl_spec,
     itakura_saito_spec,
@@ -123,7 +122,7 @@ def cmd_query(args) -> int:
     for q in queries:
         try:
             witness, value = index.query(q)
-        except DomainError as exc:
+        except ValueError as exc:  # a non-finite row, or one outside the domain
             print(f"error: {exc}")
             continue
         line = f"{witness} {value:.17g}"

@@ -13,10 +13,12 @@ every member concave while leaving argmins and vertical gaps untouched;
 leaf build: it checks the separation and drops every member whose distance
 bounds place its ball minimum beyond the prune threshold. Screening its own
 survivors keeps all of them, so a caller may screen a family before handing
-the survivors to ``normalize``. The index does not: a leaf envelope reads
-its survivors as a ``NormalizedFamily`` with h = 1, since its witnesses are
-argmins. ``normalize`` serves ``check_invariants``, ``build_relative`` and
-the acceptance criteria.
+the survivors to ``normalize``. The index does not: it screens only the
+sites near a leaf ball, which keeps the survivors of the screen over every
+site, and an exact leaf evaluates the survivors at each query, while an
+envelope leaf reads them as a ``NormalizedFamily`` with h = 1, since its
+witnesses are argmins. ``normalize`` serves ``check_invariants``,
+``build_relative`` and the acceptance criteria.
 
 One batched estimator, ``fast_min_estimates``, supplies the ball minima of
 the survivors. Weighted Euclidean members are solved in closed form. Every
@@ -146,10 +148,23 @@ class NormalizedFamily:
         return batch_values(self.family, self.world_points(U)) / self.scale_h
 
 
+def prune_threshold(hi: np.ndarray) -> float:
+    """The bound above which ``prune_screen`` drops a member's lower bound:
+    twice the smallest upper bound ``hi`` on a ball minimum, with slack."""
+    return 2.0 * (1.0 + PRUNE_DELTA) * 1.001 * float(np.min(hi))
+
+
 def prune_screen(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mask of the members ``normalize`` estimates, from per-member bounds
     (lo, hi) on the ball minima: the rest provably exceed the prune threshold."""
-    return lo <= 2.0 * (1.0 + PRUNE_DELTA) * 1.001 * float(np.min(hi))
+    return lo <= prune_threshold(hi)
+
+
+def ball_gaps(P: np.ndarray, ball: EuclideanBall) -> np.ndarray:
+    """Euclidean distance from each row of ``P`` to the ball; each depends
+    on its own row alone, bit for bit."""
+    diff = P - ball.center[None, :]
+    return np.maximum(0.0, np.sqrt(np.einsum("md,md->m", diff, diff)) - ball.radius)
 
 
 def screen(family: SiteFamily, ball: EuclideanBall, members: np.ndarray, ids) -> np.ndarray:
@@ -162,10 +177,13 @@ def screen(family: SiteFamily, ball: EuclideanBall, members: np.ndarray, ids) ->
     bound depends on its own member alone, so screening members of a family
     equals screening the sub-family that holds just them; the member with
     the smallest upper bound always survives, so screening the survivors
-    again keeps every one of them.
+    again keeps every one of them. The index's leaves rely on the first
+    fact: they screen the sub-family of the sites near the ball, which
+    holds every member that could fail the separation test or survive
+    (``AnnIndex._screen``), and so keep the survivors, and raise the
+    error, of the screen over every site.
     """
-    diff = family.P - ball.center[None, :]
-    dists = np.maximum(0.0, np.sqrt(np.einsum("md,md->m", diff, diff)) - ball.radius)
+    dists = ball_gaps(family.P, ball)
     bad = members & (dists / ball.diameter < 2.0 * family.tau)
     if np.any(bad):
         raise ValueError(f"insufficient separation: site {ids[int(np.argmax(bad))]}")

@@ -131,6 +131,22 @@ class _Kernel:
     __slots__ = ("P",)
     arrays: tuple[str, ...] = ("P",)
     key = None
+    # Every slot of the class, which ``__copy__`` copies.
+    fields: tuple[str, ...] = ("P",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.fields = tuple(dict.fromkeys(
+            name for c in cls.__mro__ for name in c.__dict__.get("__slots__", ())))
+
+    def __copy__(self):
+        # Slot by slot: ``copy.copy`` of a slotted object otherwise goes
+        # through ``__reduce_ex__``, at about twice the cost of a kernel
+        # call's row gathers.
+        new = object.__new__(type(self))
+        for name in self.fields:
+            setattr(new, name, getattr(self, name))
+        return new
 
     def __init__(self, P):
         P = np.asarray(P, dtype=float)

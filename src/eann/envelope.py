@@ -22,10 +22,11 @@ query's candidate witnesses depend only on that cell. ``cell_witnesses``
 memoizes each cell's sorted witness positions under an integer cell code;
 the first query in a cell gathers the window and builds its missing anchors
 in one vectorized pass. ``query_absolute`` then picks the witness of least
-convexified value at the query. The index stops at ``cell_witnesses``: it
-nominates every witness of the query's cell and evaluates them exactly at
-the query, with a family it memoizes per distinct witness set, so its
-answer is never worse there than the envelope's pick.
+convexified value at the query. An index leaf with more than
+``EXACT_MAX`` survivors stops at ``cell_witnesses``: it nominates every
+witness of the query's cell and evaluates them exactly at the query, with a
+family it memoizes per distinct witness set, so its answer is never worse
+there than the envelope's pick.
 
 ``build_relative`` builds the envelope of a separated family over a world
 ball at the budget eps/5, whose witnesses are within (1+eps) of the family

@@ -1,4 +1,5 @@
-"""Euclidean primitives: balls, axis-aligned boxes, and BBD cells.
+"""Euclidean primitives: balls, axis-aligned boxes, BBD cells, and a
+uniform grid of a fixed point set.
 
 All values are immutable after construction and safe to share between
 threads.  Real comparisons use an absolute tolerance of 1e-12 unless an
@@ -7,6 +8,7 @@ operation states otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +94,56 @@ def box_distances(low: np.ndarray, high: np.ndarray, points: np.ndarray) -> np.n
     """Euclidean distances from each row of `points` to the box [low, high]."""
     gap = np.maximum(np.maximum(low[None, :] - points, points - high[None, :]), 0.0)
     return np.linalg.norm(gap, axis=1)
+
+
+def concat_ranges(order: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """``order[begin[i]:end[i]]`` for every i, concatenated: the rows of a
+    CSR whose row offsets are ``begin`` and ``end``."""
+    counts = end - begin
+    if counts.size == 1:
+        return order[begin[0]:end[0]]
+    skip = np.repeat(begin - np.cumsum(counts) + counts, counts)
+    return order.take(skip + np.arange(skip.size))
+
+
+class PointGrid:
+    """The ids of a fixed point set bucketed by the cells of a uniform grid
+    over its bounding box, about two points per cell, as a CSR: the ids of
+    cell c are ``order[start[c]:start[c + 1]]``, cells in C order."""
+
+    __slots__ = ("low", "side", "shape", "strides", "order", "start", "slack")
+
+    def __init__(self, points: np.ndarray):
+        n, d = points.shape
+        self.low = points.min(axis=0)
+        extent = points.max(axis=0) - self.low
+        per_axis = max(1, math.ceil((n / 2.0) ** (1.0 / d)))
+        widest = float(extent.max())
+        self.side = widest / per_axis if widest > 0.0 else 1.0
+        self.shape = np.minimum(np.floor(extent / self.side).astype(np.intp) + 1, per_axis)
+        self.strides = np.append(np.cumprod(self.shape[:0:-1])[::-1], 1)
+        cells = self._axis_cells(points) @ self.strides
+        self.order = np.argsort(cells, kind="stable").astype(np.int32)
+        self.start = np.append(0, np.cumsum(np.bincount(cells, minlength=self.shape.prod())))
+        # Absolute widening of a query radius that covers the rounding of the
+        # coordinates, so that no point within the radius is missed.
+        self.slack = 8.0 * float(np.spacing(np.abs(points).max() + widest))
+
+    def _axis_cells(self, x: np.ndarray) -> np.ndarray:
+        """Per-axis cell of each coordinate, clipped into the grid."""
+        return np.clip(np.floor((x - self.low) / self.side), 0, self.shape - 1).astype(np.intp)
+
+    def near(self, center: np.ndarray, radius: float) -> np.ndarray:
+        """Sorted ids of the points in the cells that meet the box about
+        ``center`` of half-side ``radius`` (widened by a rounding margin):
+        every point within ``radius`` of ``center``, and some farther ones."""
+        reach = radius * (1.0 + 1e-9) + self.slack
+        lo, hi = self._axis_cells(center - reach), self._axis_cells(center + reach)
+        rows = np.zeros(1, dtype=np.intp)
+        for j in range(len(lo) - 1):
+            rows = (rows[:, None] + self.strides[j] * np.arange(lo[j], hi[j] + 1)).ravel()
+        ids = concat_ranges(self.order, self.start[rows + lo[-1]], self.start[rows + hi[-1] + 1])
+        return np.sort(ids)
 
 
 def unchecked_ball(center: np.ndarray, radius: float) -> "EuclideanBall":

@@ -57,6 +57,25 @@ def test_query_deterministic_output(workspace, capsys):
     assert first == second
 
 
+def test_query_answers_the_rows_after_a_non_finite_one(tmp_path, capsys):
+    """A NaN row prints its error on stdout, as a row outside a Bregman
+    domain does, and the rows after it are still answered."""
+    points = tmp_path / "sites.txt"
+    points.write_text("0.1 0.2\n0.8 0.3\n0.4 0.9\n")
+    config = tmp_path / "l2.cfg"
+    config.write_text("kind = minkowski\nk = 2\nweight = 1.0\n")
+    out = tmp_path / "index.eann"
+    assert main(["build", str(points), str(config), "0.25", str(out)]) == 0
+    queries = tmp_path / "queries.txt"
+    queries.write_text("0.1 0.25\nnan 0.5\n0.45 0.85\n")
+    capsys.readouterr()
+    assert main(["query", str(out), str(queries)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "error: query must be finite"
+    assert [line.split()[0] for line in (lines[0], lines[2])] == ["0", "2"]
+    assert len(lines) == 3
+
+
 def test_build_error_paths(workspace, capsys):
     tmp, points, config, queries = workspace
     empty = tmp / "empty.txt"

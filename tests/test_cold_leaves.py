@@ -1,9 +1,12 @@
-"""Cold leaf builds: what an envelope leaf runs and what it keeps.
+"""Cold leaf builds: what a leaf runs and what it keeps.
 
-An envelope leaf builds its witness lattice over the survivors of its
-prune screen. It runs none of the paper's convexification (``normalize``,
-with its Frank-Wolfe ball minima and keep rule), and it keeps the survivor
-ids, not a copy of their family, beside a typed tree table.
+A leaf whose prune screen keeps at most ``EXACT_MAX`` outer sites keeps
+their ids and evaluates them all at each query. Above that, an envelope
+leaf builds its witness lattice over the survivors. Neither runs the
+paper's convexification (``normalize``, with its Frank-Wolfe ball minima
+and keep rule), and both keep site ids, not a copy of their family, beside
+a typed tree table. The uniform cases below set ``EXACT_MAX`` to 0 to
+build envelope leaves; the probe's leaves exceed it.
 """
 
 import gc
@@ -13,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eann import ann
 from eann._batch import SiteFamily
 from eann.ann import brute_force, build_index
 from eann.cli import gen_family, gen_queries, gen_sites
@@ -54,6 +58,8 @@ def test_cold_leaves_answer_without_normalize(monkeypatch, case, eps):
     exact minimum."""
     rng = np.random.default_rng(17)
     family, queries = _probe(500, rng) if case == "probe" else _uniform(*case, rng)
+    if case != "probe":
+        monkeypatch.setattr(ann, "EXACT_MAX", 0)
     monkeypatch.setattr(convexify, "normalize", _refuse)
     monkeypatch.setattr(convexify, "fast_min_estimates", _refuse)
     monkeypatch.setattr(envelope, "normalize", _refuse)
@@ -67,12 +73,13 @@ def test_cold_leaves_answer_without_normalize(monkeypatch, case, eps):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_tight_bregman_cluster_answers_within_eps(d):
+def test_tight_bregman_cluster_answers_within_eps(monkeypatch, d):
     """Squared-Mahalanobis sites about 1e-8 apart at the origin of a unit
     domain box, where the divergences, about 1e-16, are computed to full
     relative precision. A witness is the argmin of the survivors' values:
     with the concavifying offset (up to 1/8) added to values that small,
     every member rounds to the same sum and the lowest id wins every anchor."""
+    monkeypatch.setattr(ann, "EXACT_MAX", 0)
     rng = np.random.default_rng(5)
     A = rng.standard_normal((d, d))
     spec = squared_mahalanobis_spec(A @ A.T + d * np.eye(d), -1.0, 1.0)
@@ -90,8 +97,9 @@ def test_tight_bregman_cluster_answers_within_eps(d):
 # and numpy 2.4.6 on 64-bit Linux; another interpreter or numpy allocates
 # differently, so remeasure there. Before envelopes kept survivor ids in
 # place of a family copy, and the tree typed columns in place of lists, the
-# same runs retained 8.03 and 8.44 KB.
-RETAINED_KB = {"l3": 4.70, "kl": 5.11}
+# same runs retained 8.03 and 8.44 KB; before exact leaves kept only ids,
+# 4.70 and 5.11 KB.
+RETAINED_KB = {"l3": 2.28, "kl": 2.49}
 
 
 @pytest.mark.parametrize("tag,n", [("l3", 4000), ("kl", 2000)])
@@ -117,3 +125,28 @@ def test_memory_retained_per_cold_query(tag, n):
         tracemalloc.stop()
     assert index.stats["queries"] == 400
     assert kept <= 1.25 * RETAINED_KB[tag], f"{kept:.2f} KB per cold query"
+
+
+@pytest.mark.parametrize("exact_max", [ann.EXACT_MAX, 0], ids=["EXACT_MAX", "zero"])
+def test_storage_stats_count_exact_and_envelope_leaves(monkeypatch, exact_max):
+    """On the probe with 100 sites, every site survives the screen of the
+    leaves about its center: they are exact leaves at ``EXACT_MAX`` and
+    envelope leaves at 0. ``storage_stats`` counts each kind over the
+    built leaves, and expands no node."""
+    monkeypatch.setattr(ann, "EXACT_MAX", exact_max)
+    family, queries = _probe(100, np.random.default_rng(17))
+    index = build_index(family, 0.1)
+    for q in queries:
+        index.query(q)
+    expansions = index.tree.expansions
+    stats = index.storage_stats()
+    assert index.tree.expansions == expansions
+    built = [leaf for leaf in index.tree.built_leaves() if leaf.attachment is not None]
+    for leaf in built:
+        att = leaf.attachment
+        held = att.ids if att.outer_env is None else att.outer_env.kept_ids
+        assert held.size == 100
+    assert built
+    kinds = (len(built), 0) if exact_max else (0, len(built))
+    assert (stats["exact_leaves"], stats["envelope_leaves"]) == kinds
+    assert (stats["envelope_samples"] > 0) == (exact_max == 0)

@@ -1,16 +1,19 @@
 """The index's outer-site screen against the paper's leaf build.
 
-A leaf's envelope is built over every outer site that survives the prune
-screen, with no ball-minimum estimates, keep rule or scale. The references
-here are ``normalize`` over the leaf's full outer site list, which must send
-the same leaves to brute force and keep the same lone survivor, and the
-envelope the paper builds over the survivors (``normalize`` at eps/5), whose
-cell witnesses must equal the index's.
+A leaf takes every outer site that survives the prune screen: all of them
+as candidates of an exact leaf, or, above ``EXACT_MAX`` survivors, as the
+members of an envelope built with no ball-minimum estimates, keep rule or
+scale. The references here are ``normalize`` over the leaf's full outer
+site list, which must send the same leaves to brute force and keep the same
+lone survivor, and the envelope the paper builds over the survivors
+(``normalize`` at eps/5), whose cell witnesses must equal the index's. The
+envelope comparisons set ``EXACT_MAX`` to 0.
 """
 
 import numpy as np
 import pytest
 
+from eann import ann
 from eann._batch import SiteFamily, batch_value_bounds
 from eann.ann import build_index, load_index, save_index
 from eann.cli import gen_family, gen_queries, gen_sites
@@ -81,17 +84,16 @@ def _compare_leaf(index, fns, leaf) -> str:
     ball = enclosing_ball(leaf.cell)
     att = index._attachment(leaf)
     inner = _fids(index, leaf.inner)
-    # The cell's sites, then a lone outer survivor, then every inner site of
-    # a scaling leaf (a Bregman cluster's first site).
-    fixed = _fids(index, leaf.in_cell)
-    inner_fixed = inner[:1] if index.kind == "bregman" else inner
+    # The cell's sites and every inner site of a scaling leaf (a Bregman
+    # cluster's first site); an exact leaf adds its outer survivors.
+    fixed = _fids(index, leaf.in_cell) + (inner[:1] if index.kind == "bregman" else inner)
     if not outer:
         assert att.outer_env is None and not att.brute
-        assert att.fixed_fids == fixed + inner_fixed
+        assert att.ids.tolist() == sorted(fixed)
         return "no outer"
     if len(outer) == 1:
         assert not att.brute and att.outer_env is None
-        assert att.fixed_fids == fixed + outer + inner_fixed
+        assert att.ids.tolist() == sorted(fixed + outer)
         return "one outer"
     try:
         ref = normalize([fns[i] for i in outer], ball, indices=outer)
@@ -103,11 +105,14 @@ def _compare_leaf(index, fns, leaf) -> str:
     survivors = screen(index.family, ball, members, range(index.n)).tolist()
     env = att.outer_env
     if env is None:
-        survivor = att.fixed_fids[len(fixed)]
-        assert survivors == ref.kept_indices.tolist() == [survivor]
-        assert att.fixed_fids == fixed + [survivor] + inner_fixed
-        return "single survivor"
-    assert att.fixed_fids == fixed + inner_fixed
+        assert att.ids.tolist() == sorted(fixed + survivors)
+        if len(survivors) == 1:
+            assert survivors == ref.kept_indices.tolist()
+            return "single survivor"
+        # The paper's keep rule keeps some of the survivors.
+        assert set(ref.kept_indices.tolist()) <= set(survivors)
+        return "exact"
+    assert att.ids.tolist() == sorted(fixed)
     assert env.kept_ids.tolist() == survivors
     paper = ConcaveEnvelope(normalize(index.family.take(survivors), ball, indices=survivors),
                             index.eps / 5.0)
@@ -119,7 +124,7 @@ def _compare_leaf(index, fns, leaf) -> str:
     return "envelope"
 
 
-@pytest.mark.parametrize("tag,d,expect", [
+CASES = [
     ("l2", 2, "single survivor"),
     ("l3", 2, "single survivor"),
     ("mahalanobis", 3, "envelope"),
@@ -127,14 +132,32 @@ def _compare_leaf(index, fns, leaf) -> str:
     ("kl", 2, "brute"),
     ("is", 2, "brute"),
     ("sq-mahalanobis", 2, "brute"),
-])
-def test_screened_attachment_matches_unscreened_build(tag, d, expect):
+]
+
+
+@pytest.mark.parametrize("tag,d,expect", CASES)
+def test_screened_attachment_matches_unscreened_build(monkeypatch, tag, d, expect):
+    """With ``EXACT_MAX`` at 0, a leaf with two or more survivors builds an
+    envelope whose cell witnesses are the paper's."""
+    monkeypatch.setattr(ann, "EXACT_MAX", 0)
     rng = np.random.default_rng(5)
     fns = _family(tag, rng, 50, d)
     index = build_index(fns, 0.25)
     seen = [_compare_leaf(index, fns, leaf) for leaf in _leaves(index, rng, 60)]
     assert expect in seen
     assert "envelope" in seen
+
+
+@pytest.mark.parametrize("tag,d,expect", CASES)
+def test_exact_leaves_hold_every_survivor(tag, d, expect):
+    """At ``EXACT_MAX``, the same leaves hold every survivor of the screen
+    over all their outer sites as a candidate and build no envelope."""
+    rng = np.random.default_rng(5)
+    fns = _family(tag, rng, 50, d)
+    index = build_index(fns, 0.25)
+    seen = [_compare_leaf(index, fns, leaf) for leaf in _leaves(index, rng, 60)]
+    assert ("exact" if expect == "envelope" else expect) in seen
+    assert "exact" in seen and "envelope" not in seen
 
 
 def test_single_survivor_out_of_domain_goes_brute():

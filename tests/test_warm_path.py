@@ -1,13 +1,15 @@
 """The warm path against a per-query reference.
 
 ``AnnIndex.query`` answers a built leaf from one evaluation at the query of
-the family of its nominees, memoized per nominee set. The reference below
-answers the same leaf from scratch: the exact minimum at the query, over a
-fresh ``take``, of the leaf's nominees (its fixed sites and the witnesses
-of the query's lattice cell in its outer envelope). Both must agree bit for
-bit on every leaf kind, for every distance kind, and whether the index was
-queried lazily, loaded from a file or queried in another order. The answer
-is never worse than the envelope's own witness (``ConcaveEnvelope.query``).
+the family of its nominees: an exact leaf's ids, or an envelope leaf's ids
+and the witnesses of the query's lattice cell, memoized per nominee set.
+The reference below answers the same leaf from scratch: the exact minimum
+at the query, over a fresh ``take``, of those nominees. Both must agree bit
+for bit on every leaf kind, for every distance kind, and whether the index
+was queried lazily, loaded from a file or queried in another order. The
+answer is never worse than the envelope's own witness
+(``ConcaveEnvelope.query``). Tests that need envelope leaves on small
+uniform families set ``EXACT_MAX`` to 0.
 """
 
 import sys
@@ -15,6 +17,7 @@ import sys
 import numpy as np
 import pytest
 
+from eann import ann
 from eann._batch import SiteFamily, batch_values
 from eann.ann import InnerPatchSet, brute_force, build_index, load_index, save_index
 from eann.cli import gen_family, gen_queries, gen_sites
@@ -88,8 +91,8 @@ def _inner_fids(index, leaf) -> list[int]:
 
 def reference(index, q):
     """The exact best nominee at q, from a fresh ``take``, and the kind of
-    leaf (or region) that produced it. The nominees are the leaf's fixed
-    sites, every site of a scaling leaf's inner cluster and the witnesses
+    leaf (or region) that produced it. The nominees are the leaf's ids,
+    every site of a scaling leaf's inner cluster and the witnesses
     of q's lattice cell in the outer envelope; the answer is at most the
     value at q of the envelope's own witness. Outside the root box, scaling
     queries and Bregman queries near the sites are scanned."""
@@ -103,7 +106,7 @@ def reference(index, q):
     att = index._attachment(leaf)
     if att.brute:
         return brute_force(index.family, q), "brute"
-    cands = list(att.fixed_fids)
+    cands = att.ids.tolist()
     kind = "fixed"
     env = att.outer_env
     if env is not None:
@@ -135,13 +138,15 @@ EXPECTED_KINDS = {"scaling": {"fixed", "envelope", "inner", "outside"},
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("tag", SCALING + BREGMAN)
-def test_warm_answers_match_the_per_query_reference(tag, d, tmp_path):
+def test_warm_answers_match_the_per_query_reference(monkeypatch, tag, d, tmp_path):
     """Two sites give leaves with fixed candidates only; more sites give
-    outer envelopes, many-site inner clusters or brute leaves, and
-    queries outside."""
+    exact leaves or, with ``EXACT_MAX`` at 0, outer envelopes, many-site
+    inner clusters or brute leaves, and queries outside."""
     rng = np.random.default_rng(1000 * d + len(tag))
     kinds = set()
-    for n in (2, {2: 60, 3: 40, 4: 30}[d]):
+    many = {2: 60, 3: 40, 4: 30}[d]
+    for n, exact_max in ((2, ann.EXACT_MAX), (many, 0), (many, ann.EXACT_MAX)):
+        monkeypatch.setattr(ann, "EXACT_MAX", exact_max)
         fns = _family(tag, rng, n, d)
         lazy = build_index(fns, 0.25)
         queries = _queries(tag, rng, lazy, {2: 80, 3: 40, 4: 24}[d])
@@ -209,6 +214,7 @@ def test_scaling_inner_clusters_and_outside_queries_answer_exactly(tag, d, tmp_p
 def test_warm_envelope_query_makes_one_kernel_call(monkeypatch):
     """A warm query on an outer-envelope leaf evaluates one family once, at
     the query alone, and takes no sub-family."""
+    monkeypatch.setattr(ann, "EXACT_MAX", 0)
     rng = np.random.default_rng(3)
     fns = gen_family("l3", gen_sites(rng, 200, 2, "l3"), rng)
     index = build_index(fns, 0.1)
@@ -237,6 +243,38 @@ def test_warm_envelope_query_makes_one_kernel_call(monkeypatch):
     (evaluated,) = points
     np.testing.assert_array_equal(evaluated, q[None, :])
     monkeypatch.undo()
+    assert answer == reference(index, q)[0]
+
+
+def test_warm_exact_query_evaluates_its_ids_at_q(monkeypatch):
+    """A warm query on an exact leaf takes the leaf's ids from the index
+    family once and evaluates them once, at the query alone; the leaf
+    keeps no family of its own."""
+    rng = np.random.default_rng(3)
+    fns = gen_family("l3", gen_sites(rng, 200, 2, "l3"), rng)
+    index = build_index(fns, 0.1)
+    for q in gen_queries(rng, 100, 2, "l3"):
+        leaf, _ = index.tree.locate(q)
+        att = index._attachment(leaf)
+        if len(leaf.in_cell) + len(leaf.inner) < att.ids.size:
+            break
+    else:
+        pytest.fail("no exact leaf with an outer survivor")
+    assert att.outer_env is None and att.nominees is None
+    assert att.ids.dtype == np.int32 and np.all(np.diff(att.ids) > 0)
+    index.query(q)
+    taken, evaluated = [], []
+    real_take, real_values = SiteFamily.take, SiteFamily.values
+    monkeypatch.setattr(SiteFamily, "take",
+                        lambda self, idx: taken.append(np.asarray(idx)) or real_take(self, idx))
+    monkeypatch.setattr(SiteFamily, "values",
+                        lambda self, X: evaluated.append(np.asarray(X)) or real_values(self, X))
+    answer = index.query(q)
+    monkeypatch.undo()
+    (ids,) = taken
+    (point,) = evaluated
+    np.testing.assert_array_equal(ids, att.ids)
+    np.testing.assert_array_equal(point, q)
     assert answer == reference(index, q)[0]
 
 
@@ -313,7 +351,7 @@ def test_large_survivor_leaves_evaluate_only_the_cell_nominees(monkeypatch):
             assert env.kept_ids.size == m  # every site survives the screen
             u = env.unit_point(q)
             pos = env.cell_witnesses(u)
-            nominees = set(att.fixed_fids) | set(env.kept_ids[pos].tolist())
+            nominees = set(att.ids.tolist()) | set(env.kept_ids[pos].tolist())
             assert len(got) == len(nominees) <= 24, (m, d, len(got))
             cell = (id(leaf), *np.floor(u / env.spacing + 1e-9).astype(int).tolist())
             assert by_cell.setdefault(cell, got) is got
@@ -350,11 +388,12 @@ def test_fallbacks_are_counted_by_reason():
     assert stats["outside_queries"] == outside
 
 
-def test_threads_building_cells_concurrently_match_sequential_answers():
+def test_threads_building_cells_concurrently_match_sequential_answers(monkeypatch):
     """Threads that build one envelope's anchors and cell memo at the same
     time give the sequential answers."""
     from concurrent.futures import ThreadPoolExecutor
 
+    monkeypatch.setattr(ann, "EXACT_MAX", 0)
     rng = np.random.default_rng(8)
     fns = gen_family("l3", gen_sites(rng, 300, 2, "l3"), rng)
     sequential = build_index(fns, 0.1)
