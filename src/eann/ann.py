@@ -64,7 +64,7 @@ from .distances import (
     minkowski_sites,
 )
 from .envelope import ConcaveEnvelope, build_relative
-from .geom import EuclideanBall, PointGrid, concat_ranges, enclosing_ball
+from .geom import EuclideanBall, PointGrid, concat_ranges
 
 MAGIC = b"EANN"
 FORMAT_VERSION = 3
@@ -201,7 +201,7 @@ def _checked_query(family: SiteFamily, q) -> np.ndarray:
     if not np.isfinite(q).all():
         raise ValueError("query must be finite")
     for spec in family.specs:
-        if not spec.in_domain(q):
+        if not ((q > spec.domain_low).all() and (q < spec.domain_high).all()):
             raise DomainError("query outside domain")
     return q
 
@@ -342,7 +342,7 @@ class AnnIndex:
                 inner = np.sort(inner)[:1]
             survivors = _NO_IDS
             if outer_count:
-                ball = enclosing_ball(leaf.cell)
+                ball = leaf.ball()
                 try:
                     survivors = self._screen(ball, used)
                     if outer_count > 1:

@@ -20,28 +20,30 @@ midpoint, outer bounds, child ids and depth, with no object per node. The
 few holed cells keep their hole bounds in a side table. Only a built leaf
 has an object, ``AvdLeaf``, which ``locate`` returns. Site ids
 live in one int32 pool: a pending node's ``assigned`` sites, the positions
-routed into its cell, are a span of it, and its near parts a chain of spans.
+routed into its cell, are a span of it. A pending node is its depth, its
+cell and that span.
 
-A node's near set, the sites that may still be inner somewhere below it,
-is built only where the leaf test reads it: at a node with at most one
-assigned site. Until then a pending node keeps its near parts, the near set
-of its nearest ancestor that built one followed by the sites routed away
-from it at each split or shrink since, unfiltered and in order. One filter
-against the node's own box gives exactly the set, in exactly the order,
-that filtering at every level would: a site the filter keeps at a node
-passes at every ancestor too, whose box contains the node's and whose
-reach is no smaller. A slab along the axis of widest site spread drops
-most far candidates before the exact box distances.
+A node's near set, the positions that may still be inner somewhere below
+it, is built only where the leaf test reads it: at a node with at most one
+assigned site. It is every position but the node's own site that lies
+nearer to the node's box than (2 alpha + 1) times its circumradius, in id
+order. A uniform grid of the positions (``geom.PointGrid``), built once,
+gives the candidates: the positions in the grid cells that meet the box
+widened by that reach, a window no position the exact test keeps lies
+outside. Filtering at every level would give the same set: a position the
+test keeps at a node passes at every ancestor too, whose box contains the
+node's and whose reach is no smaller, and every position is either
+assigned to a node or routed away from it above.
 
 Below a node with at most one assigned site every node has at most one, so
 its subtree only ever splits at midpoints. ``locate`` descends such a chain
 in batches: it computes the query's path cells for several levels, filters
 the chain's one candidate array (the top's near set and its site) against
 all of their boxes at once and leaf-tests every level at once, then keeps
-the levels down to the first that passes. The pending siblings it leaves
-share one candidate array as their near parts: the top's near parts and
-its site. ``materialize`` expands such a node's whole subtree, one level of
-cells per leaf test, through the same test and split rule, so lazy and
+the levels down to the first that passes; a later batch filters its near
+set from the candidates of the one before. ``materialize`` expands such a
+node's whole subtree, one level of cells per leaf test, through the same
+test and split rule. A leaf's inner positions are in id order, so lazy and
 materialized trees are the same.
 """
 
@@ -59,6 +61,7 @@ from .geom import (
     AlignedBox,
     BbdCell,
     EuclideanBall,
+    PointGrid,
     box_distances,
     dist_ball_cell,
     enclosing_ball,
@@ -124,6 +127,14 @@ class AvdLeaf:
     @property
     def n_positions(self) -> int:
         return self.tree.n_positions
+
+    def ball(self) -> EuclideanBall:
+        """The cell's enclosing ball, as ``geom.enclosing_ball`` computes it,
+        from the node's box in the table."""
+        d = self.tree.dim
+        box = np.frombuffer(self.tree._box[2 * d * self.node:2 * d * (self.node + 1)])
+        low, high = box[:d], box[d:]
+        return unchecked_ball(0.5 * (low + high), float(np.linalg.norm(high - low) / 2.0))
 
     def outer_positions(self) -> np.ndarray:
         used = np.concatenate([self.in_cell, self.inner])
@@ -210,15 +221,18 @@ def _side(kids: tuple, x: float, mid: float) -> int:
     return i if kids[i] is not None else 1 - i
 
 
-def _slab(low, high, reach: float):
-    """Bounds of the slab that holds every point within ``reach`` of the
-    interval [low, high] along one axis, or along each axis for arrays. A
-    point outside it is at least ``reach`` from any box with that extent on
-    the axis, also as computed in floating point: the relative and absolute
-    margins absorb the rounding of both tests, and the smallest one keeps
-    squared gaps clear of underflow."""
-    w = reach * (1.0 + 1e-12) + 1e-12 * np.maximum(np.abs(low), np.abs(high)) + 1e-150
-    return low - w, high + w
+def _window(low: list, high: list, reach: float) -> tuple[list, list]:
+    """Bounds of the window about the box [low, high], the box widened on
+    every side by a little more than ``reach``. A point outside it is at
+    least ``reach`` from the box, also as computed in floating point: the
+    relative and absolute margins absorb the rounding of both tests, and
+    the smallest one keeps squared gaps clear of underflow."""
+    lo, hi = [], []
+    for l, h in zip(low, high):
+        w = reach * (1.0 + 1e-12) + 1e-12 * max(abs(l), abs(h)) + 1e-150
+        lo.append(l - w)
+        hi.append(h + w)
+    return lo, hi
 
 
 def _points_in_box(P: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -263,12 +277,9 @@ class AvdTree:
         side = 1.2 * extent + 1e-9 + 1e-9 * abs(extent)
         half = np.full(sites.shape[1], side / 2.0)
         self.root_box = AlignedBox(center - half, center + half)
-        # Slab prefilter of the near filter: the positions sorted by their
-        # coordinate along the axis of widest spread, and those coordinates.
         P = self.positions
-        self._slab_axis = int(np.argmax(P.max(axis=0) - P.min(axis=0)))
-        self._slab_order = np.argsort(P[:, self._slab_axis], kind="stable").astype(_ID)
-        self._slab_sorted = P[:, self._slab_axis].take(self._slab_order)
+        # The positions by grid cell, where near sets find their candidates.
+        self.grid = PointGrid(P)
         self._depth_budget = _depth_budget(P, side, cfg)
         # The largest coordinate magnitude of any site or cell.
         self._scale = float(max(np.abs(P).max(), np.abs(self.root_box.low).max(),
@@ -287,19 +298,14 @@ class AvdTree:
         self._hole = array("i")   # a holed cell's row in _holes, or -1
         self._holes = array("d")  # 2d per holed cell: hole low, hole high
         self._span = array("i")   # two per node: offset and count of its assigned ids
-        self._near = array("i")   # a pending node's last near-part segment, or -1
         self._leaf = array("i")   # a leaf's index in _leaves, or -1
-        # Near-part segments, three per segment: the previous segment (-1
-        # ends the chain), offset and count; a chain lists its parts last
-        # to first.
-        self._seg = array("i")
         self._ids = np.empty(max(64, 2 * self.n_positions), dtype=_ID)
         self._n_ids = 0
         self._leaves: list[AvdLeaf] = []
         root = self.root_box
         self._root_lo, self._root_hi = root.low.tolist(), root.high.tolist()
         self._add_nodes([(0, (self._root_lo, self._root_hi, None),
-                          self._push(np.arange(self.n_positions, dtype=_ID)), -1)])
+                          self._push(np.arange(self.n_positions, dtype=_ID)))])
 
     @property
     def dim(self) -> int:
@@ -319,20 +325,12 @@ class AvdTree:
         self._n_ids = off + n
         return off, n
 
-    def _segment(self, prev: int, span: tuple[int, int]) -> int:
-        """The near-part chain ``prev`` followed by a span; ``prev`` itself
-        for an empty span."""
-        if span[1] == 0:
-            return prev
-        self._seg.extend((prev, *span))
-        return len(self._seg) // 3 - 1
-
     def _add_nodes(self, rows: list) -> int:
-        """Append pending nodes, one per (depth, cell, span, near) row;
-        returns the id of the first."""
+        """Append pending nodes, one per (depth, cell, span) row; returns
+        the id of the first."""
         first, n = len(self._kind), len(rows)
         box, holes, spans = [], [], []
-        for _, (lo, hi, hole), span, _ in rows:
+        for _, (lo, hi, hole), span in rows:
             box += lo
             box += hi
             if hole is None:
@@ -349,7 +347,6 @@ class AvdTree:
         self._box.extend(box)
         self._hole.extend(holes)
         self._span.extend(spans)
-        self._near.extend([row[3] for row in rows])
         self._leaf.extend([-1] * n)
         return first
 
@@ -371,57 +368,31 @@ class AvdTree:
         """Mark a pending node expanded: it keeps no ids any more."""
         self._kind[node] = kind
         self._span[2 * node:2 * node + 2] = array("i", (0, 0))
-        self._near[node] = -1
 
     def tree_nodes(self) -> int:
         return len(self._kind)
 
     def tree_bytes(self) -> int:
-        """Bytes held by the node columns, the hole table, the segments and
-        the id pool."""
+        """Bytes held by the node columns, the hole table and the id pool."""
         columns = (self._kind, self._axis, self._mid, self._kids, self._depth, self._box,
-                   self._hole, self._holes, self._span, self._near, self._leaf, self._seg)
+                   self._hole, self._holes, self._span, self._leaf)
         return sum(c.itemsize * len(c) for c in columns) + self._ids.nbytes
 
     # -- expansion ---------------------------------------------------------
 
-    def _near_parts(self, node: int) -> np.ndarray:
-        """The node's near parts, concatenated in order."""
-        spans = []
-        s = self._near[node]
-        while s >= 0:
-            s, off, n = self._seg[3 * s:3 * s + 3]
-            spans.append(self._ids[off:off + n])
-        if not spans:
-            return _NO_IDS
-        return spans[0] if len(spans) == 1 else np.concatenate(spans[::-1])
-
-    def _near_filter(self, cand: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """The candidates, in order, that lie nearer to the box [low, high]
-        than (2 alpha + 1) times its circumradius. Slabs about the box along
-        the axis of widest site spread, then along every axis, drop most
-        far candidates before the exact box distances."""
-        if len(cand) == 0:
-            return cand
-        reach = (2.0 * self.cfg.alpha + 1.0) * _half_diagonal(low, high)
-        a = self._slab_axis
-        lo, hi = _slab(float(low[a]), float(high[a]), reach)
-        xs = self._slab_sorted
-        i, j = np.searchsorted(xs, lo, "left"), np.searchsorted(xs, hi, "right")
-        if len(cand) > j - i:
-            inside = np.zeros(self.n_positions, dtype=bool)
-            inside[self._slab_order[i:j]] = True
-            cand = cand.compress(inside.take(cand))
-        pts = self.positions.take(cand, axis=0)
-        # A few candidates go straight to the exact distances.
-        if len(cand) > 64:
-            lo, hi = _slab(low, high, reach)
-            keep = np.ones(len(cand), dtype=bool)
-            for a, col in enumerate(pts.T):
-                keep &= (col >= lo[a]) & (col <= hi[a])
-            keep = np.flatnonzero(keep)
-            cand, pts = cand.take(keep), pts.take(keep, axis=0)
-        return cand.compress(box_distances(low, high, pts) < reach)
+    def _near(self, low: list, high: list, site: np.ndarray, parts=None) -> np.ndarray:
+        """The near set of the box [low, high] of a node whose assigned
+        sites are ``site``: every other position nearer to the box than
+        (2 alpha + 1) times its circumradius, in id order. The candidates
+        are ``parts`` where given, sorted ids that hold the near set, or
+        else the grid's positions in the box's window."""
+        lo, hi = np.array(low), np.array(high)
+        reach = (2.0 * self.cfg.alpha + 1.0) * _half_diagonal(lo, hi)
+        if parts is None:
+            parts = self.grid.within(*_window(low, high, reach))
+        if len(site):
+            parts = parts.compress(parts != site[0])
+        return parts.compress(box_distances(lo, hi, self.positions.take(parts, axis=0)) < reach)
 
     def _leaf_tests(self, cand: np.ndarray, X: np.ndarray, d2: np.ndarray, site_off,
                     cells: list, first: bool = True) -> list:
@@ -506,7 +477,8 @@ class AvdTree:
             if start == end:
                 passed.append((j, _NO_IDS, None))
             else:
-                inner = cand.take(rows.take(rest[start:end]))
+                # In id order, wherever the site falls among them.
+                inner = np.sort(cand.take(rows.take(rest[start:end])))
                 ball = self._inner_ball(inner, cells[j])
                 if ball is not None:
                     passed.append((j, inner, ball))
@@ -537,15 +509,17 @@ class AvdTree:
         midpoint. Each batch takes the path's next cells, leaf-tests them at
         once, and keeps the cells down to the first that passes: the failing
         ones become split nodes, each with a pending sibling, and the passing
-        one a leaf. A failing cell at the depth budget raises."""
+        one a leaf. A failing cell at the depth budget raises. The first
+        batch takes its near set from the grid, and each later one filters
+        its near set from the candidates of the batch before."""
         q = np.array(qa)
         levels = _CHAIN_LEVELS
-        parts = self._near_parts(node)
+        parts = None
         while True:
             depth = self._depth[node]
             site = self._assigned(node).copy()
             cell = self._cell(node)
-            near = self._near_filter(parts, np.array(cell[0]), np.array(cell[1]))
+            near = self._near(cell[0], cell[1], site, parts)
             cand = np.concatenate([near, site]) if len(site) else near
             X = self.positions.take(cand, axis=0)
             rel = X - q
@@ -564,8 +538,7 @@ class AvdTree:
                     raise RuntimeError(
                         f"max depth exceeded at cell [{np.array(lo)}, {np.array(hi)}]")
                 node = self._commit(node, splits, held)
-                # The next batch filters its near set from this one's.
-                parts = near if self._span[2 * node + 1] else cand
+                parts = np.sort(cand)
                 levels *= 2
                 continue
             (stop, inner, ball), = tested
@@ -604,16 +577,12 @@ class AvdTree:
     def _commit(self, node: int, splits: list, held: list) -> int:
         """Make ``node`` and the path nodes below it split nodes, one per
         entry of ``splits``, with pending children; returns the path node
-        below the last. The children share one candidate array as near
-        parts: the near parts of ``node`` followed by its site, which a
-        child holding the site leaves out. Filtered against a child's box
-        it gives the child's near set, as the near set of its parent would."""
+        below the last. A child that holds the site of ``node`` keeps its
+        span, and the others get none."""
         if not splits:
             return node
         depth = self._depth[node]
         span = tuple(self._span[2 * node:2 * node + 2])
-        without = self._near[node]
-        with_site = self._segment(without, span)
         rows, path, kids_of = [], [node], []
         next_id = len(self._kind)
         for j, (_, _, kids, s, w) in enumerate(splits):
@@ -621,8 +590,7 @@ class AvdTree:
             for i in (0, 1):
                 if kids[i] is not None:
                     got = held[j] and s == i
-                    rows.append((depth + j + 1, kids[i], span if got else (0, 0),
-                                 without if got else with_site))
+                    rows.append((depth + j + 1, kids[i], span if got else (0, 0)))
                     ids[i] = next_id
                     next_id += 1
             kids_of.append(ids)
@@ -670,8 +638,8 @@ class AvdTree:
 
     def _expand_sites(self, node: int) -> None:
         """Expand a pending node holding two or more sites: shrink toward
-        their cluster, or split at the midpoint. Its children filter their
-        near sets from its near parts plus the sites routed to the sibling."""
+        their cluster, or split at the midpoint. Each child's span holds the
+        sites routed into its cell."""
         self.expansions += 1
         depth = self._depth[node]
         if depth >= self._depth_budget:
@@ -698,10 +666,7 @@ class AvdTree:
                     parts[1 - i] = np.sort(np.concatenate([parts[1 - i], parts[i]]))
                     parts[i] = _NO_IDS
             kind = _SPLIT
-        spans = [self._push(p) for p in parts]
-        base = self._near[node]
-        rows = [(depth + 1, kids[i], spans[i], self._segment(base, spans[1 - i]))
-                for i in (0, 1) if kids[i] is not None]
+        rows = [(depth + 1, kids[i], self._push(parts[i])) for i in (0, 1) if kids[i] is not None]
         first = self._add_nodes(rows)
         ids = [first, first + 1] if len(rows) == 2 else \
             [first if kids[0] is not None else -1, first if kids[1] is not None else -1]
@@ -713,13 +678,14 @@ class AvdTree:
     def _expand_subtree(self, node: int) -> None:
         """Expand the pending node ``node``, which holds at most one site,
         and its whole subtree. Each level of the subtree's cells is
-        leaf-tested at once against the node's near set and site, with the
-        distances to each cell's center; the cells that fail split as on a
-        descent, and a failing cell at the depth budget raises."""
+        leaf-tested at once against the node's near set, from the grid, and
+        its site, with the distances to each cell's center; the cells that
+        fail split as on a descent, and a failing cell at the depth budget
+        raises."""
         d = self.dim
         site = self._assigned(node).copy()
         lo, hi, _ = cell = self._cell(node)
-        near = self._near_filter(self._near_parts(node), np.array(lo), np.array(hi))
+        near = self._near(lo, hi, site)
         cand = np.concatenate([near, site]) if len(site) else near
         X = self.positions.take(cand, axis=0)
         x = self.positions[site[0]].tolist() if len(site) else None

@@ -115,35 +115,50 @@ class PointGrid:
 
     def __init__(self, points: np.ndarray):
         n, d = points.shape
-        self.low = points.min(axis=0)
-        extent = points.max(axis=0) - self.low
+        low = points.min(axis=0)
+        extent = points.max(axis=0) - low
         per_axis = max(1, math.ceil((n / 2.0) ** (1.0 / d)))
         widest = float(extent.max())
         self.side = widest / per_axis if widest > 0.0 else 1.0
-        self.shape = np.minimum(np.floor(extent / self.side).astype(np.intp) + 1, per_axis)
-        self.strides = np.append(np.cumprod(self.shape[:0:-1])[::-1], 1)
-        cells = self._axis_cells(points) @ self.strides
+        shape = np.minimum(np.floor(extent / self.side).astype(np.intp) + 1, per_axis)
+        strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+        axis_cells = np.clip(np.floor((points - low) / self.side), 0, shape - 1)
+        cells = axis_cells.astype(np.intp) @ strides
         self.order = np.argsort(cells, kind="stable").astype(np.int32)
-        self.start = np.append(0, np.cumsum(np.bincount(cells, minlength=self.shape.prod())))
+        self.start = np.append(0, np.cumsum(np.bincount(cells, minlength=shape.prod())))
+        # Lookups do their cell arithmetic in Python floats and ints, which
+        # round as numpy's elementwise arithmetic does.
+        self.low, self.shape, self.strides = low.tolist(), shape.tolist(), strides.tolist()
         # Absolute widening of a query radius that covers the rounding of the
         # coordinates, so that no point within the radius is missed.
         self.slack = 8.0 * float(np.spacing(np.abs(points).max() + widest))
 
-    def _axis_cells(self, x: np.ndarray) -> np.ndarray:
-        """Per-axis cell of each coordinate, clipped into the grid."""
-        return np.clip(np.floor((x - self.low) / self.side), 0, self.shape - 1).astype(np.intp)
+    def within(self, low, high) -> np.ndarray:
+        """Sorted ids of the points in the cells that meet the box [low,
+        high], given as float sequences: every point whose coordinates lie
+        between them, and some others. A coordinate's cell is
+        ``floor((x - grid low) / side)``, clipped into the grid, so cells
+        are monotone in the coordinate."""
+        first, last = [], []
+        for x, y, g, top in zip(low, high, self.low, self.shape):
+            top -= 1
+            for bound, out in ((x, first), (y, last)):
+                t = (bound - g) / self.side
+                out.append(0 if t < 1.0 else top if t >= top else int(t))
+        # One slice of ``order`` per grid row along the last axis.
+        rows = [0]
+        for i, j, stride in zip(first[:-1], last[:-1], self.strides):
+            rows = [r + stride * k for r in rows for k in range(i, j + 1)]
+        start, order, i, j = self.start, self.order, first[-1], last[-1] + 1
+        return np.sort(np.concatenate([order[start[r + i]:start[r + j]] for r in rows]))
 
     def near(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Sorted ids of the points in the cells that meet the box about
         ``center`` of half-side ``radius`` (widened by a rounding margin):
         every point within ``radius`` of ``center``, and some farther ones."""
         reach = radius * (1.0 + 1e-9) + self.slack
-        lo, hi = self._axis_cells(center - reach), self._axis_cells(center + reach)
-        rows = np.zeros(1, dtype=np.intp)
-        for j in range(len(lo) - 1):
-            rows = (rows[:, None] + self.strides[j] * np.arange(lo[j], hi[j] + 1)).ravel()
-        ids = concat_ranges(self.order, self.start[rows + lo[-1]], self.start[rows + hi[-1] + 1])
-        return np.sort(ids)
+        center = center.tolist()
+        return self.within([x - reach for x in center], [x + reach for x in center])
 
 
 def unchecked_ball(center: np.ndarray, radius: float) -> "EuclideanBall":

@@ -206,6 +206,26 @@ def test_malformed_queries_fail_alike_in_the_index_and_the_oracle(tag, as_family
     assert index.stats["queries"] == 0
 
 
+@pytest.mark.parametrize("tag", ["kl", "is"])
+def test_queries_on_a_domain_face_or_a_float_outside_raise(tag, rng):
+    """A Bregman domain is open: a query exactly on a face of its box, or
+    one float outside, raises ``DomainError`` from ``AnnIndex.query`` and
+    ``brute_force`` alike, and one a float inside is answered."""
+    fns = gen_family(tag, gen_sites(rng, 30, 2, tag), rng)
+    index = build_index(fns, 0.25)
+    spec = index.family.specs[0]
+    for a in range(2):
+        for face, outward in ((spec.domain_low[a], -np.inf), (spec.domain_high[a], np.inf)):
+            q = gen_queries(rng, 1, 2, tag)[0]
+            for x in (face, np.nextafter(face, outward)):
+                q[a] = x
+                for answer in (index.query, lambda x: brute_force(fns, x)):
+                    with pytest.raises(DomainError, match="query outside domain"):
+                        answer(q)
+            q[a] = np.nextafter(face, -outward)
+            assert index.query(q)[1] <= 1.25 * brute_force(fns, q)[1] * (1.0 + 1e-12)
+
+
 def test_outside_root_queries(rng):
     pts = gen_sites(rng, 40, 2, "l2")
     fns = gen_family("l2", pts, rng)

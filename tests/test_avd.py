@@ -3,8 +3,11 @@ import copy
 import numpy as np
 import pytest
 
-from eann import build_index, make_minkowski
+from eann import avd, build_index, make_minkowski
+from eann._batch import SiteFamily
 from eann.avd import _LEAF, _NO_IDS, _PENDING, AvdConfig, AvdTree, build_avd, check_leaf
+from eann.distances import minkowski_sites
+from eann.geom import enclosing_ball
 
 
 def test_config_validation():
@@ -199,28 +202,22 @@ def test_lazy_matches_materialized(rng):
 
 def test_site_id_arrays_are_int32(rng):
     """Site ids live in one int32 pool. Pending frontier nodes keep spans of
-    it for their assigned sites and chains of spans for the parts their
-    near sets are filtered from, and leaves keep int32 arrays; expanded
-    nodes and leaves keep no span."""
+    it for their assigned sites, the grid that near sets come from keeps
+    int32 ids, and leaves keep int32 arrays; expanded nodes and leaves keep
+    no span."""
     sites = np.vstack([rng.random((150, 2)), rng.random((10, 2))[[0, 0, 1]]])
     tree = build_avd(sites, AvdConfig(2.0, 40.0))
     for q in rng.random((30, 2)):
         tree.locate(q)
-    arrays = [tree.position_of_site, tree._ids]
-    longest_parts = 0
+    arrays = [tree.position_of_site, tree._ids, tree.grid.order]
     for node in range(tree.tree_nodes()):
         if tree._kind[node] == _PENDING:
-            arrays += [tree._assigned(node), tree._near_parts(node)]
-            parts, seg = 0, tree._near[node]
-            while seg >= 0:
-                parts, seg = parts + 1, tree._seg[3 * seg]
-            longest_parts = max(longest_parts, parts)
+            arrays.append(tree._assigned(node))
         else:
-            assert tree._span[2 * node + 1] == 0 and tree._near[node] == -1
+            assert tree._span[2 * node + 1] == 0
         if tree._kind[node] == _LEAF:
             leaf = tree._leaves[tree._leaf[node]]
             arrays += [leaf.in_cell, leaf.inner]
-    assert longest_parts > 1
     assert _NO_IDS.dtype == np.int32 and len(_NO_IDS) == 0
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
 
@@ -274,6 +271,47 @@ def test_tree_bytes_per_cold_leaf():
     assert stats["tree_nodes"] == index.tree.tree_nodes() > stats["leaves"] > 150
     assert stats["tree_bytes"] / stats["leaves"] <= 0.5 * 20.9 * 1024
     assert index.storage_stats() == stats
+
+
+def test_leaf_ball_equals_the_enclosing_ball_of_the_cell():
+    """``AvdLeaf.ball``, read from the node table, is ``enclosing_ball`` of
+    the leaf's cell bit for bit, on leaves with and without a hole."""
+    # A cluster that holds most sites makes a shrink, whose outer child has
+    # a hole; with these sites one leaf keeps part of it.
+    rng = np.random.default_rng(9)
+    sites = np.vstack([rng.random((2, 2)), rng.random(2) + 1e-4 * (rng.random((8, 2)) - 0.5)])
+    tree = build_avd(sites, AvdConfig(2.0, 4.0))
+    holed = 0
+    leaves = tree.leaves()
+    for leaf in leaves:
+        ball, reference = leaf.ball(), enclosing_ball(leaf.cell)
+        assert ball.center.tobytes() == reference.center.tobytes()
+        assert ball.radius == reference.radius and type(ball.radius) is float
+        holed += leaf.cell.inner is not None
+    assert 0 < holed < len(leaves)
+
+
+def test_cold_descents_filter_few_rows_at_large_n(monkeypatch):
+    """A cold descent takes its near set from the grid: at l3 n=64,000 no
+    box distance call of a cold query gets more than a few thousand rows,
+    not the n that a filter over every position would take."""
+    rng = np.random.default_rng(11)
+    n = 64000
+    family = SiteFamily.from_groups([(slice(None),
+                                      *minkowski_sites(rng.random((n, 2)), 3.0, np.ones(n)))])
+    index = build_index(family, 0.1)
+    rows = []
+    box_distances = avd.box_distances
+
+    def counting(low, high, points):
+        rows.append(len(points))
+        return box_distances(low, high, points)
+
+    monkeypatch.setattr(avd, "box_distances", counting)
+    for q in rng.random((60, 2)):
+        index.query(q)
+    assert index.tree.expansions > 0 and len(rows) >= 60
+    assert max(rows) <= 4000, max(rows)
 
 
 def test_no_cell_overlaps_a_shrink_hole():

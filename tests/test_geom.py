@@ -5,6 +5,7 @@ from eann.geom import (
     AlignedBox,
     BbdCell,
     EuclideanBall,
+    PointGrid,
     dist_point_cell,
     enclosing_ball,
     is_separated,
@@ -118,3 +119,45 @@ def test_enclosing_ball_contains_corners(rng):
         for corner_bits in range(2**d):
             corner = np.where([(corner_bits >> j) & 1 for j in range(d)], high, low)
             assert np.linalg.norm(corner - ball.center) <= ball.radius + 1e-12
+
+
+def _grid_reference(grid, points, center, radius):
+    """Every id whose grid cell meets the box about ``center`` of half-side
+    ``radius`` widened by the grid's margin, from each point's cell."""
+    low, shape = np.array(grid.low), np.array(grid.shape)
+
+    def cells(x):
+        return np.clip(np.floor((x - low) / grid.side), 0, shape - 1)
+
+    reach = radius * (1.0 + 1e-9) + grid.slack
+    own = cells(points)
+    inside = (own >= cells(center - reach)) & (own <= cells(center + reach))
+    return np.flatnonzero(inside.all(axis=1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_point_grid_near_equals_the_cells_that_meet_the_box(d, rng):
+    """``PointGrid.near`` returns, in id order, exactly the ids whose cell
+    meets the query box: for random points, points on cell boundaries and
+    duplicates, about centers at points, at the grid's low and high edges
+    and beyond them, with zero and positive radii."""
+    n = 300
+    points = rng.random((n, d))
+    grid = PointGrid(points)
+    # Points exactly on cell boundaries, and duplicates of other points.
+    k = rng.integers(0, 4, size=(40, d))
+    boundary = np.array(grid.low) + k * grid.side
+    points = np.concatenate([points, boundary, points[rng.integers(0, n, 30)]])
+    grid = PointGrid(points)
+    low = np.array(grid.low)
+    high = points.max(axis=0)
+    centers = [points[i] for i in rng.integers(0, len(points), 40)]
+    centers += [low, high, low - 0.5, high + 0.5, boundary[0], rng.random(d)]
+    for center in centers:
+        for radius in (0.0, 1e-12, grid.side, 0.5 * rng.random(), 2.0):
+            got = grid.near(center, radius)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, _grid_reference(grid, points, center, radius))
+    # Every point lies in the cells that meet a box of radius 0 about it.
+    for i in rng.integers(0, len(points), 20):
+        assert i in grid.near(points[i], 0.0)

@@ -1,4 +1,4 @@
-"""Property tests of point location, of the lazily filtered near sets, of
+"""Property tests of point location, of the near sets taken from the grid, of
 the hypercube ray exit and of the envelope's gather window and cell memo
 over generated inputs. Runs are derandomized and keep no example database, so they are
 reproducible."""
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from eann.ann import ray_to_hypercube_boundary
-from eann.avd import (_LEAF, _PENDING, _SPLIT, AvdConfig, _points_in_box, _slab, build_avd,
-                      check_leaf)
+from eann.avd import (_LEAF, _NO_IDS, _PENDING, _SPLIT, AvdConfig, _points_in_box, _window,
+                      build_avd, check_leaf)
 from eann.envelope import ConcaveEnvelope
 from eann.geom import AlignedBox, EuclideanBall, box_distances
 
@@ -89,15 +89,16 @@ def test_locate_finds_a_valid_containing_leaf(data):
 
 def _record_near(tree):
     """Have the tree record, by box, the near set each descent or subtree
-    expansion filters from its near parts."""
+    expansion builds."""
     built = {}
-    near = tree._near_filter
+    near = tree._near
 
-    def recording(cand, low, high):
-        built[low.tobytes() + high.tobytes()] = out = near(cand, low, high)
+    def recording(low, high, site, parts=None):
+        out = near(low, high, site, parts)
+        built[np.array(low).tobytes() + np.array(high).tobytes()] = out
         return out
 
-    tree._near_filter = recording
+    tree._near = recording
     return built
 
 
@@ -109,8 +110,8 @@ def _box(tree, node):
 def _eager_reference(tree):
     """Reference near sets, filtered at every level: a child's near set is
     its parent's plus the sites routed to its sibling, filtered against the
-    child's box. Yields (node, assigned, near) for every node expanded so far
-    and its pending children."""
+    child's box, in id order. Yields (node, assigned, near) for every node
+    expanded so far and its pending children."""
     P, alpha = tree.positions, tree.cfg.alpha
     stack = [(0, np.arange(tree.n_positions), np.zeros(0, dtype=int))]
     while stack:
@@ -137,7 +138,8 @@ def _eager_reference(tree):
             cand = np.concatenate([near, parts[1 - i]])
             low, high = _box(tree, child)
             reach = (2.0 * alpha + 1.0) * float(np.linalg.norm(high - low) / 2.0)
-            stack.append((child, parts[i], cand[box_distances(low, high, P[cand]) < reach]))
+            near_child = np.sort(cand[box_distances(low, high, P[cand]) < reach])
+            stack.append((child, parts[i], near_child))
 
 
 # Coordinates at least 1e-6 apart: closer sites at the origin exceed the
@@ -169,9 +171,10 @@ def adversarial_sites(draw, d, max_base=8):
 
 
 def _assert_lazy_near_is_eager(tree, built):
-    """Every near set a descent filtered, and the near set every pending node
-    filters from its near parts, equal the reference's; every leaf holds the
-    in-cell, inner and ball the reference's near set gives."""
+    """Every near set a descent built equals the reference's, and so do the
+    positions the grid finds near every pending node's box but its
+    assigned ones; every leaf holds the in-cell, inner and ball the
+    reference's near set gives."""
     P, alpha = tree.positions, tree.cfg.alpha
     leaves = compared = 0
     for node, assigned, near in _eager_reference(tree):
@@ -183,8 +186,8 @@ def _assert_lazy_near_is_eager(tree, built):
             compared += 1
         if tree._kind[node] == _PENDING:
             np.testing.assert_array_equal(tree._assigned(node), assigned)
-            np.testing.assert_array_equal(
-                tree._near_filter(tree._near_parts(node), low, high), near)
+            around = tree._near(low.tolist(), high.tolist(), _NO_IDS)
+            np.testing.assert_array_equal(np.setdiff1d(around, assigned), near)
         if tree._kind[node] != _LEAF:
             continue
         leaves += 1
@@ -209,13 +212,33 @@ def _assert_lazy_near_is_eager(tree, built):
     assert leaves > 0 and 0 < compared <= len(built)
 
 
+def _window_edges(low, high, reach, axis):
+    """Coordinates along ``axis`` one float either side of the grid
+    window's edges about the box [low, high], and exactly ``reach`` from
+    the box."""
+    lo, hi = _window(low.tolist(), high.tolist(), reach)
+    return [np.nextafter(lo[axis], -np.inf), np.nextafter(lo[axis], np.inf),
+            np.nextafter(hi[axis], -np.inf), np.nextafter(hi[axis], np.inf),
+            low[axis] - reach, high[axis] + reach]
+
+
+def _assert_window_holds_the_near_set(tree, low, high, reach):
+    """The grid near set of the box, with and without a site of its own,
+    equals the exact test over every position."""
+    P = tree.positions
+    exact = np.flatnonzero(box_distances(low, high, P) < reach)
+    np.testing.assert_array_equal(tree._near(low.tolist(), high.tolist(), _NO_IDS), exact)
+    site = exact[:1].astype(np.int32)
+    np.testing.assert_array_equal(tree._near(low.tolist(), high.tolist(), site), exact[1:])
+
+
 @SETTINGS
 @given(st.data())
 def test_lazy_near_sets_match_the_eager_filter_chain(data):
-    """A near set filtered once from its parts equals the parent's chain of
+    """A near set taken from the grid equals the parent's chain of
     per-level filters, in set and in order, and so does every leaf: over a
-    whole tree, then along the paths to sites placed exactly on the slab
-    edges of boxes the whole tree tested."""
+    whole tree, then along the paths to sites placed at the grid window's
+    edges about boxes the whole tree tested."""
     d = data.draw(st.integers(2, 3), label="d")
     sites = data.draw(adversarial_sites(d), label="sites")
     # Whole trees in three dimensions grow large with beta.
@@ -225,18 +248,24 @@ def test_lazy_near_sets_match_the_eager_filter_chain(data):
     tree.materialize()
     _assert_lazy_near_is_eager(tree, built)
 
-    a = tree._slab_axis
     tested = [_box(tree, node) for node, _, _ in _eager_reference(tree)
               if b"".join(x.tobytes() for x in _box(tree, node)) in built]
-    edges = []
+    boxes, edges = [], []
     for i in data.draw(st.lists(st.integers(0, len(tested) - 1), min_size=1, max_size=3),
                        label="tested boxes"):
         low, high = tested[i]
         reach = (2.0 * cfg.alpha + 1.0) * float(np.linalg.norm(high - low) / 2.0)
-        for x in _slab(float(low[a]), float(high[a]), reach):
-            edges.append(0.5 * (low + high))
+        boxes.append((low, high, reach))
+        # Sites a float apart lie on different lines through the box, as
+        # no cell separates them.
+        lines = [0.5 * (low + high), low] * 2 + [high] * 2
+        a = data.draw(st.integers(0, d - 1), label="axis")
+        for x, line in zip(_window_edges(low, high, reach, a), lines):
+            edges.append(line.copy())
             edges[-1][a] = x
     edged = build_avd(np.concatenate([sites, edges]), cfg)
+    for box in boxes:
+        _assert_window_holds_the_near_set(edged, *box)
     built = _record_near(edged)
     for q in edges:
         edged.locate(q)
@@ -282,10 +311,10 @@ def test_lazily_located_leaves_equal_the_materialized_tree(data):
 
 @SETTINGS
 @given(st.data())
-def test_slab_prefilter_drops_only_what_the_exact_test_drops(data):
-    """Sites exactly on a box's slab edges, one float either side of them and
-    at exactly the reach, along the slab axis and along every other axis,
-    are filtered as the exact box distance test filters them."""
+def test_grid_window_drops_only_what_the_exact_test_drops(data):
+    """Sites one float either side of the grid window's edges about a box,
+    and at exactly the reach, along every axis, are kept in a near set as
+    the exact box distance test keeps them."""
     d = data.draw(st.integers(2, 3), label="d")
     offset = data.draw(st.sampled_from([0.0, 1e6]), label="offset")
     low = offset + np.array(data.draw(st.lists(unit, min_size=d, max_size=d), label="low"))
@@ -297,24 +326,16 @@ def test_slab_prefilter_drops_only_what_the_exact_test_drops(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     edges = []
     for a in range(d):
-        lo, hi = _slab(float(box.low[a]), float(box.high[a]), reach)
-        xs = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
-              np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf), box.low[a] - reach,
-              box.high[a] + reach]
+        xs = _window_edges(box.low, box.high, reach, a)
         edges.append(rng.uniform(box.low, box.high, size=(len(xs), d)))
         edges[-1][:, a] = xs
-    edge = np.concatenate(edges)
-    # Far sites along axis 0 make it the slab axis and engage the prefilter.
+    # Far sites along axis 0 spread the grid, so that the window holds a
+    # few of its cells.
     far = np.repeat(box.low[None, :], 16, axis=0)
     far[:, 0] = box.low[0] + np.linspace(-100.0, 100.0, 16) * (reach + 1.0)
-    # Sites in the box keep more candidates in the slab than the filter
-    # takes straight to the exact distances, so it slabs every axis.
     inside = rng.uniform(box.low, box.high, size=(64, d))
-    tree = build_avd(np.concatenate([edge, far, inside]), AvdConfig(alpha, 4.0))
-    assert tree._slab_axis == 0
-    cand = rng.permutation(tree.n_positions).astype(np.int32)
-    exact = cand[box_distances(box.low, box.high, tree.positions[cand]) < reach]
-    np.testing.assert_array_equal(tree._near_filter(cand, box.low, box.high), exact)
+    tree = build_avd(np.concatenate(edges + [far, inside]), AvdConfig(alpha, 4.0))
+    _assert_window_holds_the_near_set(tree, box.low, box.high, reach)
 
 
 class _OneMember:

@@ -279,17 +279,21 @@ def test_warm_exact_query_evaluates_its_ids_at_q(monkeypatch):
 
 
 def test_a_leaf_query_checks_its_domain_once(monkeypatch):
-    """A query on a built leaf checks the Bregman domain once, where it
-    enters; the leaf's kernel call does not check it again. A scaling
-    family has no domain to check."""
-    calls = []
-    real = BregmanSpec.in_domain
+    """A query on a built leaf is checked once, where it enters
+    (``_checked_query``, which compares it with the domain bounds itself);
+    neither it nor the leaf's kernel call asks ``BregmanSpec.in_domain``."""
+    calls, entries = [], []
+    real_in_domain, real_checked = BregmanSpec.in_domain, ann._checked_query
 
     def counted(spec, x):
         calls.append(x)
-        return real(spec, x)
+        return real_in_domain(spec, x)
 
-    for tag, expected in (("kl", 48), ("l3", 0)):
+    def entered(family, q):
+        entries.append(q)
+        return real_checked(family, q)
+
+    for tag in ("kl", "l3"):
         rng = np.random.default_rng(23)
         index = build_index(gen_family(tag, gen_sites(rng, 400, 2, tag), rng), 0.25)
         queries = []
@@ -301,11 +305,13 @@ def test_a_leaf_query_checks_its_domain_once(monkeypatch):
         queries = queries[:48]
         assert len(queries) == 48
         monkeypatch.setattr(BregmanSpec, "in_domain", counted)
+        monkeypatch.setattr(ann, "_checked_query", entered)
         calls.clear()
+        entries.clear()
         for q in queries:
             index.query(q)
         monkeypatch.undo()
-        assert len(calls) == expected
+        assert len(calls) == 0 and len(entries) == 48
         assert index.stats["brute_queries"] == 0
 
 
