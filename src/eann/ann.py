@@ -458,8 +458,9 @@ class AnnIndex:
         """Sizes of the structures built so far; expands no node.
         ``exact_leaves`` and ``envelope_leaves`` count the built leaves of
         each kind (``stats["brute_leaves"]`` counts the brute ones),
-        ``tree_nodes`` the rows of the tree's node table and ``tree_bytes``
-        the bytes its columns, hole table and id pool hold."""
+        ``tree_expansions`` the rows of the tree's node table that are no
+        longer pending, ``tree_nodes`` all its rows and ``tree_bytes`` the
+        bytes its columns, hole table and id pool hold."""
         env_samples = exact = envelope = 0
         leaves = self.tree.built_leaves()
         for leaf in leaves:

@@ -15,13 +15,16 @@ for statistics and invariant checks. For the same reason a tree is
 serialized as its configuration record alone (``to_bytes``): a loader
 rebuilds the lazy tree from the sites and checks the record against it.
 
-Nodes are rows of a flat table of typed arrays: kind, split axis and
-midpoint, outer bounds, child ids and depth, with no object per node. The
-few holed cells keep their hole bounds in a side table. Only a built leaf
-has an object, ``AvdLeaf``, which ``locate`` returns. Site ids
-live in one int32 pool: a pending node's ``assigned`` sites, the positions
-routed into its cell, are a span of it. A pending node is its depth, its
-cell and that span.
+Nodes are rows of a flat table of typed arrays, with no object per node:
+kind, split midpoint, one pair of ids, depth and outer bounds. The kind is
+the split axis for a split node, or a negative tag for a pending node, a
+shrink or a leaf, and the pair holds what that kind needs: a split's or a
+shrink's two children, a leaf's index among the built leaves, or a pending
+node's span of the id pool. The few holed cells keep their hole bounds in
+a side table. Only a built leaf has an object, ``AvdLeaf``, which
+``locate`` returns. Site ids live in one int32 pool: a pending node's
+``assigned`` sites, the positions routed into its cell, are a span of it.
+A pending node is its depth, its cell and that span.
 
 A node's near set, the positions that may still be inner somewhere below
 it, is built only where the leaf test reads it: at a node with at most one
@@ -66,12 +69,11 @@ from .geom import (
     dist_ball_cell,
     enclosing_ball,
     unchecked_ball,
-    unchecked_box,
-    unchecked_cell,
     unchecked_dist_point_cell,
 )
 
-_PENDING, _SPLIT, _SHRINK, _LEAF = 0, 1, 2, 3
+# Node kinds other than a split, whose kind is its axis.
+_PENDING, _SHRINK, _LEAF = -1, -2, -3
 # Site and position ids; the pool of a cold index holds many.
 _ID = np.int32
 # The id array of every leaf without in-cell or inner sites.
@@ -118,7 +120,8 @@ class AvdLeaf:
 
     @property
     def cell(self) -> BbdCell:
-        return _bbd_cell(self.tree._cell(self.node))
+        lo, hi, hole = self.tree._cell(self.node)
+        return BbdCell(AlignedBox(lo, hi), None if hole is None else AlignedBox(*hole))
 
     @property
     def depth(self) -> int:
@@ -144,12 +147,6 @@ class AvdLeaf:
 # A cell is (low, high, hole) with float lists for the corners and hole
 # None or a (low, high) pair; floats keep Python arithmetic bit-identical to
 # numpy's elementwise arithmetic.
-
-def _bbd_cell(cell) -> BbdCell:
-    lo, hi, hole = cell
-    inner = None if hole is None else unchecked_box(np.array(hole[0]), np.array(hole[1]))
-    return unchecked_cell(unchecked_box(np.array(lo), np.array(hi)), inner)
-
 
 def _make_cell(lo: list, hi: list, hole):
     """Build a cell, absorbing a hole that fills an exact half of the box."""
@@ -285,20 +282,18 @@ class AvdTree:
         self._scale = float(max(np.abs(P).max(), np.abs(self.root_box.low).max(),
                                 np.abs(self.root_box.high).max()))
         self._lock = threading.RLock()
-        # Nodes expanded so far, which ``storage_stats`` reports.
-        self.expansions = 0
 
         # The node table, one row per node, in typed columns.
-        self._kind = array("b")
-        self._axis = array("i")   # split axis, or -1
+        self._kind = array("i")   # split axis, or _PENDING, _SHRINK, _LEAF
         self._mid = array("d")    # split midpoint
-        self._kids = array("i")   # two per node, -1 where a side has no child
+        # Two per node: a split's or shrink's children, -1 where a side has
+        # no child; a leaf's index in _leaves and -1; or a pending node's
+        # offset and count of its assigned ids.
+        self._kids = array("i")
         self._depth = array("i")
         self._box = array("d")    # 2d per node: outer low, outer high
         self._hole = array("i")   # a holed cell's row in _holes, or -1
         self._holes = array("d")  # 2d per holed cell: hole low, hole high
-        self._span = array("i")   # two per node: offset and count of its assigned ids
-        self._leaf = array("i")   # a leaf's index in _leaves, or -1
         self._ids = np.empty(max(64, 2 * self.n_positions), dtype=_ID)
         self._n_ids = 0
         self._leaves: list[AvdLeaf] = []
@@ -310,6 +305,11 @@ class AvdTree:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
+
+    @property
+    def expansions(self) -> int:
+        """Nodes expanded so far: the rows no longer pending."""
+        return len(self._kind) - self._kind.count(_PENDING)
 
     # -- the table -----------------------------------------------------------
 
@@ -340,14 +340,11 @@ class AvdTree:
                 self._holes.extend(hole[0] + hole[1])
             spans += span
         self._kind.extend([_PENDING] * n)
-        self._axis.extend([-1] * n)
         self._mid.extend([0.0] * n)
-        self._kids.extend([-1] * (2 * n))
+        self._kids.extend(spans)
         self._depth.extend([row[0] for row in rows])
         self._box.extend(box)
         self._hole.extend(holes)
-        self._span.extend(spans)
-        self._leaf.extend([-1] * n)
         return first
 
     def _cell(self, node: int):
@@ -361,21 +358,18 @@ class AvdTree:
         return b[:d], b[d:], hole
 
     def _assigned(self, node: int) -> np.ndarray:
-        off, n = self._span[2 * node:2 * node + 2]
+        """The assigned sites of a pending node."""
+        off, n = self._kids[2 * node:2 * node + 2]
         return self._ids[off:off + n]
-
-    def _retire(self, node: int, kind: int) -> None:
-        """Mark a pending node expanded: it keeps no ids any more."""
-        self._kind[node] = kind
-        self._span[2 * node:2 * node + 2] = array("i", (0, 0))
 
     def tree_nodes(self) -> int:
         return len(self._kind)
 
     def tree_bytes(self) -> int:
-        """Bytes held by the node columns, the hole table and the id pool."""
-        columns = (self._kind, self._axis, self._mid, self._kids, self._depth, self._box,
-                   self._hole, self._holes, self._span, self._leaf)
+        """Bytes held by the node columns (kind, midpoint, id pair, depth,
+        box and hole row), the hole table and the id pool."""
+        columns = (self._kind, self._mid, self._kids, self._depth, self._box, self._hole,
+                   self._holes)
         return sum(c.itemsize * len(c) for c in columns) + self._ids.nbytes
 
     # -- expansion ---------------------------------------------------------
@@ -495,7 +489,7 @@ class AvdTree:
         bc = np.add.reduce(pts, axis=0) / len(pts)
         rel = pts - bc
         br = math.sqrt(float(np.einsum("md,md->m", rel, rel).max())) * (1.0 + 1e-9)
-        gap = unchecked_dist_point_cell(bc, _bbd_cell(cell)) - br
+        gap = unchecked_dist_point_cell(bc, *cell) - br
         if gap < self.cfg.beta * 2.0 * br:
             return None
         return unchecked_ball(bc, br)
@@ -531,7 +525,6 @@ class AvdTree:
             site_off = np.logical_not(held) if len(site) else _NO_IDS
             tested = self._leaf_tests(cand, X, np.einsum("md,md->m", rel, rel), site_off, cells)
             if not tested:
-                self.expansions += len(cells)
                 if depth + len(cells) > self._depth_budget:
                     self._commit(node, splits[:-1], held)
                     lo, hi, _ = cells[-1]
@@ -542,7 +535,6 @@ class AvdTree:
                 levels *= 2
                 continue
             (stop, inner, ball), = tested
-            self.expansions += stop + 1
             leaf = self._commit(node, splits[:stop], held)
             self._make_leaf(leaf, site if held[stop] else _NO_IDS, inner, ball)
             return leaf
@@ -582,7 +574,7 @@ class AvdTree:
         if not splits:
             return node
         depth = self._depth[node]
-        span = tuple(self._span[2 * node:2 * node + 2])
+        span = tuple(self._kids[2 * node:2 * node + 2])
         rows, path, kids_of = [], [node], []
         next_id = len(self._kind)
         for j, (_, _, kids, s, w) in enumerate(splits):
@@ -598,17 +590,16 @@ class AvdTree:
         self._add_nodes(rows)
         for j, (axis, mid, _, _, _) in enumerate(splits):
             parent = path[j]
-            self._retire(parent, _SPLIT)
-            self._axis[parent] = axis
+            self._kind[parent] = axis
             self._mid[parent] = mid
             self._kids[2 * parent:2 * parent + 2] = array("i", kids_of[j])
         return path[-1]
 
     def _make_leaf(self, node: int, in_cell: np.ndarray, inner: np.ndarray,
                    ball: EuclideanBall | None) -> None:
-        self._leaf[node] = len(self._leaves)
+        self._kind[node] = _LEAF
+        self._kids[2 * node:2 * node + 2] = array("i", (len(self._leaves), -1))
         self._leaves.append(AvdLeaf(self, node, in_cell, inner, ball))
-        self._retire(node, _LEAF)
 
     @staticmethod
     def _shrink_target(low: np.ndarray, high: np.ndarray, pts: np.ndarray):
@@ -640,7 +631,6 @@ class AvdTree:
         """Expand a pending node holding two or more sites: shrink toward
         their cluster, or split at the midpoint. Each child's span holds the
         sites routed into its cell."""
-        self.expansions += 1
         depth = self._depth[node]
         if depth >= self._depth_budget:
             lo, hi, _ = self._cell(node)
@@ -653,10 +643,11 @@ class AvdTree:
             in_q = _points_in_box(pts, np.array(qbox[0]), np.array(qbox[1]))
             parts = [assigned.compress(in_q), assigned.compress(~in_q)]
             kids = ((*qbox, None), _make_cell(lo, hi, qbox))
-            kind, axis, mid = _SHRINK, -1, 0.0
+            kind, mid = _SHRINK, 0.0
         else:
-            axis, mid, kids = _split(cell)
-            side = pts[:, axis] >= mid
+            # A split's kind is its axis.
+            kind, mid, kids = _split(cell)
+            side = pts[:, kind] >= mid
             parts = [assigned.compress(~side), assigned.compress(side)]
             # A side swallowed whole by the hole gets no child; sites routed
             # there sit on the hole boundary and belong to the sibling, which
@@ -665,13 +656,11 @@ class AvdTree:
                 if kids[i] is None and len(parts[i]) > 0:
                     parts[1 - i] = np.sort(np.concatenate([parts[1 - i], parts[i]]))
                     parts[i] = _NO_IDS
-            kind = _SPLIT
         rows = [(depth + 1, kids[i], self._push(parts[i])) for i in (0, 1) if kids[i] is not None]
         first = self._add_nodes(rows)
         ids = [first, first + 1] if len(rows) == 2 else \
             [first if kids[0] is not None else -1, first if kids[1] is not None else -1]
-        self._retire(node, kind)
-        self._axis[node] = axis
+        self._kind[node] = kind
         self._mid[node] = mid
         self._kids[2 * node:2 * node + 2] = array("i", ids)
 
@@ -707,7 +696,6 @@ class AvdTree:
                     if j not in passed and self._depth[n] >= self._depth_budget:
                         raise RuntimeError(
                             f"max depth exceeded at cell [{np.array(lo)}, {np.array(hi)}]")
-                self.expansions += len(batch)
                 for j, (n, c, held) in enumerate(batch):
                     if j in passed:
                         self._make_leaf(n, site if held else _NO_IDS, *passed[j])
@@ -732,25 +720,25 @@ class AvdTree:
         d = len(qa)
         if not all(lo <= x < hi for lo, x, hi in zip(self._root_lo, qa, self._root_hi)):
             return None, 1
-        kind, axis, mid, kids, box = self._kind, self._axis, self._mid, self._kids, self._box
-        split, shrink, leaf = _SPLIT, _SHRINK, _LEAF
+        kind, mid, kids, box = self._kind, self._mid, self._kids, self._box
+        shrink, leaf = _SHRINK, _LEAF
         with self._lock:
             node = 0
             while True:
                 # Every visit goes one level deeper: a leaf at depth k is
                 # the (k + 1)-th node visited.
                 k = kind[node]
-                if k == split:
-                    i = 2 * node + (qa[axis[node]] >= mid[node])
+                if k >= 0:
+                    i = 2 * node + (qa[k] >= mid[node])
                 elif k == leaf:
-                    return self._leaves[self._leaf[node]], self._depth[node] + 1
+                    return self._leaves[kids[2 * node]], self._depth[node] + 1
                 elif k == shrink:
                     # A shrink's first child is its quadtree box.
                     b = 2 * d * kids[2 * node]
                     i = 2 * node + (not all(box[b + a] <= qa[a] < box[b + d + a]
                                             for a in range(d)))
                 else:
-                    if self._span[2 * node + 1] <= 1:
+                    if kids[2 * node + 1] <= 1:
                         node = self._descend(node, qa)
                     else:
                         self._expand_sites(node)
@@ -766,7 +754,7 @@ class AvdTree:
             while stack:
                 node = stack.pop()
                 if self._kind[node] == _PENDING:
-                    if self._span[2 * node + 1] > 1:
+                    if self._kids[2 * node + 1] > 1:
                         self._expand_sites(node)
                     else:
                         self._expand_subtree(node)
@@ -780,9 +768,11 @@ class AvdTree:
             out = []
             while stack:
                 node = stack.pop()
-                if self._kind[node] == _LEAF:
-                    out.append(self._leaves[self._leaf[node]])
-                else:
+                kind = self._kind[node]
+                if kind == _LEAF:
+                    out.append(self._leaves[self._kids[2 * node]])
+                elif kind != _PENDING:
+                    # A pending node's pair is its span.
                     stack.extend(c for c in reversed(self._kids[2 * node:2 * node + 2]) if c >= 0)
         return out
 
@@ -825,12 +815,13 @@ def check_leaf(tree: AvdTree, leaf: AvdLeaf) -> list[str]:
     problems = []
     cfg = tree.cfg
     P = tree.positions
-    ball = enclosing_ball(leaf.cell)
+    cell = leaf.cell
+    ball = enclosing_ball(cell)
     if len(leaf.in_cell) > 1:
         problems.append("more than one in-cell site")
-    tol = 1e-9 * float(np.max(leaf.cell.outer.sides))
+    tol = 1e-9 * float(np.max(cell.outer.sides))
     for pos in leaf.in_cell:
-        if not leaf.cell.contains(P[pos], tol=tol):
+        if not cell.contains(P[pos], tol=tol):
             problems.append(f"in-cell site {pos} outside cell")
     outer = leaf.outer_positions()
     if len(outer) > 0:
@@ -847,7 +838,7 @@ def check_leaf(tree: AvdTree, leaf: AvdLeaf) -> list[str]:
             inside = np.linalg.norm(P[leaf.inner] - leaf.inner_ball.center[None, :], axis=1)
             if np.any(inside > leaf.inner_ball.radius * (1.0 + 1e-9) + 1e-12):
                 problems.append("inner site escapes B_w")
-            gap = dist_ball_cell(leaf.inner_ball, leaf.cell)
+            gap = dist_ball_cell(leaf.inner_ball, cell)
             if gap < cfg.beta * leaf.inner_ball.diameter * (1.0 - 1e-12):
                 problems.append("inner ball not beta-separated from cell")
     counts = len(leaf.in_cell) + len(leaf.inner) + len(outer)

@@ -169,20 +169,6 @@ def unchecked_ball(center: np.ndarray, radius: float) -> "EuclideanBall":
     return b
 
 
-def unchecked_box(low: np.ndarray, high: np.ndarray) -> "AlignedBox":
-    box = object.__new__(AlignedBox)
-    object.__setattr__(box, "low", low)
-    object.__setattr__(box, "high", high)
-    return box
-
-
-def unchecked_cell(outer: "AlignedBox", inner: "AlignedBox | None") -> "BbdCell":
-    cell = object.__new__(BbdCell)
-    object.__setattr__(cell, "outer", outer)
-    object.__setattr__(cell, "inner", inner)
-    return cell
-
-
 @dataclass(frozen=True, slots=True)
 class BbdCell:
     """A box with an optional box-shaped hole: the region outer \\ interior(inner)."""
@@ -234,26 +220,29 @@ def is_separated(p, ball: EuclideanBall, beta: float) -> bool:
     return separation_ratio(p, ball) >= beta
 
 
-def unchecked_dist_point_cell(p: np.ndarray, cell: BbdCell) -> float:
-    """``dist_point_cell`` for a float vector p and a nonempty cell."""
-    olo, ohi = cell.outer.low, cell.outer.high
-    if (p < olo).any() or (p > ohi).any():
+def unchecked_dist_point_cell(p: np.ndarray, low, high, hole) -> float:
+    """``dist_point_cell`` for a float vector p and a nonempty cell: the box
+    [low, high] less the interior of ``hole``, a (low, high) pair or None.
+    Corners are float arrays or float sequences, which numpy converts
+    exactly."""
+    if (p < low).any() or (p > high).any():
         # Nearest point of the outer box lies on its boundary, which is never
         # interior to the hole, so the plain box distance is correct.
-        gap = np.maximum(np.maximum(olo - p, p - ohi), 0.0)
+        gap = np.maximum(np.maximum(low - p, p - high), 0.0)
         return float(np.sqrt(np.dot(gap, gap)))
-    inner = cell.inner
-    if inner is None or not ((p > inner.low).all() and (p < inner.high).all()):
+    if hole is None or not ((p > hole[0]).all() and (p < hole[1]).all()):
         return 0.0
     # p sits inside the hole: the nearest cell point is on the hole boundary.
-    return float(min(np.min(p - inner.low), np.min(inner.high - p)))
+    return float(min(np.min(p - hole[0]), np.min(hole[1] - p)))
 
 
 def dist_point_cell(p, cell: BbdCell) -> float:
     """Minimum Euclidean distance from p to the closed cell region."""
     if cell.is_empty():
         raise ValueError("empty cell")
-    return unchecked_dist_point_cell(as_vector(p), cell)
+    inner = cell.inner
+    return unchecked_dist_point_cell(as_vector(p), cell.outer.low, cell.outer.high,
+                                     None if inner is None else (inner.low, inner.high))
 
 
 def dist_ball_cell(ball: EuclideanBall, cell: BbdCell) -> float:

@@ -1,11 +1,13 @@
 import copy
+from array import array
 
 import numpy as np
 import pytest
 
 from eann import avd, build_index, make_minkowski
 from eann._batch import SiteFamily
-from eann.avd import _LEAF, _NO_IDS, _PENDING, AvdConfig, AvdTree, build_avd, check_leaf
+from eann.avd import (_LEAF, _NO_IDS, _PENDING, _SHRINK, AvdConfig, AvdTree, build_avd,
+                      check_leaf)
 from eann.distances import minkowski_sites
 from eann.geom import enclosing_ball
 
@@ -203,8 +205,7 @@ def test_lazy_matches_materialized(rng):
 def test_site_id_arrays_are_int32(rng):
     """Site ids live in one int32 pool. Pending frontier nodes keep spans of
     it for their assigned sites, the grid that near sets come from keeps
-    int32 ids, and leaves keep int32 arrays; expanded nodes and leaves keep
-    no span."""
+    int32 ids, and leaves keep int32 arrays."""
     sites = np.vstack([rng.random((150, 2)), rng.random((10, 2))[[0, 0, 1]]])
     tree = build_avd(sites, AvdConfig(2.0, 40.0))
     for q in rng.random((30, 2)):
@@ -213,13 +214,88 @@ def test_site_id_arrays_are_int32(rng):
     for node in range(tree.tree_nodes()):
         if tree._kind[node] == _PENDING:
             arrays.append(tree._assigned(node))
-        else:
-            assert tree._span[2 * node + 1] == 0
         if tree._kind[node] == _LEAF:
-            leaf = tree._leaves[tree._leaf[node]]
+            leaf = tree._leaves[tree._kids[2 * node]]
             arrays += [leaf.in_cell, leaf.inner]
     assert _NO_IDS.dtype == np.int32 and len(_NO_IDS) == 0
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+
+
+def _table_sites(kind: str, d: int, rng) -> np.ndarray:
+    """About 60, 24 and 8 sites at d = 2, 3 and 4, so that a materialized
+    tree keeps at most about 2·10^5 rows."""
+    n = {2: 60, 3: 24}.get(d, 8)
+    if kind == "uniform":
+        return rng.random((n, d))
+    if kind == "blobs":
+        # Gaussian blobs of spread 1e-6 beside uniform sites, as in
+        # acceptance criterion 13.
+        centers = rng.random((2, d))
+        return np.concatenate([c + 1e-6 * rng.standard_normal((n // 4, d)) for c in centers]
+                              + [rng.random((n // 2, d))])
+    base = rng.random((n // 2, d))
+    if kind == "duplicates":
+        return np.concatenate([base, base[rng.integers(n // 2, size=n // 4)]])
+    return np.concatenate([base, base[:2] + 1e-9])
+
+
+def _check_table(tree: AvdTree) -> None:
+    """Every row's kind agrees with its id pair: a split's axis and children
+    are those of its cell's midpoint split, a shrink's first child box lies
+    in its box, a leaf's pair names the leaf built on it, and a pending
+    row's pair is a span of the used id pool. Every row but the root is
+    the child of exactly one row."""
+    d, rows = tree.dim, tree.tree_nodes()
+    kind, kids = tree._kind, tree._kids
+    assert len(kids) == 2 * rows
+    children, leaves, expanded = [], 0, 0
+    for node in range(rows):
+        k, pair = kind[node], kids[2 * node:2 * node + 2].tolist()
+        if k == _PENDING:
+            off, count = pair
+            assert 0 <= off and 0 <= count and off + count <= tree._n_ids
+            continue
+        expanded += 1
+        if k == _LEAF:
+            assert pair[1] == -1 and tree._leaves[pair[0]].node == node
+            leaves += 1
+            continue
+        assert all(c > node or c == -1 for c in pair) and pair != [-1, -1]
+        children += [c for c in pair if c >= 0]
+        cell = tree._cell(node)
+        if k >= 0:
+            axis, mid, sides = avd._split(cell)
+            assert k == axis < d and tree._mid[node] == mid
+            assert [c == -1 for c in pair] == [side is None for side in sides]
+        else:
+            assert k == _SHRINK and -1 not in pair
+            lo, hi, _ = cell
+            qlo, qhi, qhole = tree._cell(pair[0])
+            assert qhole is None
+            assert all(l <= a < b <= h for l, a, b, h in zip(lo, qlo, qhi, hi))
+    assert leaves == len(tree._leaves)
+    assert sorted(children) == list(range(1, rows))
+    assert tree.expansions == expanded
+    columns = [v for v in vars(tree).values() if isinstance(v, array)]
+    assert tree.tree_bytes() == sum(c.itemsize * len(c) for c in columns) + tree._ids.nbytes
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["uniform", "blobs", "duplicates", "close_pair"])
+def test_every_row_kind_agrees_with_its_id_pair(kind, d):
+    """The node table's rows hold each fact once, by kind: on lazily located
+    and on materialized trees."""
+    rng = np.random.default_rng(2600 + d)
+    sites = _table_sites(kind, d, rng)
+    tree = build_avd(sites, AvdConfig(2.0, 8.0))
+    _check_table(tree)
+    for q in np.concatenate([rng.random((40, d)), sites[:10]]):
+        tree.locate(q)
+    assert 0 < tree.expansions < tree.tree_nodes()
+    _check_table(tree)
+    tree.materialize()
+    assert tree.expansions == tree.tree_nodes()
+    _check_table(tree)
 
 
 def test_sites_1e30_apart_separate():

@@ -1,7 +1,9 @@
 """No module of the package keeps a module-level import it never uses, no
 top-level private name that no module of the package reads, no public
 top-level function or class that neither the package, the tests nor the
-benchmark reads, and no ``__slots__`` entry that the package never reads.
+benchmark reads, no ``__slots__`` entry that the package never reads, and
+no attribute stored on ``self`` that nothing reads: a private one the
+package, a public one the package, the tests or the benchmark.
 
 The toolchain has no linter, so these checks catch names left behind when
 code is deleted.
@@ -174,3 +176,58 @@ def test_checker_finds_an_unread_slot():
 def test_every_slot_is_read():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_slots(sources) == []
+
+
+# Methods that only add to a container: a column they fill is not read.
+_FILLS = {"append", "extend"}
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Names of the attributes an expression of ``source`` reads. Item
+    assignment and ``append`` or ``extend`` calls store into an attribute;
+    they do not read it."""
+    tree = ast.parse(source)
+    filled = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)):
+            filled.add(id(n.value))
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in _FILLS:
+            filled.add(id(n.func.value))
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load) and id(n) not in filled}
+
+
+def unread_self_attributes(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Attributes a method in ``package`` (file name -> text) stores on
+    ``self`` that nothing reads: a private one no module of ``package``
+    reads, a public one no module of ``package`` or ``readers`` reads."""
+    private = set().union(*map(attribute_reads, package.values()))
+    public = private.union(*map(attribute_reads, readers.values()))
+    unread = []
+    for file, source in package.items():
+        stored: dict[str, int] = {}  # name -> first line that stores it
+        for n in ast.walk(ast.parse(source)):
+            if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"):
+                stored[n.attr] = min(n.lineno, stored.get(n.attr, n.lineno))
+        unread += [f"{name} ({file} line {line})" for name, line in stored.items()
+                   if name not in (private if name.startswith("_") else public)]
+    return unread
+
+
+def test_checker_finds_an_unread_self_attribute():
+    a = ("class Tree:\n    def __init__(self):\n        self._kind = []\n        self._axis = []\n"
+         "        self.count = 0\n        self.size = 0\n\n    def add(self, axis):\n"
+         "        self._kind.append(axis)\n        self._axis.extend([axis])\n"
+         "        self._axis[0] = axis\n        self.count += 1\n        return self._kind\n")
+    b = "def f(tree):\n    return tree.size, tree._axis\n"
+    assert unread_self_attributes({"a.py": a}, {"b.py": b}) == [
+        "_axis (a.py line 4)", "count (a.py line 5)"]
+
+
+def test_every_self_attribute_is_read():
+    package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = {str(p.relative_to(ROOT)): p.read_text()
+               for p in sorted((ROOT / "tests").glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py"))}
+    assert unread_self_attributes(package, readers) == []

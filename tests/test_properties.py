@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from eann.ann import ray_to_hypercube_boundary
-from eann.avd import (_LEAF, _NO_IDS, _PENDING, _SPLIT, AvdConfig, _points_in_box, _window,
-                      build_avd, check_leaf)
+from eann.avd import (_LEAF, _NO_IDS, _PENDING, AvdConfig, _points_in_box, _window, build_avd,
+                      check_leaf)
 from eann.envelope import ConcaveEnvelope
 from eann.geom import AlignedBox, EuclideanBall, box_distances
 
@@ -121,8 +121,8 @@ def _eager_reference(tree):
         if kind in (_LEAF, _PENDING):
             continue
         kids = tree._kids[2 * node:2 * node + 2]
-        if kind == _SPLIT:
-            side = P[assigned, tree._axis[node]] >= tree._mid[node]
+        if kind >= 0:
+            side = P[assigned, kind] >= tree._mid[node]
             parts = [assigned[~side], assigned[side]]
             for i in (0, 1):
                 if kids[i] < 0:
@@ -191,7 +191,7 @@ def _assert_lazy_near_is_eager(tree, built):
         if tree._kind[node] != _LEAF:
             continue
         leaves += 1
-        leaf = tree._leaves[tree._leaf[node]]
+        leaf = tree._leaves[tree._kids[2 * node]]
         np.testing.assert_array_equal(leaf.in_cell, assigned)
         # The leaf test's outer screen, on the reference near set.
         box = leaf.cell.outer
