@@ -459,8 +459,9 @@ class AnnIndex:
         ``exact_leaves`` and ``envelope_leaves`` count the built leaves of
         each kind (``stats["brute_leaves"]`` counts the brute ones),
         ``tree_expansions`` the rows of the tree's node table that are no
-        longer pending, ``tree_nodes`` all its rows and ``tree_bytes`` the
-        bytes its columns, hole table and id pool hold."""
+        longer pending, ``tree_nodes`` all its rows, ``tree_top_nodes`` the
+        rows built with the index (the rest are built by queries) and
+        ``tree_bytes`` the bytes its columns, hole table and id pool hold."""
         env_samples = exact = envelope = 0
         leaves = self.tree.built_leaves()
         for leaf in leaves:
@@ -479,6 +480,7 @@ class AnnIndex:
             "envelope_samples": env_samples,
             "tree_expansions": self.tree.expansions,
             "tree_nodes": self.tree.tree_nodes(),
+            "tree_top_nodes": self.tree.top_nodes,
             "tree_bytes": self.tree.tree_bytes(),
         }
 

@@ -8,12 +8,15 @@ in a ball B_w whose distance to the cell is at least beta times the ball's
 own diameter. The tree alternates midpoint splits with shrinks toward
 dense site clusters, and cells are boxes with at most one box-shaped hole.
 
-Nodes expand on demand (locating a point only materializes the root-to-leaf
-path); the structure is a pure function of the sites and configuration, so
-results never depend on query order. ``materialize()`` forces the full tree
-for statistics and invariant checks. For the same reason a tree is
-serialized as its configuration record alone (``to_bytes``): a loader
-rebuilds the lazy tree from the sites and checks the record against it.
+The tree is built at construction down to the nodes that hold at most one
+site, a level at a time in numpy passes (``AvdTree._build_top``); only the
+chains below those nodes, which split at midpoints alone, expand on demand
+(locating a point builds its path there). The structure is a pure function
+of the sites and configuration, so results never depend on query order.
+``materialize()`` forces the full tree for statistics and invariant checks.
+For the same reason a tree is serialized as its configuration record alone
+(``to_bytes``): a loader rebuilds the tree from the sites and checks the
+record against it.
 
 Nodes are rows of a flat table of typed arrays, with no object per node:
 kind, split midpoint, one pair of ids, depth and outer bounds. The kind is
@@ -22,9 +25,10 @@ shrink or a leaf, and the pair holds what that kind needs: a split's or a
 shrink's two children, a leaf's index among the built leaves, or a pending
 node's span of the id pool. The few holed cells keep their hole bounds in
 a side table. Only a built leaf has an object, ``AvdLeaf``, which
-``locate`` returns. Site ids live in one int32 pool: a pending node's
-``assigned`` sites, the positions routed into its cell, are a span of it.
-A pending node is its depth, its cell and that span.
+``locate`` returns. The id pool is one int32 permutation of the position
+ids, n long, and every node's ``assigned`` sites, the positions routed
+into its cell, are a slice of it in id order. A pending node is its depth,
+its cell and that slice, of at most one site.
 
 A node's near set, the positions that may still be inner somewhere below
 it, is built only where the leaf test reads it: at a node with at most one
@@ -74,7 +78,7 @@ from .geom import (
 
 # Node kinds other than a split, whose kind is its axis.
 _PENDING, _SHRINK, _LEAF = -1, -2, -3
-# Site and position ids; the pool of a cold index holds many.
+# Site and position ids, as the pool and the leaves keep them.
 _ID = np.int32
 # The id array of every leaf without in-cell or inner sites.
 _NO_IDS = np.zeros(0, dtype=_ID)
@@ -233,8 +237,59 @@ def _window(low: list, high: list, reach: float) -> tuple[list, list]:
 
 
 def _points_in_box(P: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Half-open membership mask (low edge closed), matching routing."""
-    return np.all(P >= low[None, :], axis=1) & np.all(P < high[None, :], axis=1)
+    """Half-open membership mask (low edge closed), matching routing; the
+    bounds are one box, or one row per point."""
+    return np.all(P >= low, axis=1) & np.all(P < high, axis=1)
+
+
+def _shrink_targets(low: np.ndarray, high: np.ndarray, X: np.ndarray, seg: np.ndarray,
+                    total: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quadtree boxes that shrinks descend to, for many cells without a
+    hole at once: cell j is [low[j], high[j]] and holds ``total[j]`` sites,
+    the rows i of X with ``seg[i] == j``. While the most populated quadrant
+    of a cell's box (the first of the most) holds more than 2/3 of the
+    cell's sites, the box becomes that quadrant, at most 64 times. Returns
+    which cells descended, where they shrink instead of splitting, and the
+    boxes."""
+    k, d = low.shape
+    quadrants, weights = 1 << d, 1 << np.arange(d)
+    # Cells whose quadrant counts one bincount takes, at most 2^20 counts.
+    step = max(1, (1 << 20) >> d)
+    low, high = low.copy(), high.copy()
+    shrunk = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    for _ in range(64):
+        if not live.size:
+            break
+        mid = 0.5 * (low.take(live, axis=0) + high.take(live, axis=0))
+        keys = (X >= mid.take(seg, axis=0)) @ weights
+        best, top = np.empty(live.size, dtype=np.int64), np.empty(live.size, dtype=np.int64)
+        # The rows of X are in cell order.
+        starts = np.arange(0, live.size, step)
+        ends = np.searchsorted(seg, np.append(starts, live.size))
+        for a, i, j in zip(starts.tolist(), ends[:-1].tolist(), ends[1:].tolist()):
+            counts = np.bincount((seg[i:j] - a) * quadrants + keys[i:j],
+                                 minlength=min(step, live.size - a) * quadrants)
+            counts = counts.reshape(-1, quadrants)
+            best[a:a + step] = counts.argmax(axis=1)
+            top[a:a + step] = counts.max(axis=1)
+        go = top > (2.0 / 3.0) * total.take(live)
+        into = live.compress(go)
+        upper = ((best.compress(go)[:, None] >> np.arange(d)) & 1).astype(bool)
+        mid = mid.compress(go, axis=0)
+        low[into] = np.where(upper, mid, low.take(into, axis=0))
+        high[into] = np.where(upper, high.take(into, axis=0), mid)
+        shrunk[into] = True
+        kept = go.take(seg) & (keys == best.take(seg))
+        seg = (np.cumsum(go) - 1).take(seg.compress(kept))
+        X = X.compress(kept, axis=0)
+        live = into
+    return shrunk, low, high
+
+
+def _append(column: array, values: np.ndarray) -> None:
+    """Append ``values`` to a typed table column."""
+    column.frombytes(np.asarray(values, dtype=column.typecode).tobytes())
 
 
 def _half_diagonal(low: np.ndarray, high: np.ndarray) -> float:
@@ -282,25 +337,12 @@ class AvdTree:
         self._scale = float(max(np.abs(P).max(), np.abs(self.root_box.low).max(),
                                 np.abs(self.root_box.high).max()))
         self._lock = threading.RLock()
-
-        # The node table, one row per node, in typed columns.
-        self._kind = array("i")   # split axis, or _PENDING, _SHRINK, _LEAF
-        self._mid = array("d")    # split midpoint
-        # Two per node: a split's or shrink's children, -1 where a side has
-        # no child; a leaf's index in _leaves and -1; or a pending node's
-        # offset and count of its assigned ids.
-        self._kids = array("i")
-        self._depth = array("i")
-        self._box = array("d")    # 2d per node: outer low, outer high
-        self._hole = array("i")   # a holed cell's row in _holes, or -1
-        self._holes = array("d")  # 2d per holed cell: hole low, hole high
-        self._ids = np.empty(max(64, 2 * self.n_positions), dtype=_ID)
-        self._n_ids = 0
         self._leaves: list[AvdLeaf] = []
         root = self.root_box
         self._root_lo, self._root_hi = root.low.tolist(), root.high.tolist()
-        self._add_nodes([(0, (self._root_lo, self._root_hi, None),
-                          self._push(np.arange(self.n_positions, dtype=_ID)))])
+        self._build_top()
+        # The rows built here; queries add the rest.
+        self.top_nodes = len(self._kind)
 
     @property
     def dim(self) -> int:
@@ -311,19 +353,152 @@ class AvdTree:
         """Nodes expanded so far: the rows no longer pending."""
         return len(self._kind) - self._kind.count(_PENDING)
 
+    @property
+    def _n_ids(self) -> int:
+        """The ids in the pool, one per position."""
+        return len(self._ids)
+
     # -- the table -----------------------------------------------------------
 
-    def _push(self, ids: np.ndarray) -> tuple[int, int]:
-        """Append ids to the pool; returns their span."""
-        n = len(ids)
-        off = self._n_ids
-        if off + n > len(self._ids):
-            grown = np.empty(max(2 * len(self._ids), off + n), dtype=_ID)
-            grown[:off] = self._ids[:off]
-            self._ids = grown
-        self._ids[off:off + n] = ids
-        self._n_ids = off + n
-        return off, n
+    def _build_top(self) -> None:
+        """Build the node table down to the nodes that hold at most one
+        site: every node with two or more shrinks toward their cluster or
+        splits at its midpoint, one level of the tree at a time
+        (``_expand_level``). A level at the depth budget that still has a
+        node with two or more sites raises, naming the first one's cell.
+
+        The table has these columns, one row per node:
+        - kind: the split axis, or _PENDING, _SHRINK or _LEAF;
+        - midpoint: a split's;
+        - an id pair: a split's or shrink's children, -1 where a side has
+          no child; a leaf's index in ``_leaves`` and -1; or a pending
+          node's offset and count of its assigned ids in the pool;
+        - depth, box (2d per node: outer low, outer high) and hole (a holed
+          cell's row in the hole table, 2d per row: hole low, hole high).
+        The pool ``_ids`` is one permutation of the position ids, and every
+        node's sites, in id order, are a slice of it."""
+        n, d = self.n_positions, self.dim
+        self._ids = np.arange(n, dtype=_ID)
+        self._kind, self._mid, self._kids = array("i"), array("d"), array("i")
+        self._depth, self._box, self._hole, self._holes = (array(t) for t in "idid")
+        columns = self._kind, self._mid, self._kids, self._box, self._hole
+        # One level's rows, kept in numpy until the level below is made:
+        # kinds, midpoints, id pairs, boxes and hole rows.
+        level = (np.full(1, _PENDING), np.zeros(1), np.array([[0, n]]),
+                 np.array([self._root_lo + self._root_hi]), np.full(1, -1))
+        depth = 0
+        while True:
+            at = np.flatnonzero(level[2][:, 1] >= 2)
+            if at.size and depth >= self._depth_budget:
+                box = level[3][at[0]]
+                raise RuntimeError(f"max depth exceeded at cell [{box[:d]}, {box[d:]}]")
+            below = self._expand_level(level, at) if at.size else None
+            for column, values in zip(columns, level):
+                _append(column, values)
+            _append(self._depth, np.full(len(level[0]), depth))
+            if below is None:
+                return
+            level, depth = below, depth + 1
+
+    def _expand_level(self, level: tuple, at: np.ndarray) -> tuple:
+        """Make the rows ``at`` of one level, each of a node with two or
+        more sites, shrinks and splits in place; returns the level below,
+        their children, as pending rows. Their holes join the hole table.
+
+        Cells without a hole take their shrinks (``_shrink_targets``) and
+        their splits, on the first of the longest axes whose midpoint lies
+        strictly inside (as ``_split``), from numpy passes over all of them;
+        the few holed cells split through ``_split``, where a side the hole
+        swallows whole gets no child and its sites go to the sibling. One
+        stable partition of the nodes' slices of the pool, in place, gives
+        each child its slice."""
+        d, perm = self.dim, self._ids
+        kind, mid, kids, box, hole = level
+        k = at.size
+        off, cnt = kids[at, 0], kids[at, 1]
+        lo, hi = box[at, :d], box[at, d:]
+        seg = np.repeat(np.arange(k), cnt)
+        pos = np.arange(seg.size) + np.repeat(off - (np.cumsum(cnt) - cnt), cnt)
+        ids = perm.take(pos)
+        X = self.positions.take(ids, axis=0)
+        holed = hole.take(at) >= 0
+        # Kid 0 is a split's lower side or a shrink's box.
+        clo, chi = np.repeat(lo[:, None], 2, axis=1), np.repeat(hi[:, None], 2, axis=1)
+        exists = np.ones((k, 2), dtype=bool)
+        kid_holed, kid_holes = np.zeros((k, 2), dtype=bool), np.empty((k, 2, 2 * d))
+
+        # Shrinks and splits of the cells without a hole.
+        free = np.flatnonzero(~holed)
+        fp = ~holed.take(seg)
+        shrunk = np.zeros(k, dtype=bool)
+        qlo, qhi = lo.copy(), hi.copy()
+        shrunk[free], qlo[free], qhi[free] = _shrink_targets(
+            lo.take(free, axis=0), hi.take(free, axis=0), X.compress(fp, axis=0),
+            (np.cumsum(~holed) - 1).take(seg.compress(fp)), cnt.take(free))
+        cut = 0.5 * (lo + hi)
+        axis = np.where((lo < cut) & (cut < hi), hi - lo, -1.0).argmax(axis=1)
+        cut = np.take_along_axis(cut, axis[:, None], axis=1)[:, 0]
+        split = np.flatnonzero(~holed & ~shrunk)
+        chi[split, 0, axis.take(split)] = cut.take(split)
+        clo[split, 1, axis.take(split)] = cut.take(split)
+        shrinks = np.flatnonzero(shrunk)
+        clo[shrinks, 0], chi[shrinks, 0] = qlo.take(shrinks, axis=0), qhi.take(shrinks, axis=0)
+        kid_holed[shrinks, 1] = True
+        kid_holes[shrinks, 1] = np.concatenate([clo[shrinks, 0], chi[shrinks, 0]], axis=1)
+        # A shrink box that fills an exact half of the cell is absorbed,
+        # which takes the box equal to the cell along all axes but one.
+        same = (qlo == lo) & (qhi == hi)
+        for j in shrinks.compress(same.take(shrinks, axis=0).sum(axis=1) >= d - 1).tolist():
+            clo[j, 1], chi[j, 1], qbox = _make_cell(
+                lo[j].tolist(), hi[j].tolist(), (qlo[j].tolist(), qhi[j].tolist()))
+            kid_holed[j, 1] = qbox is not None
+
+        # Splits of holed cells.
+        swallowed = np.full(k, -1)
+        for j in np.flatnonzero(holed).tolist():
+            r = hole[at[j]]
+            b, h = box[at[j]].tolist(), self._holes[2 * d * r:2 * d * (r + 1)].tolist()
+            axis[j], cut[j], sides = _split((b[:d], b[d:], (h[:d], h[d:])))
+            for i, side in enumerate(sides):
+                if side is None:
+                    exists[j, i] = False
+                    swallowed[j] = i
+                    continue
+                clo[j, i], chi[j, i] = side[0], side[1]
+                if side[2] is not None:
+                    kid_holed[j, i] = True
+                    kid_holes[j, i] = side[2][0] + side[2][1]
+
+        # Route the sites, True to kid 1, and partition each slice.
+        upper = X[np.arange(len(X)), axis.take(seg)] >= cut.take(seg)
+        inner = shrunk.take(seg)
+        upper[inner] = ~_points_in_box(X.compress(inner, axis=0),
+                                       qlo.take(seg.compress(inner), axis=0),
+                                       qhi.take(seg.compress(inner), axis=0))
+        lost = swallowed.take(seg)
+        upper = np.where(lost >= 0, lost == 0, upper)
+        child = 2 * seg + upper
+        perm[pos] = ids.take(np.argsort(child, kind="stable"))
+        sizes = np.bincount(child, minlength=2 * k).reshape(k, 2)
+
+        # The rows become shrinks and splits, and their children the level
+        # below, whose rows follow this level's in the table.
+        made = exists.ravel()
+        first = len(self._kind) + len(kind)
+        kind[at] = np.where(shrunk, _SHRINK, axis)
+        mid[at] = np.where(shrunk, 0.0, cut)
+        kids[at] = np.where(made, first + np.cumsum(made) - 1, -1).reshape(k, 2)
+        spans = np.stack([np.stack([off, off + sizes[:, 0]], axis=1), sizes], axis=2)
+        # Only children that exist have holes.
+        holed_kids = kid_holed.ravel()
+        below_hole = np.full(np.count_nonzero(made), -1)
+        below_hole[holed_kids.compress(made)] = (len(self._holes) // (2 * d)
+                                                 + np.arange(np.count_nonzero(holed_kids)))
+        _append(self._holes, kid_holes.reshape(2 * k, 2 * d).compress(holed_kids, axis=0))
+        m = len(below_hole)
+        return (np.full(m, _PENDING), np.zeros(m), spans.reshape(2 * k, 2).compress(made, axis=0),
+                np.concatenate([clo, chi], axis=2).reshape(2 * k, 2 * d).compress(made, axis=0),
+                below_hole)
 
     def _add_nodes(self, rows: list) -> int:
         """Append pending nodes, one per (depth, cell, span) row; returns
@@ -601,69 +776,6 @@ class AvdTree:
         self._kids[2 * node:2 * node + 2] = array("i", (len(self._leaves), -1))
         self._leaves.append(AvdLeaf(self, node, in_cell, inner, ball))
 
-    @staticmethod
-    def _shrink_target(low: np.ndarray, high: np.ndarray, pts: np.ndarray):
-        """The quadtree box a shrink descends to around the sites ``pts`` of
-        a cell without a hole, as (low, high) lists, or None where the cell
-        splits instead."""
-        n_total = len(pts)
-        lo = low.copy()
-        hi = high.copy()
-        d = lo.size
-        descended = False
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            keys = (pts >= mid[None, :]) @ (1 << np.arange(d))
-            counts = np.bincount(keys, minlength=1 << d)
-            best = int(np.argmax(counts))
-            if counts[best] <= (2.0 / 3.0) * n_total:
-                break
-            pts = pts.compress(keys == best, axis=0)
-            for a in range(d):
-                if best >> a & 1:
-                    lo[a] = mid[a]
-                else:
-                    hi[a] = mid[a]
-            descended = True
-        return (lo.tolist(), hi.tolist()) if descended else None
-
-    def _expand_sites(self, node: int) -> None:
-        """Expand a pending node holding two or more sites: shrink toward
-        their cluster, or split at the midpoint. Each child's span holds the
-        sites routed into its cell."""
-        depth = self._depth[node]
-        if depth >= self._depth_budget:
-            lo, hi, _ = self._cell(node)
-            raise RuntimeError(f"max depth exceeded at cell [{np.array(lo)}, {np.array(hi)}]")
-        cell = lo, hi, hole = self._cell(node)
-        assigned = self._assigned(node).copy()
-        pts = self.positions.take(assigned, axis=0)
-        qbox = None if hole is not None else self._shrink_target(np.array(lo), np.array(hi), pts)
-        if qbox is not None:
-            in_q = _points_in_box(pts, np.array(qbox[0]), np.array(qbox[1]))
-            parts = [assigned.compress(in_q), assigned.compress(~in_q)]
-            kids = ((*qbox, None), _make_cell(lo, hi, qbox))
-            kind, mid = _SHRINK, 0.0
-        else:
-            # A split's kind is its axis.
-            kind, mid, kids = _split(cell)
-            side = pts[:, kind] >= mid
-            parts = [assigned.compress(~side), assigned.compress(side)]
-            # A side swallowed whole by the hole gets no child; sites routed
-            # there sit on the hole boundary and belong to the sibling, which
-            # is also where locate falls back to.
-            for i in (0, 1):
-                if kids[i] is None and len(parts[i]) > 0:
-                    parts[1 - i] = np.sort(np.concatenate([parts[1 - i], parts[i]]))
-                    parts[i] = _NO_IDS
-        rows = [(depth + 1, kids[i], self._push(parts[i])) for i in (0, 1) if kids[i] is not None]
-        first = self._add_nodes(rows)
-        ids = [first, first + 1] if len(rows) == 2 else \
-            [first if kids[0] is not None else -1, first if kids[1] is not None else -1]
-        self._kind[node] = kind
-        self._mid[node] = mid
-        self._kids[2 * node:2 * node + 2] = array("i", ids)
-
     def _expand_subtree(self, node: int) -> None:
         """Expand the pending node ``node``, which holds at most one site,
         and its whole subtree. Each level of the subtree's cells is
@@ -738,10 +850,7 @@ class AvdTree:
                     i = 2 * node + (not all(box[b + a] <= qa[a] < box[b + d + a]
                                             for a in range(d)))
                 else:
-                    if kids[2 * node + 1] <= 1:
-                        node = self._descend(node, qa)
-                    else:
-                        self._expand_sites(node)
+                    node = self._descend(node, qa)
                     continue
                 child = kids[i]
                 node = child if child >= 0 else kids[i ^ 1]
@@ -754,10 +863,7 @@ class AvdTree:
             while stack:
                 node = stack.pop()
                 if self._kind[node] == _PENDING:
-                    if self._kids[2 * node + 1] > 1:
-                        self._expand_sites(node)
-                    else:
-                        self._expand_subtree(node)
+                    self._expand_subtree(node)
                 if self._kind[node] != _LEAF:
                     stack.extend(c for c in self._kids[2 * node:2 * node + 2] if c >= 0)
 

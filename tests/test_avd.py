@@ -1,5 +1,6 @@
 import copy
 from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -139,13 +140,15 @@ def test_cover_partition(rng):
 
 
 def test_serialization_roundtrip(rng):
-    """A tree serializes as its configuration record, without expanding."""
+    """A tree serializes as its configuration record, and ``to_bytes``
+    changes no row or expansion count."""
     sites = rng.random((60, 3))
     for cfg in (AvdConfig(2.83, 60.0), AvdConfig(2.0, 1e6, max_depth=40)):
         tree = build_avd(sites, cfg)
+        counts = tree.tree_nodes(), tree.expansions
         blob = tree.to_bytes()
         assert len(blob) == 24
-        assert tree.expansions == 0
+        assert (tree.tree_nodes(), tree.expansions) == counts
         assert AvdTree.from_bytes(blob) == (3, cfg)
     with pytest.raises(ValueError, match="23 bytes"):
         AvdTree.from_bytes(blob[:-1])
@@ -336,11 +339,13 @@ def test_check_leaf_sees_a_site_misrouted_into_a_tiny_cell():
 def test_tree_bytes_per_cold_leaf():
     """The node table and id pool of a cold l3 index hold at most half of
     the 20.9 KB per built leaf that the object tree retained (tracemalloc,
-    same inputs), and storage_stats reports them without expanding a node."""
+    same inputs), and storage_stats reports them and changes no row or
+    expansion count."""
     rng = np.random.default_rng(7)
     index = build_index([make_minkowski(p, 3.0) for p in rng.random((4000, 2))], 0.1)
     fresh = index.storage_stats()
-    assert fresh["tree_nodes"] == 1 and fresh["tree_expansions"] == 0
+    assert fresh["tree_nodes"] == fresh["tree_top_nodes"] == index.tree.tree_nodes()
+    assert fresh["tree_expansions"] == index.tree.expansions
     for q in rng.random((200, 2)):
         index.query(q)
     stats = index.storage_stats()
@@ -405,3 +410,144 @@ def test_no_cell_overlaps_a_shrink_hole():
             center = 0.5 * (leaf.cell.outer.low + leaf.cell.outer.high)
             assert tree.locate(center)[0] is leaf, leaf.node
         assert check_leaf(tree, leaf) == []
+
+
+def _shrink_target(low: np.ndarray, high: np.ndarray, pts: np.ndarray):
+    """The quadtree box a shrink descends to around the sites ``pts`` of a
+    cell without a hole, as (low, high) lists, or None where the cell splits
+    instead: one cell at a time, the reference for ``avd._shrink_targets``."""
+    n_total = len(pts)
+    lo = low.copy()
+    hi = high.copy()
+    d = lo.size
+    descended = False
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        keys = (pts >= mid[None, :]) @ (1 << np.arange(d))
+        counts = np.bincount(keys, minlength=1 << d)
+        best = int(np.argmax(counts))
+        if counts[best] <= (2.0 / 3.0) * n_total:
+            break
+        pts = pts.compress(keys == best, axis=0)
+        for a in range(d):
+            if best >> a & 1:
+                lo[a] = mid[a]
+            else:
+                hi[a] = mid[a]
+        descended = True
+    return (lo.tolist(), hi.tolist()) if descended else None
+
+
+def _expand_sites(tree: AvdTree, budget: int) -> list:
+    """The rows that expanding every node with two or more sites makes, one
+    node at a time and left to right: (depth, cell, kind, midpoint, sorted
+    site ids) for each, kind _PENDING for the nodes left with at most one
+    site. A node with two or more at depth ``budget`` raises. Each node
+    shrinks toward its sites' cluster or splits at its midpoint, and each
+    child holds the sites routed into its cell."""
+    P = tree.positions
+    rows = []
+    stack = [(0, (tree._root_lo, tree._root_hi, None), np.arange(tree.n_positions, dtype=np.int32))]
+    while stack:
+        depth, cell, assigned = stack.pop()
+        lo, hi, hole = cell
+        if len(assigned) <= 1:
+            rows.append((depth, cell, _PENDING, 0.0, assigned))
+            continue
+        if depth >= budget:
+            raise RuntimeError(f"max depth exceeded at cell [{np.array(lo)}, {np.array(hi)}]")
+        pts = P.take(assigned, axis=0)
+        qbox = None if hole is not None else _shrink_target(np.array(lo), np.array(hi), pts)
+        if qbox is not None:
+            in_q = avd._points_in_box(pts, np.array(qbox[0]), np.array(qbox[1]))
+            parts = [assigned.compress(in_q), assigned.compress(~in_q)]
+            kids = ((*qbox, None), avd._make_cell(lo, hi, qbox))
+            kind, mid = _SHRINK, 0.0
+        else:
+            # A split's kind is its axis.
+            kind, mid, kids = avd._split(cell)
+            side = pts[:, kind] >= mid
+            parts = [assigned.compress(~side), assigned.compress(side)]
+            # A side swallowed whole by the hole gets no child; sites routed
+            # there sit on the hole boundary and belong to the sibling.
+            for i in (0, 1):
+                if kids[i] is None and len(parts[i]) > 0:
+                    parts[1 - i] = np.sort(np.concatenate([parts[1 - i], parts[i]]))
+                    parts[i] = _NO_IDS
+        rows.append((depth, cell, kind, mid, assigned))
+        stack += [(depth + 1, kids[i], parts[i]) for i in (1, 0) if kids[i] is not None]
+    return rows
+
+
+def _row_key(depth, cell, kind, mid, ids) -> tuple:
+    lo, hi, hole = cell
+    hole = None if hole is None else (tuple(hole[0]), tuple(hole[1]))
+    return depth, tuple(lo), tuple(hi), hole, kind, mid, tuple(np.sort(ids).tolist())
+
+
+def _tree_rows(tree: AvdTree) -> list:
+    """The ``_row_key`` of every row of the tree's table; an expanded row's
+    sites are those of its children."""
+    ids, keys = {}, []
+    for node in reversed(range(tree.tree_nodes())):
+        kind = tree._kind[node]
+        if kind == _PENDING:
+            ids[node] = tree._assigned(node)
+        else:
+            kids = [c for c in tree._kids[2 * node:2 * node + 2] if c >= 0]
+            ids[node] = np.concatenate([ids.pop(c) for c in kids])
+        keys.append(_row_key(tree._depth[node], tree._cell(node), kind, tree._mid[node],
+                             ids[node]))
+    return keys
+
+
+def _clustered_probe(d: int, rng) -> np.ndarray:
+    """2,000 sites, 90% of them in 4 Gaussian blobs of spread 1e-4."""
+    blobs = [c + 1e-4 * rng.standard_normal((450, d)) for c in rng.random((4, d))]
+    return np.concatenate(blobs + [rng.random((200, d))])
+
+
+@pytest.mark.parametrize("kind,d", [(kind, d) for d in (2, 3, 4) for kind in (
+    "uniform", "blobs", "duplicates", "close_pair", "clustered")] + [("clustered", 1),
+                                                                     ("wide", 19)])
+def test_top_equals_the_per_node_expansion(kind, d):
+    """A fresh tree's rows, built a level at a time, are the rows that
+    expanding its nodes with two or more sites one at a time makes: the
+    same multiset of depths, cells with their holes, kinds, midpoints and
+    site ids. The clustered probe makes shrinks and holed splits; at d = 1
+    a shrink's box that is half its cell leaves the outer child no hole."""
+    rng = np.random.default_rng(2700 + d)
+    if kind == "clustered":
+        sites = _clustered_probe(d, rng)
+    elif kind == "wide":
+        # Four blobs in 2^19 quadrants: a level's quadrant counts take one
+        # bincount per two cells, and the blobs' cells shrink.
+        sites = np.concatenate([c + 1e-4 * rng.standard_normal((30, d)) for c in rng.random((4, d))])
+    else:
+        sites = _table_sites(kind, d, rng)
+    tree = build_avd(sites, AvdConfig(2.0, 8.0))
+    rows = _tree_rows(tree)
+    reference = [_row_key(*row) for row in _expand_sites(tree, tree._depth_budget)]
+    assert Counter(rows) == Counter(reference)
+    assert tree.top_nodes == tree.tree_nodes() == len(rows)
+    assert all(len(tree._assigned(node)) <= 1 for node in range(tree.tree_nodes())
+               if tree._kind[node] == _PENDING)
+    assert len(tree._ids) == tree.n_positions
+    if kind == "clustered":
+        assert any(row[4] == _SHRINK for row in rows)
+        assert any(row[4] >= 0 and row[3] is not None for row in rows)
+
+
+def test_multi_site_cell_at_the_depth_budget_fails_at_construction(monkeypatch, rng):
+    """With a depth budget of 3, the uniform sites still have cells with
+    two or more sites at depth 3: ``build_avd`` raises, naming the first of
+    them left to right, as the per-node expansion does."""
+    sites = rng.random((50, 2))
+    tree = build_avd(sites, AvdConfig(2.0, 8.0))
+    with pytest.raises(RuntimeError) as expected:
+        _expand_sites(tree, 3)
+    assert "max depth exceeded at cell [" in str(expected.value)
+    monkeypatch.setattr(avd, "_depth_budget", lambda *args: 3)
+    with pytest.raises(RuntimeError) as raised:
+        build_avd(sites, AvdConfig(2.0, 8.0))
+    assert str(raised.value) == str(expected.value)

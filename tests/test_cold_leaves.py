@@ -99,8 +99,10 @@ def test_tight_bregman_cluster_answers_within_eps(monkeypatch, d):
 # place of a family copy, and the tree typed columns in place of lists, the
 # same runs retained 8.03 and 8.44 KB; before exact leaves kept only ids,
 # 4.70 and 5.11 KB; before near sets came from a grid of the positions,
-# 2.28 and 2.49 KB.
-RETAINED_KB = {"l3": 2.13, "kl": 2.33}
+# 2.28 and 2.49 KB; before the tree's nodes with two or more sites were
+# built with the index, 2.13 and 2.33 KB (1.85 and 2.04 KB remeasured on
+# that code).
+RETAINED_KB = {"l3": 1.41, "kl": 1.72}
 
 
 @pytest.mark.parametrize("tag,n", [("l3", 4000), ("kl", 2000)])
