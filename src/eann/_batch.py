@@ -36,10 +36,12 @@ class SiteFamily:
 
     ``P`` holds the sites (n, d), ``tau`` the growth constants, and
     ``groups`` a list of (member ids, kernel) pairs, one per kernel. The ids
-    of a single group are ``slice(None)``.
+    of a single group are ``slice(None)``. With two or more groups,
+    ``_group`` and ``_slot`` give each member's group and its row in that
+    group's kernel.
     """
 
-    __slots__ = ("P", "tau", "groups")
+    __slots__ = ("P", "tau", "groups", "_group", "_slot")
 
     def __init__(self, fns):
         """The family of the site functions ``fns``, whose ``tau`` it
@@ -57,6 +59,7 @@ class SiteFamily:
         for i in np.flatnonzero(np.isnan(tau)).tolist():
             fns[i]._tau = float(fam.tau[i])
         self.P, self.tau, self.groups = fam.P, fam.tau, fam.groups
+        self._group, self._slot = fam._group, fam._slot
 
     @classmethod
     def from_groups(cls, groups: list) -> "SiteFamily":
@@ -71,12 +74,15 @@ class SiteFamily:
         if len(groups) == 1:
             _, kern, tau = groups[0]
             fam.P, fam.tau, fam.groups = kern.P, np.full(len(kern.P), tau), [(slice(None), kern)]
+            fam._group = fam._slot = None
         else:
             n = sum(len(kern.P) for _, kern, _ in groups)
             fam.P, fam.tau = np.empty((n, groups[0][1].P.shape[1])), np.empty(n)
             fam.groups = [(idx, kern) for idx, kern, _ in groups]
-            for idx, kern, tau in groups:
+            fam._group, fam._slot = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+            for j, (idx, kern, tau) in enumerate(groups):
                 fam.P[idx], fam.tau[idx] = kern.P, tau
+                fam._group[idx], fam._slot[idx] = j, np.arange(len(kern.P))
         for idx, kern in fam.groups:
             sel = np.flatnonzero(np.isnan(fam.tau[idx]))
             if sel.size:
@@ -149,18 +155,17 @@ class SiteFamily:
             kern = self.groups[0][1].take(idx)
             sub.P = kern.P
             sub.groups = [(slice(None), kern)]
+            sub._group = sub._slot = None
             return sub
         sub.P = self.P.take(idx, axis=0)
-        group_of = np.empty(len(self), dtype=np.intp)
-        slot = np.empty(len(self), dtype=np.intp)
-        for j, (gidx, _) in enumerate(self.groups):
-            group_of[gidx] = j
-            slot[gidx] = np.arange(len(gidx))
+        group, slot = self._group.take(idx), self._slot.take(idx)
         sub.groups = []
+        sub._group, sub._slot = np.empty_like(group), np.empty_like(slot)
         for j, (_, kern) in enumerate(self.groups):
-            sel = np.flatnonzero(group_of[idx] == j)
+            sel = np.flatnonzero(group == j)
             if sel.size:
-                sub.groups.append((sel, kern.take(slot[idx[sel]])))
+                sub._group[sel], sub._slot[sel] = len(sub.groups), np.arange(sel.size)
+                sub.groups.append((sel, kern.take(slot.take(sel))))
         return sub
 
     def member(self, j: int) -> SiteFunction:
@@ -173,6 +178,7 @@ class SiteFamily:
         p = np.asarray(p, dtype=float)
         sub = object.__new__(SiteFamily)
         sub.P, sub.tau = np.tile(p, (len(self), 1)), self.tau
+        sub._group, sub._slot = self._group, self._slot
         sub.groups = [(idx, kern.resite(p)) for idx, kern in self.groups]
         return sub
 

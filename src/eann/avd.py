@@ -22,36 +22,34 @@ Nodes are rows of a flat table of typed arrays, with no object per node:
 kind, split midpoint, one pair of ids, depth and outer bounds. The kind is
 the split axis for a split node, or a negative tag for a pending node, a
 shrink or a leaf, and the pair holds what that kind needs: a split's or a
-shrink's two children, a leaf's index among the built leaves, or a pending
-node's span of the id pool. The few holed cells keep their hole bounds in
-a side table. Only a built leaf has an object, ``AvdLeaf``, which
-``locate`` returns. The id pool is one int32 permutation of the position
-ids, n long, and every node's ``assigned`` sites, the positions routed
-into its cell, are a slice of it in id order. A pending node is its depth,
-its cell and that slice, of at most one site.
+shrink's two children, a leaf's index among the built leaves and -1, or a
+pending node's one site and -1, -1 for none. The few holed cells keep
+their hole bounds in a side table. Only a built leaf has an object,
+``AvdLeaf``, which ``locate`` returns. A pending node is its depth, its
+cell and its site.
 
 A node's near set, the positions that may still be inner somewhere below
-it, is built only where the leaf test reads it: at a node with at most one
-assigned site. It is every position but the node's own site that lies
-nearer to the node's box than (2 alpha + 1) times its circumradius, in id
-order. A uniform grid of the positions (``geom.PointGrid``), built once,
-gives the candidates: the positions in the grid cells that meet the box
-widened by that reach, a window no position the exact test keeps lies
-outside. Filtering at every level would give the same set: a position the
-test keeps at a node passes at every ancestor too, whose box contains the
-node's and whose reach is no smaller, and every position is either
-assigned to a node or routed away from it above.
+it, is built only where the leaf test reads it: at a pending node. It is
+every position but the node's own site that lies nearer to the node's box
+than (2 alpha + 1) times its circumradius, in id order. A uniform grid of
+the positions (``geom.PointGrid``), built once, gives the candidates: the
+positions in the grid cells that meet the box widened by that reach, a
+window no position the exact test keeps lies outside. Filtering at every
+level would give the same set: a position the test keeps at a node passes
+at every ancestor too, whose box contains the node's and whose reach is no
+smaller, and every position is either assigned to a node or routed away
+from it above.
 
-Below a node with at most one assigned site every node has at most one, so
-its subtree only ever splits at midpoints. ``locate`` descends such a chain
-in batches: it computes the query's path cells for several levels, filters
-the chain's one candidate array (the top's near set and its site) against
-all of their boxes at once and leaf-tests every level at once, then keeps
-the levels down to the first that passes; a later batch filters its near
-set from the candidates of the one before. ``materialize`` expands such a
-node's whole subtree, one level of cells per leaf test, through the same
-test and split rule. A leaf's inner positions are in id order, so lazy and
-materialized trees are the same.
+Below a pending node every node has at most one site, so its subtree only
+ever splits at midpoints. ``locate`` descends such a chain in one batch:
+it computes the query's path cells down to the first that should pass the
+leaf test, filters the chain's one candidate array (the top's near set and
+its site) against all of their boxes at once and leaf-tests every level at
+once, then keeps the levels down to the first that passes. Where none
+passes, the next batch starts below them from a fresh near set.
+``materialize`` expands such a node's whole subtree, one level of cells per
+leaf test, through the same test and split rule. A leaf's inner positions
+are in id order, so lazy and materialized trees are the same.
 """
 
 from __future__ import annotations
@@ -78,15 +76,13 @@ from .geom import (
 
 # Node kinds other than a split, whose kind is its axis.
 _PENDING, _SHRINK, _LEAF = -1, -2, -3
-# Site and position ids, as the pool and the leaves keep them.
+# Site and position ids, as the leaves keep them.
 _ID = np.int32
 # The id array of every leaf without in-cell or inner sites.
 _NO_IDS = np.zeros(0, dtype=_ID)
 _NO_IDS.flags.writeable = False
 # Halvings the depth budget allows beyond its estimate.
 _DEPTH_SLACK = 8
-# The most cells a descent's first batch takes; later batches double it.
-_CHAIN_LEVELS = 32
 # Serialized tree configuration: dimension (u32), alpha, beta (f64), max_depth (u32).
 CONFIG_RECORD = struct.Struct("<IddI")
 
@@ -353,11 +349,6 @@ class AvdTree:
         """Nodes expanded so far: the rows no longer pending."""
         return len(self._kind) - self._kind.count(_PENDING)
 
-    @property
-    def _n_ids(self) -> int:
-        """The ids in the pool, one per position."""
-        return len(self._ids)
-
     # -- the table -----------------------------------------------------------
 
     def _build_top(self) -> None:
@@ -372,13 +363,15 @@ class AvdTree:
         - midpoint: a split's;
         - an id pair: a split's or shrink's children, -1 where a side has
           no child; a leaf's index in ``_leaves`` and -1; or a pending
-          node's offset and count of its assigned ids in the pool;
+          node's site and -1, or -1, -1 where it has none;
         - depth, box (2d per node: outer low, outer high) and hole (a holed
           cell's row in the hole table, 2d per row: hole low, hole high).
-        The pool ``_ids`` is one permutation of the position ids, and every
-        node's sites, in id order, are a slice of it."""
+        While the top is built, a level's pairs are spans (offset, count) of
+        a pool of the position ids, one permutation of them of which every
+        node's sites are a slice in id order; a row left pending takes its
+        site from its span as its level joins the table."""
         n, d = self.n_positions, self.dim
-        self._ids = np.arange(n, dtype=_ID)
+        pool = np.arange(n, dtype=_ID)
         self._kind, self._mid, self._kids = array("i"), array("d"), array("i")
         self._depth, self._box, self._hole, self._holes = (array(t) for t in "idid")
         columns = self._kind, self._mid, self._kids, self._box, self._hole
@@ -388,11 +381,18 @@ class AvdTree:
                  np.array([self._root_lo + self._root_hi]), np.full(1, -1))
         depth = 0
         while True:
-            at = np.flatnonzero(level[2][:, 1] >= 2)
+            spans = level[2]
+            at = np.flatnonzero(spans[:, 1] >= 2)
             if at.size and depth >= self._depth_budget:
                 box = level[3][at[0]]
                 raise RuntimeError(f"max depth exceeded at cell [{box[:d]}, {box[d:]}]")
-            below = self._expand_level(level, at) if at.size else None
+            # The rows left pending name their one site, or none. The masks
+            # go before the level below is made, the build's peak.
+            one, left = spans[:, 1] == 1, spans[:, 1] < 2
+            spans[one, 0] = pool.take(spans[one, 0])
+            spans[left & ~one, 0], spans[left, 1] = -1, -1
+            del one, left
+            below = self._expand_level(level, at, pool) if at.size else None
             for column, values in zip(columns, level):
                 _append(column, values)
             _append(self._depth, np.full(len(level[0]), depth))
@@ -400,7 +400,7 @@ class AvdTree:
                 return
             level, depth = below, depth + 1
 
-    def _expand_level(self, level: tuple, at: np.ndarray) -> tuple:
+    def _expand_level(self, level: tuple, at: np.ndarray, perm: np.ndarray) -> tuple:
         """Make the rows ``at`` of one level, each of a node with two or
         more sites, shrinks and splits in place; returns the level below,
         their children, as pending rows. Their holes join the hole table.
@@ -410,9 +410,9 @@ class AvdTree:
         strictly inside (as ``_split``), from numpy passes over all of them;
         the few holed cells split through ``_split``, where a side the hole
         swallows whole gets no child and its sites go to the sibling. One
-        stable partition of the nodes' slices of the pool, in place, gives
-        each child its slice."""
-        d, perm = self.dim, self._ids
+        stable partition of the nodes' slices of the pool ``perm``, in
+        place, gives each child its slice."""
+        d = self.dim
         kind, mid, kids, box, hole = level
         k = at.size
         off, cnt = kids[at, 0], kids[at, 1]
@@ -501,11 +501,11 @@ class AvdTree:
                 below_hole)
 
     def _add_nodes(self, rows: list) -> int:
-        """Append pending nodes, one per (depth, cell, span) row; returns
+        """Append pending nodes, one per (depth, cell, site) row; returns
         the id of the first."""
         first, n = len(self._kind), len(rows)
-        box, holes, spans = [], [], []
-        for _, (lo, hi, hole), span in rows:
+        box, holes, pairs = [], [], []
+        for _, (lo, hi, hole), site in rows:
             box += lo
             box += hi
             if hole is None:
@@ -513,10 +513,10 @@ class AvdTree:
             else:
                 holes.append(len(self._holes) // (2 * self.dim))
                 self._holes.extend(hole[0] + hole[1])
-            spans += span
+            pairs += (site, -1)
         self._kind.extend([_PENDING] * n)
         self._mid.extend([0.0] * n)
-        self._kids.extend(spans)
+        self._kids.extend(pairs)
         self._depth.extend([row[0] for row in rows])
         self._box.extend(box)
         self._hole.extend(holes)
@@ -532,36 +532,37 @@ class AvdTree:
             hole = hb[:d], hb[d:]
         return b[:d], b[d:], hole
 
-    def _assigned(self, node: int) -> np.ndarray:
-        """The assigned sites of a pending node."""
-        off, n = self._kids[2 * node:2 * node + 2]
-        return self._ids[off:off + n]
-
     def tree_nodes(self) -> int:
         return len(self._kind)
 
     def tree_bytes(self) -> int:
         """Bytes held by the node columns (kind, midpoint, id pair, depth,
-        box and hole row), the hole table and the id pool."""
+        box and hole row) and the hole table."""
         columns = (self._kind, self._mid, self._kids, self._depth, self._box, self._hole,
                    self._holes)
-        return sum(c.itemsize * len(c) for c in columns) + self._ids.nbytes
+        return sum(c.itemsize * len(c) for c in columns)
 
     # -- expansion ---------------------------------------------------------
 
-    def _near(self, low: list, high: list, site: np.ndarray, parts=None) -> np.ndarray:
-        """The near set of the box [low, high] of a node whose assigned
-        sites are ``site``: every other position nearer to the box than
-        (2 alpha + 1) times its circumradius, in id order. The candidates
-        are ``parts`` where given, sorted ids that hold the near set, or
-        else the grid's positions in the box's window."""
+    def _near(self, low: list, high: list, site: int) -> np.ndarray:
+        """The near set of the box [low, high] of a node whose site is
+        ``site``, -1 for none: every other position nearer to the box than
+        (2 alpha + 1) times its circumradius, in id order, from the grid's
+        positions in the box's window."""
         lo, hi = np.array(low), np.array(high)
         reach = (2.0 * self.cfg.alpha + 1.0) * _half_diagonal(lo, hi)
-        if parts is None:
-            parts = self.grid.within(*_window(low, high, reach))
-        if len(site):
-            parts = parts.compress(parts != site[0])
-        return parts.compress(box_distances(lo, hi, self.positions.take(parts, axis=0)) < reach)
+        ids = self.grid.within(*_window(low, high, reach))
+        if site >= 0:
+            ids = ids.compress(ids != site)
+        return ids.compress(box_distances(lo, hi, self.positions.take(ids, axis=0)) < reach)
+
+    def _candidates(self, node: int) -> tuple[int, tuple, np.ndarray]:
+        """The site, cell and leaf-test candidates of the pending node
+        ``node``: its near set, followed by its site where it has one."""
+        site = self._kids[2 * node]
+        cell = self._cell(node)
+        near = self._near(cell[0], cell[1], site)
+        return site, cell, near if site < 0 else np.append(near, _ID(site))
 
     def _leaf_tests(self, cand: np.ndarray, X: np.ndarray, d2: np.ndarray, site_off,
                     cells: list, first: bool = True) -> list:
@@ -675,57 +676,50 @@ class AvdTree:
         leaf that ``qa`` reaches; returns that leaf.
 
         Every node on the path holds at most one site and splits at its
-        midpoint. Each batch takes the path's next cells, leaf-tests them at
-        once, and keeps the cells down to the first that passes: the failing
-        ones become split nodes, each with a pending sibling, and the passing
-        one a leaf. A failing cell at the depth budget raises. The first
-        batch takes its near set from the grid, and each later one filters
-        its near set from the candidates of the batch before."""
+        midpoint. A batch takes the path's cells down to the first that
+        should pass the leaf test (``_path``), or to the depth budget,
+        leaf-tests them at once, and keeps the cells down to the first that
+        passes: the failing ones become split nodes, each with a pending
+        sibling, and the passing one a leaf. Where none passes, as rounding
+        can make happen, the next batch starts below the last, from a fresh
+        near set; a failing cell at the depth budget raises."""
         q = np.array(qa)
-        levels = _CHAIN_LEVELS
-        parts = None
         while True:
             depth = self._depth[node]
-            site = self._assigned(node).copy()
-            cell = self._cell(node)
-            near = self._near(cell[0], cell[1], site, parts)
-            cand = np.concatenate([near, site]) if len(site) else near
+            site, cell, cand = self._candidates(node)
             X = self.positions.take(cand, axis=0)
             rel = X - q
-            count = min(levels, self._depth_budget - depth + 1)
             cells, splits, held = self._path(cell, site, qa, np.einsum("md,md->m", rel, rel),
-                                             len(near), count)
+                                             self._depth_budget - depth + 1)
             # Distances to the last cell's center, which lies in every cell.
             rel = X - 0.5 * (np.array(cells[-1][0]) + np.array(cells[-1][1]))
-            site_off = np.logical_not(held) if len(site) else _NO_IDS
+            site_off = np.logical_not(held) if site >= 0 else _NO_IDS
             tested = self._leaf_tests(cand, X, np.einsum("md,md->m", rel, rel), site_off, cells)
-            if not tested:
-                if depth + len(cells) > self._depth_budget:
-                    self._commit(node, splits[:-1], held)
-                    lo, hi, _ = cells[-1]
-                    raise RuntimeError(
-                        f"max depth exceeded at cell [{np.array(lo)}, {np.array(hi)}]")
-                node = self._commit(node, splits, held)
-                parts = np.sort(cand)
-                levels *= 2
-                continue
-            (stop, inner, ball), = tested
-            leaf = self._commit(node, splits[:stop], held)
-            self._make_leaf(leaf, site if held[stop] else _NO_IDS, inner, ball)
-            return leaf
+            if tested:
+                (stop, inner, ball), = tested
+                leaf = self._commit(node, splits[:stop], held)
+                self._make_leaf(leaf, site if held[stop] else -1, inner, ball)
+                return leaf
+            if depth + len(cells) > self._depth_budget:
+                self._commit(node, splits[:-1], held)
+                lo, hi, _ = cells[-1]
+                raise RuntimeError(f"max depth exceeded at cell [{np.array(lo)}, {np.array(hi)}]")
+            node = self._commit(node, splits, held)
 
-    def _path(self, cell, site: np.ndarray, qa: list, d2: np.ndarray, m: int,
+    def _path(self, cell, site: int, qa: list, d2: np.ndarray,
               count: int) -> tuple[list, list, list]:
         """The cells of the path of ``qa`` from ``cell`` down, at most
         ``count`` of them, with each one's split and whether it holds the
-        site. The path ends early at a cell that should pass the leaf test:
-        one whose near candidates, the first ``m`` of those whose squared
-        distances to ``qa`` are ``d2`` and the site once it has left the
-        path, all lie beyond (2 alpha + 2) half-diagonals of ``qa``, so that
-        none is inner where the cell holds ``qa``."""
-        x = self.positions[site[0]].tolist() if len(site) else None
+        site, -1 for none; ``d2`` holds the squared distances to ``qa`` of
+        the node's near set, followed by its site's where it has one. The
+        path ends early at a cell that should pass the leaf test: one whose
+        near candidates, and the site once it has left the path, all lie
+        beyond (2 alpha + 2) half-diagonals of ``qa``, so that none is inner
+        where the cell holds ``qa``."""
+        x = self.positions[site].tolist() if site >= 0 else None
+        m = len(d2) - (site >= 0)
         far = math.sqrt(float(d2[:m].min())) if m else math.inf
-        site_far = math.sqrt(float(d2[m])) if len(site) else math.inf
+        site_far = math.sqrt(float(d2[m])) if site >= 0 else math.inf
         scale = 2.0 * self.cfg.alpha + 2.0
         cells, splits, held = [cell], [], [x is not None]
         for j in range(count):
@@ -744,12 +738,11 @@ class AvdTree:
     def _commit(self, node: int, splits: list, held: list) -> int:
         """Make ``node`` and the path nodes below it split nodes, one per
         entry of ``splits``, with pending children; returns the path node
-        below the last. A child that holds the site of ``node`` keeps its
-        span, and the others get none."""
+        below the last. A child that holds the site of ``node`` gets the
+        pair (site, -1), and the others (-1, -1)."""
         if not splits:
             return node
-        depth = self._depth[node]
-        span = tuple(self._kids[2 * node:2 * node + 2])
+        depth, site = self._depth[node], self._kids[2 * node]
         rows, path, kids_of = [], [node], []
         next_id = len(self._kind)
         for j, (_, _, kids, s, w) in enumerate(splits):
@@ -757,7 +750,7 @@ class AvdTree:
             for i in (0, 1):
                 if kids[i] is not None:
                     got = held[j] and s == i
-                    rows.append((depth + j + 1, kids[i], span if got else (0, 0)))
+                    rows.append((depth + j + 1, kids[i], site if got else -1))
                     ids[i] = next_id
                     next_id += 1
             kids_of.append(ids)
@@ -770,10 +763,12 @@ class AvdTree:
             self._kids[2 * parent:2 * parent + 2] = array("i", kids_of[j])
         return path[-1]
 
-    def _make_leaf(self, node: int, in_cell: np.ndarray, inner: np.ndarray,
+    def _make_leaf(self, node: int, site: int, inner: np.ndarray,
                    ball: EuclideanBall | None) -> None:
+        """Make ``node`` a leaf whose in-cell site is ``site``, -1 for none."""
         self._kind[node] = _LEAF
         self._kids[2 * node:2 * node + 2] = array("i", (len(self._leaves), -1))
+        in_cell = np.array([site], dtype=_ID) if site >= 0 else _NO_IDS
         self._leaves.append(AvdLeaf(self, node, in_cell, inner, ball))
 
     def _expand_subtree(self, node: int) -> None:
@@ -784,12 +779,9 @@ class AvdTree:
         fail split as on a descent, and a failing cell at the depth budget
         raises."""
         d = self.dim
-        site = self._assigned(node).copy()
-        lo, hi, _ = cell = self._cell(node)
-        near = self._near(lo, hi, site)
-        cand = np.concatenate([near, site]) if len(site) else near
+        site, cell, cand = self._candidates(node)
         X = self.positions.take(cand, axis=0)
-        x = self.positions[site[0]].tolist() if len(site) else None
+        x = self.positions[site].tolist() if site >= 0 else None
         # Cells per test, so that the distances take a few MB at most.
         width = max(1, (1 << 18) // (d * max(1, len(cand))))
         level = [(node, cell, x is not None)]
@@ -810,7 +802,7 @@ class AvdTree:
                             f"max depth exceeded at cell [{np.array(lo)}, {np.array(hi)}]")
                 for j, (n, c, held) in enumerate(batch):
                     if j in passed:
-                        self._make_leaf(n, site if held else _NO_IDS, *passed[j])
+                        self._make_leaf(n, site if held else -1, *passed[j])
                         continue
                     axis, mid, kids = _split(c)
                     s = _side(kids, x[axis], mid) if held else -1
@@ -858,14 +850,12 @@ class AvdTree:
     # -- whole-tree access --------------------------------------------------
 
     def materialize(self) -> None:
+        """Expand every pending row; the rows that expanding one adds are
+        none of them pending."""
         with self._lock:
-            stack = [0]
-            while stack:
-                node = stack.pop()
+            for node in range(len(self._kind)):
                 if self._kind[node] == _PENDING:
                     self._expand_subtree(node)
-                if self._kind[node] != _LEAF:
-                    stack.extend(c for c in self._kids[2 * node:2 * node + 2] if c >= 0)
 
     def built_leaves(self) -> list[AvdLeaf]:
         """The leaves expanded so far, left to right; expands no node."""
@@ -878,7 +868,7 @@ class AvdTree:
                 if kind == _LEAF:
                     out.append(self._leaves[self._kids[2 * node]])
                 elif kind != _PENDING:
-                    # A pending node's pair is its span.
+                    # A pending node's pair is its site.
                     stack.extend(c for c in reversed(self._kids[2 * node:2 * node + 2]) if c >= 0)
         return out
 

@@ -9,6 +9,7 @@ from eann import avd, build_index, make_minkowski
 from eann._batch import SiteFamily
 from eann.avd import (_LEAF, _NO_IDS, _PENDING, _SHRINK, AvdConfig, AvdTree, build_avd,
                       check_leaf)
+from eann.cli import gen_family, gen_queries, gen_sites
 from eann.distances import minkowski_sites
 from eann.geom import enclosing_ball
 
@@ -206,17 +207,17 @@ def test_lazy_matches_materialized(rng):
 
 
 def test_site_id_arrays_are_int32(rng):
-    """Site ids live in one int32 pool. Pending frontier nodes keep spans of
-    it for their assigned sites, the grid that near sets come from keeps
-    int32 ids, and leaves keep int32 arrays."""
+    """Site ids are int32: pending frontier nodes name their site in the
+    int32 id pair, the grid that near sets come from keeps int32 ids, and
+    leaves keep int32 arrays."""
     sites = np.vstack([rng.random((150, 2)), rng.random((10, 2))[[0, 0, 1]]])
     tree = build_avd(sites, AvdConfig(2.0, 40.0))
     for q in rng.random((30, 2)):
         tree.locate(q)
-    arrays = [tree.position_of_site, tree._ids, tree.grid.order]
+    arrays = [tree.position_of_site, tree.grid.order]
     for node in range(tree.tree_nodes()):
         if tree._kind[node] == _PENDING:
-            arrays.append(tree._assigned(node))
+            arrays.append(np.asarray(tree._kids[2 * node:2 * node + 2]))
         if tree._kind[node] == _LEAF:
             leaf = tree._leaves[tree._kids[2 * node]]
             arrays += [leaf.in_cell, leaf.inner]
@@ -246,8 +247,8 @@ def _check_table(tree: AvdTree) -> None:
     """Every row's kind agrees with its id pair: a split's axis and children
     are those of its cell's midpoint split, a shrink's first child box lies
     in its box, a leaf's pair names the leaf built on it, and a pending
-    row's pair is a span of the used id pool. Every row but the root is
-    the child of exactly one row."""
+    row's pair is its site and -1, or -1, -1. Every row but the root is the
+    child of exactly one row."""
     d, rows = tree.dim, tree.tree_nodes()
     kind, kids = tree._kind, tree._kids
     assert len(kids) == 2 * rows
@@ -255,8 +256,8 @@ def _check_table(tree: AvdTree) -> None:
     for node in range(rows):
         k, pair = kind[node], kids[2 * node:2 * node + 2].tolist()
         if k == _PENDING:
-            off, count = pair
-            assert 0 <= off and 0 <= count and off + count <= tree._n_ids
+            site, none = pair
+            assert -1 <= site < tree.n_positions and none == -1
             continue
         expanded += 1
         if k == _LEAF:
@@ -280,7 +281,7 @@ def _check_table(tree: AvdTree) -> None:
     assert sorted(children) == list(range(1, rows))
     assert tree.expansions == expanded
     columns = [v for v in vars(tree).values() if isinstance(v, array)]
-    assert tree.tree_bytes() == sum(c.itemsize * len(c) for c in columns) + tree._ids.nbytes
+    assert tree.tree_bytes() == sum(c.itemsize * len(c) for c in columns)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -337,9 +338,10 @@ def test_check_leaf_sees_a_site_misrouted_into_a_tiny_cell():
 
 
 def test_tree_bytes_per_cold_leaf():
-    """The node table and id pool of a cold l3 index hold at most half of
-    the 20.9 KB per built leaf that the object tree retained (tracemalloc,
-    same inputs), and storage_stats reports them and changes no row or
+    """The rows that cold queries add to the node table of an l3 index take
+    at most 1.25 times the 0.94 KB per built leaf measured (the table's
+    bytes after 200 cold queries less the fresh index's, whose built top
+    holds 630 KB), and storage_stats reports them and changes no row or
     expansion count."""
     rng = np.random.default_rng(7)
     index = build_index([make_minkowski(p, 3.0) for p in rng.random((4000, 2))], 0.1)
@@ -350,7 +352,7 @@ def test_tree_bytes_per_cold_leaf():
         index.query(q)
     stats = index.storage_stats()
     assert stats["tree_nodes"] == index.tree.tree_nodes() > stats["leaves"] > 150
-    assert stats["tree_bytes"] / stats["leaves"] <= 0.5 * 20.9 * 1024
+    assert (stats["tree_bytes"] - fresh["tree_bytes"]) / stats["leaves"] <= 1.25 * 0.94 * 1024
     assert index.storage_stats() == stats
 
 
@@ -492,7 +494,8 @@ def _tree_rows(tree: AvdTree) -> list:
     for node in reversed(range(tree.tree_nodes())):
         kind = tree._kind[node]
         if kind == _PENDING:
-            ids[node] = tree._assigned(node)
+            site = tree._kids[2 * node]
+            ids[node] = np.array([site] if site >= 0 else [], dtype=np.int32)
         else:
             kids = [c for c in tree._kids[2 * node:2 * node + 2] if c >= 0]
             ids[node] = np.concatenate([ids.pop(c) for c in kids])
@@ -530,9 +533,11 @@ def test_top_equals_the_per_node_expansion(kind, d):
     reference = [_row_key(*row) for row in _expand_sites(tree, tree._depth_budget)]
     assert Counter(rows) == Counter(reference)
     assert tree.top_nodes == tree.tree_nodes() == len(rows)
-    assert all(len(tree._assigned(node)) <= 1 for node in range(tree.tree_nodes())
-               if tree._kind[node] == _PENDING)
-    assert len(tree._ids) == tree.n_positions
+    pending = [tree._kids[2 * node:2 * node + 2].tolist() for node in range(tree.tree_nodes())
+               if tree._kind[node] == _PENDING]
+    assert all(none == -1 for _, none in pending)
+    # Every position is the site of one pending row.
+    assert sorted(site for site, _ in pending if site >= 0) == list(range(tree.n_positions))
     if kind == "clustered":
         assert any(row[4] == _SHRINK for row in rows)
         assert any(row[4] >= 0 and row[3] is not None for row in rows)
@@ -551,3 +556,101 @@ def test_multi_site_cell_at_the_depth_budget_fails_at_construction(monkeypatch, 
     with pytest.raises(RuntimeError) as raised:
         build_avd(sites, AvdConfig(2.0, 8.0))
     assert str(raised.value) == str(expected.value)
+
+
+def test_single_site_chain_at_the_depth_budget_fails(monkeypatch, rng):
+    """With the depth budget at the depth of the built top's deepest rows,
+    construction succeeds, but single-site chains need more levels than
+    that: ``locate`` and ``materialize`` raise, naming a pending cell at the
+    budget that holds the point located, as a descent's failing batch at
+    the budget does."""
+    sites = rng.random((50, 2))
+    cfg = AvdConfig(2.0, 8.0)
+    budget = max(build_avd(sites, cfg)._depth)
+    monkeypatch.setattr(avd, "_depth_budget", lambda *args: budget)
+
+    def named(tree: AvdTree, message: str, q=None) -> list:
+        """The pending cells at the budget that ``message`` names and that
+        hold ``q``."""
+        out = []
+        for node in range(tree.tree_nodes()):
+            lo, hi, _ = tree._cell(node)
+            if (tree._kind[node] == _PENDING and tree._depth[node] == budget
+                    and message == f"max depth exceeded at cell [{np.array(lo)}, {np.array(hi)}]"
+                    and (q is None or all(l <= x < h for l, h, x in zip(lo, hi, q)))):
+                out.append(node)
+        return out
+
+    tree = build_avd(sites, cfg)
+    raised = 0
+    for q in np.concatenate([sites, rng.random((20, 2))]):
+        try:
+            tree.locate(q)
+        except RuntimeError as err:
+            assert str(err).startswith("max depth exceeded at cell [")
+            assert len(named(tree, str(err), q.tolist())) == 1
+            raised += 1
+    assert raised > 0
+    tree = build_avd(sites, cfg)
+    with pytest.raises(RuntimeError) as err:
+        tree.materialize()
+    assert named(tree, str(err.value))
+
+
+def _count_leaf_tests(tree: AvdTree) -> list:
+    """Have the tree record, per descent, how many ``_leaf_tests`` calls it
+    makes."""
+    calls = []
+    descend, leaf_tests = tree._descend, tree._leaf_tests
+
+    def descending(node, qa):
+        calls.append(0)
+        return descend(node, qa)
+
+    def testing(*args, **kwargs):
+        calls[-1] += 1
+        return leaf_tests(*args, **kwargs)
+
+    tree._descend, tree._leaf_tests = descending, testing
+    return calls
+
+
+@pytest.mark.parametrize("workload", ["l3", "kl", "clustered"])
+def test_a_cold_descent_tests_its_chain_in_one_batch(workload):
+    """A descent leaf-tests its path in one batch, down to the first cell
+    that should pass: on uniform l3 n=4,000, uniform kl n=2,000 and the
+    clustered l3 probe (n=2,000; half of the queries within 3e-4 of a blob
+    center), each of 300 cold queries makes one ``_leaf_tests`` call per
+    descent."""
+    rng = np.random.default_rng(28)
+    if workload == "kl":
+        sites = gen_sites(rng, 2000, 2, "kl")
+        queries = gen_queries(rng, 300, 2, "kl")
+    elif workload == "l3":
+        sites, queries = rng.random((4000, 2)), rng.random((300, 2))
+    else:
+        sites = _clustered_probe(2, rng)
+        centers = sites[:1800].reshape(4, 450, 2).mean(axis=1)
+        queries = np.concatenate([
+            centers[rng.integers(4, size=150)] + rng.uniform(-3e-4, 3e-4, size=(150, 2)),
+            rng.random((150, 2))])
+    index = build_index(gen_family("kl" if workload == "kl" else "l3", sites, rng), 0.1)
+    calls = _count_leaf_tests(index.tree)
+    for q in queries:
+        index.query(q)
+    assert len(calls) >= 250 and set(calls) == {1}, Counter(calls)
+
+
+def test_a_close_pair_chain_is_tested_in_one_batch():
+    """Sites 1e-30 apart: the chains to points just beside the pair, over a
+    hundred levels long (in batches of 32 and 64 cells, three leaf tests),
+    each take one leaf test, as do the chains to the sites."""
+    tree = build_avd([[0.0, 0.0], [0.0, 1e-30]], AvdConfig(2.0, 4.0))
+    calls = _count_leaf_tests(tree)
+    depths = []
+    for q in [[0.0, 0.0], [0.0, 1e-30], [0.0, -1e-30], [-3e-30, 5e-31]]:
+        leaf, _ = tree.locate(q)
+        assert check_leaf(tree, leaf) == []
+        depths.append(leaf.depth)
+    assert calls == [1] * len(calls) and len(calls) >= 3
+    assert min(depths[2:]) > 100

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from eann.ann import ray_to_hypercube_boundary
-from eann.avd import (_LEAF, _NO_IDS, _PENDING, AvdConfig, _points_in_box, _window, build_avd,
+from eann.avd import (_LEAF, _PENDING, AvdConfig, _points_in_box, _window, build_avd,
                       check_leaf)
 from eann.envelope import ConcaveEnvelope
 from eann.geom import AlignedBox, EuclideanBall, box_distances
@@ -93,8 +93,8 @@ def _record_near(tree):
     built = {}
     near = tree._near
 
-    def recording(low, high, site, parts=None):
-        out = near(low, high, site, parts)
+    def recording(low, high, site):
+        out = near(low, high, site)
         built[np.array(low).tobytes() + np.array(high).tobytes()] = out
         return out
 
@@ -185,8 +185,9 @@ def _assert_lazy_near_is_eager(tree, built):
             np.testing.assert_array_equal(built[key], near)
             compared += 1
         if tree._kind[node] == _PENDING:
-            np.testing.assert_array_equal(tree._assigned(node), assigned)
-            around = tree._near(low.tolist(), high.tolist(), _NO_IDS)
+            site = tree._kids[2 * node]
+            np.testing.assert_array_equal([site] if site >= 0 else [], assigned)
+            around = tree._near(low.tolist(), high.tolist(), -1)
             np.testing.assert_array_equal(np.setdiff1d(around, assigned), near)
         if tree._kind[node] != _LEAF:
             continue
@@ -227,8 +228,8 @@ def _assert_window_holds_the_near_set(tree, low, high, reach):
     equals the exact test over every position."""
     P = tree.positions
     exact = np.flatnonzero(box_distances(low, high, P) < reach)
-    np.testing.assert_array_equal(tree._near(low.tolist(), high.tolist(), _NO_IDS), exact)
-    site = exact[:1].astype(np.int32)
+    np.testing.assert_array_equal(tree._near(low.tolist(), high.tolist(), -1), exact)
+    site = int(exact[0]) if len(exact) else -1
     np.testing.assert_array_equal(tree._near(low.tolist(), high.tolist(), site), exact[1:])
 
 

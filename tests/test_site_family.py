@@ -6,6 +6,8 @@ values and row-paired values, gradients and Hessians must agree bit for
 bit; value bounds must bracket every value at the given distance.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from eann.distances import (
     make_bregman,
     make_mahalanobis,
     make_minkowski,
+    minkowski_sites,
     squared_mahalanobis_spec,
 )
 
@@ -173,6 +176,34 @@ def test_mixed_family_keeps_member_order(rng):
     w, v = brute_force(fam, X[0])
     assert (w, v) == brute_force(fns, X[0])
     assert v == fns[w].value(X[0])
+
+
+def test_take_of_a_mixed_family_allocates_for_the_members_taken(rng):
+    """``take`` on a family of two kernel groups reads each member's group
+    and kernel row from arrays built with the family: at n=64,000, taking
+    14 members allocates a few KB, not the n-long arrays (1 MB) that
+    rebuilding them on every call would."""
+    n = 64000
+    P = rng.random((n, 2))
+    even = np.arange(n) % 2 == 0
+    fam = SiteFamily.from_groups([
+        (np.flatnonzero(mask), *minkowski_sites(P[mask], k, np.ones(n // 2)))
+        for mask, k in ((even, 2.0), (~even, 3.0))])
+    idx = rng.choice(n, size=14, replace=False)
+    fam.take(idx)
+    tracemalloc.start()
+    try:
+        sub = fam.take(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024, peak
+    ref = SiteFamily([make_minkowski(P[i], 2.0 if i % 2 == 0 else 3.0) for i in idx])
+    X = rng.random((5, 2))
+    np.testing.assert_array_equal(sub.values(X), ref.values(X))
+    np.testing.assert_array_equal(sub.tau, ref.tau)
+    again = sub.take([3, 0, 13])
+    np.testing.assert_array_equal(again.values(X), ref.values(X)[:, [3, 0, 13]])
 
 
 def test_empty_family_rejected():
