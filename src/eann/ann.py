@@ -55,6 +55,7 @@ from .convexify import (
     screen,
 )
 from .distances import (
+    BUILTIN_BREGMAN,
     BregmanKernel,
     DomainError,
     SiteFunction,
@@ -461,7 +462,7 @@ class AnnIndex:
         ``tree_expansions`` the rows of the tree's node table that are no
         longer pending, ``tree_nodes`` all its rows, ``tree_top_nodes`` the
         rows built with the index (the rest are built by queries) and
-        ``tree_bytes`` the bytes its columns, hole table and id pool hold."""
+        ``tree_bytes`` the bytes its columns and hole table hold."""
         env_samples = exact = envelope = 0
         leaves = self.tree.built_leaves()
         for leaf in leaves:
@@ -545,6 +546,8 @@ def save_index(index: AnnIndex, path: str) -> int:
         raise ValueError("custom gauge functions are not serializable")
     if len(kinds) != 1:
         raise ValueError("families mixing distance kinds are not serializable")
+    if any(spec.name not in BUILTIN_BREGMAN for spec in fam.specs):
+        raise ValueError("custom Bregman generators are not serializable")
     (kind,) = kinds
     n, d = index.n, index.dim
     out = [MAGIC, struct.pack("<HIId", FORMAT_VERSION, d, n, index.eps)]

@@ -11,8 +11,9 @@ arrays with each member's certified growth constant ``tau``, which the
 search structures use to size separation parameters: for ``make_*`` (one
 site, a ``SiteFunction``), the config reader and ``load_index`` alike.
 
-A Minkowski gauge with k < 2, whose closed-form ``tau`` degenerates, and a
-Bregman site without a declared one sample ``tau`` later, when
+A Minkowski gauge with k < 2, whose closed-form ``tau`` degenerates,
+samples it once per (k, d), about the origin. A Bregman site without a
+declared one samples ``tau`` later, when
 ``SiteFamily.from_groups`` builds a family (one batched pass per kernel
 group), or on a lone site's first ``.tau`` read. A failing sample raises
 ``ValueError`` there, naming the site; the checks that need no sample
@@ -185,10 +186,9 @@ class _Kernel:
     def hessian_norms(self, X, V):
         return np.max(np.abs(np.linalg.eigvalsh(self.hessians(X, V))), axis=-1)
 
-    def ratio_bounds(self, X, V):
-        """Whether each sample counts, and (lo, hi) bounds on its growth
-        ratio, the larger of the ratios of ``admissibility_ratios``: here
-        that ratio, formed as there."""
+    def growth_ratios(self, X, V):
+        """Whether each sample counts, and its growth ratio: the larger of
+        the ratios of ``admissibility_ratios``, formed as there."""
         vals = self.values(X, V)
         dist = _norms(V)
         gnorm = self.gradient_norms(X, V)
@@ -197,7 +197,7 @@ class _Kernel:
             # Both ratios are >= 0 where used, so a NaN or inf among them
             # carries through the maxima.
             ratio = np.maximum(gnorm * dist / vals, np.sqrt(hnorm * dist * dist / vals))
-        return (vals >= VALUE_FLOOR) & (dist > 0.0), ratio, ratio
+        return (vals >= VALUE_FLOOR) & (dist > 0.0), ratio
 
 
 class MinkowskiKernel(_Kernel):
@@ -251,32 +251,6 @@ class MinkowskiKernel(_Kernel):
         idx = np.arange(V.shape[-1])
         hs[..., idx, idx] += diag
         return (self.W * (k - 1.0) / m)[..., None, None] * hs
-
-    def ratio_bounds(self, X, V):
-        """The ratio within a relative 1e-9, without Hessians. With s =
-        sum a^k, the squared gradient ratio is sum a^2 / s * sum a^(2k-2) / s
-        and the squared Hessian ratio sum a^2 / s * (k - 1) * lam, where lam,
-        the top eigenvalue of diag(a^(k-2)) - b b^T / s with |b| = a^(k-1)
-        <= 1, is at most max a^(k-2) and at least max a^(k-2) - 1 / s."""
-        k = self.k
-        cols = _columns(np.abs(V))
-        mx = functools.reduce(np.maximum, cols)
-        safe = np.where(mx > 0.0, mx, 1.0)
-        a = [c / safe for c in cols]
-        ak = [x**k for x in a]
-        s = sum(ak)
-        # ``values`` bit for bit, and ``_norms(V) > 0``: a sum of squares is
-        # positive exactly where its largest term is.
-        used = (self.W * mx * s ** (1.0 / k) >= VALUE_FLOOR) & (mx * mx > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            b = [p / x for p, x in zip(ak, a)]  # a^(k-1)
-            top = functools.reduce(np.maximum, [y / x for x, y in zip(a, b)])  # max a^(k-2)
-            r, g = sum(x * x for x in a) / s, sum(y * y for y in b) / s
-            lo = np.sqrt(r * np.maximum(g, (k - 1.0) * (top - 1.0 / s))) * (1.0 - 1e-9)
-            hi = np.sqrt(r * np.maximum(g, (k - 1.0) * top)) * (1.0 + 1e-9)
-        # Where a^k is not a normal float, a^k / a understates a^(k-1).
-        hi[functools.reduce(np.minimum, ak) < np.finfo(float).tiny] = np.inf
-        return used, lo, hi
 
     def bounds(self, t):
         if self.k >= 2.0:
@@ -633,8 +607,8 @@ def generator_key(spec: BregmanSpec):
 # ---------------------------------------------------------------------------
 # Sites. One constructor per kind turns (m, d) sites and parameter arrays
 # into (kernel, tau), tau the declared one or the kind's own (a number for
-# every member, or m values), NaN where ``SiteFamily.from_groups`` samples
-# it; ``make_*`` call it for one site.
+# every member, or m values), NaN for a Bregman site whose ``tau``
+# ``SiteFamily.from_groups`` samples; ``make_*`` call it for one site.
 # ---------------------------------------------------------------------------
 
 
@@ -649,15 +623,15 @@ class SiteFunction:
     """
 
     def __init__(self, kernel: _Kernel, tau: float):
-        """``tau`` is NaN until sampled."""
+        """``tau`` is NaN until sampled (Bregman sites only)."""
         self.kernel = kernel
         self.site = kernel.P[0]
         self._tau = tau
 
     @property
     def tau(self) -> float:
-        """Growth constant. A site built without one samples it on this
-        first read, unless a ``SiteFamily`` of it did."""
+        """Growth constant. A Bregman site built without one samples it on
+        this first read, unless a ``SiteFamily`` of it did."""
         if math.isnan(self._tau):
             self._tau = float(sampled_tau(self.kernel, [0])[0])
         return self._tau
@@ -723,15 +697,10 @@ def _admissible_tau(tau):
 
 
 def minkowski_sites(P, k: float, W, tau=None) -> tuple[MinkowskiKernel, float | np.ndarray]:
-    """``W * ||x - p||_k`` for k > 1. For k < 2 the unit ball loses its
-    interior rolling ball at the axes and the closed-form ``tau``
-    degenerates, so it is sampled, as for a Bregman site."""
+    """``W * ||x - p||_k`` for k > 1. The growth constant depends on the
+    unit ball alone, so every member gets ``_minkowski_tau(k, d)``."""
     kern = MinkowskiKernel(P, k, W)
-    if tau is None:
-        if kern.k < 2.0:
-            return kern, math.nan
-        tau = _minkowski_tau(kern.k, kern.P.shape[1])
-    return kern, _admissible_tau(tau)
+    return kern, _admissible_tau(_minkowski_tau(kern.k, kern.P.shape[1]) if tau is None else tau)
 
 
 def mahalanobis_sites(P, M, tau=None) -> tuple[MahalanobisKernel, float | np.ndarray]:
@@ -845,15 +814,14 @@ def sampled_tau(kern: _Kernel, members: np.ndarray) -> np.ndarray:
 
 def _tau_pass(kern: _Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Raw sampled growth constants of the members of ``kern``, with the
-    number of samples each one used.
+    number of samples each one used: the members of a Bregman group, or the
+    one l_k site at the origin that ``_minkowski_tau`` samples for k < 2.
 
     Per member the constant is ``max(1, max g, max h)`` over the ratios of
     ``admissibility_ratios`` (not finite when one of them is not) at unit
     directions about the site where they depend on the direction alone,
     else at uniform points of the domain box. Members go through the kernel
-    in chunks of ``_TAU_CHUNK_ELEMENTS``. Where ``ratio_bounds`` brackets the
-    ratios, the samples whose upper bound reaches their member's largest
-    lower bound, every maximum among them, are evaluated exactly.
+    in chunks of ``_TAU_CHUNK_ELEMENTS``.
     """
     m, d = kern.P.shape
     spec = getattr(kern, "spec", None)
@@ -873,14 +841,8 @@ def _tau_pass(kern: _Kernel) -> tuple[np.ndarray, np.ndarray]:
         # what depends on the point alone is computed once per point.
         X = part.P + wide[:, :k] if about_site else pts[:, None]
         V = (X if about_site else wide[:, :k]) - part.P
-        used, lo, hi = part.ratio_bounds(X, V)
-        best = np.max(np.where(used, lo, -np.inf), axis=0)
-        if hi is not lo:
-            t, j = np.nonzero(used & ~(hi < best))
-            Xc, Vc = np.broadcast_to(X, V.shape)[t, j][None], V[t, j][None]
-            best = np.full(k, -np.inf)
-            np.maximum.at(best, j, _Kernel.ratio_bounds(part.take(j), Xc, Vc)[1][0])
-        raw[start:start + k] = best
+        used, ratio = part.growth_ratios(X, V)
+        raw[start:start + k] = np.max(np.where(used, ratio, -np.inf), axis=0)
         used_count[start:start + k] = np.count_nonzero(used, axis=0)
     return np.maximum(1.0, raw), used_count
 
@@ -910,8 +872,12 @@ def minkowski_gauge_params(k: float, dim: int) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=None)
 def _minkowski_tau(k: float, dim: int) -> float:
-    """``tau_for_gauge`` of the l_k unit ball, for k >= 2."""
-    return tau_for_gauge(GaugeParams(*minkowski_gauge_params(k, dim)))
+    """Growth constant of every weighted l_k site in dimension ``dim``:
+    ``tau_for_gauge`` of the unit ball for k >= 2, else, where that closed
+    form degenerates, sampled about a weight-1 site at the origin."""
+    if k >= 2.0:
+        return tau_for_gauge(GaugeParams(*minkowski_gauge_params(k, dim)))
+    return float(sampled_tau(MinkowskiKernel(np.zeros((1, dim)), k, [1.0]), [0])[0])
 
 
 def _minkowski_probe_directions(dim: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import struct
 import weakref
@@ -457,6 +458,17 @@ def test_save_rejects_mixed_scaling_family(tmp_path, rng, order):
     index.query(rng.random(2))
     with pytest.raises(ValueError, match="mixing distance kinds"):
         save_index(index, str(tmp_path / "mixed.eann"))
+
+
+def test_save_rejects_custom_bregman_generator(tmp_path, rng):
+    """``load_index`` rebuilds only built-in generators by name, so a file
+    naming another could be written but never read back."""
+    spec = dataclasses.replace(generalized_kl_spec(2), name="my-kl")
+    index = build_index([make_bregman(spec, p) for p in rng.uniform(0.2, 0.9, (10, 2))], 0.25)
+    path = tmp_path / "my-kl.eann"
+    with pytest.raises(ValueError, match="custom Bregman generator"):
+        save_index(index, str(path))
+    assert not path.exists()
 
 
 def test_save_rejects_custom_gauge_at_any_position(tmp_path, rng):

@@ -167,3 +167,23 @@ def test_site_independent_checks_stay_in_the_constructor():
     assert make_bregman(open_above, [0.5, 0.5], tau=3.0).tau == 3.0
     with pytest.raises(ValueError, match="site outside Bregman domain"):
         make_bregman(generalized_kl_spec(2, 0.1, 1.0), [0.05, 0.5])
+
+
+def test_full_hessian_generator_matches_the_constant_one(rng):
+    """A generator whose ``hess`` returns its constant Hessian at every
+    point (``hess_kind="full"``) samples the same ``tau`` and answers
+    within (1 + eps)."""
+    const = squared_mahalanobis_spec(MAHALANOBIS, 0.0, 1.0)
+    H = np.asarray(const.hess)
+    full = replace(const, name="full-mahalanobis", hess_kind="full",
+                   hess=lambda x: np.broadcast_to(H, (len(x),) + H.shape))
+    sites = rng.uniform(0.01, 0.99, size=(200, 2))
+    index = build_index([make_bregman(full, p) for p in sites], 0.25)
+    expected = build_index([make_bregman(const, p) for p in sites], 0.25).family.tau
+    assert index.family.tau.tobytes() == expected.tobytes()
+    X = rng.uniform(0.0, 1.0, size=(5, 2))
+    np.testing.assert_array_equal(make_bregman(full, sites[0], tau=2.0).hessian(X),
+                                  make_bregman(const, sites[0], tau=2.0).hessian(X))
+    for q in rng.uniform(0.0, 1.0, size=(300, 2)):
+        _, value = index.query(q)
+        assert value <= 1.25 * brute_force(index.family, q)[1] * (1.0 + 1e-10) + 1e-300

@@ -67,10 +67,11 @@ KINDS = {
 }
 
 # Kind -> sha256 of the file ``eann build`` writes at eps 0.25: the bytes it
-# wrote when the config reader built one site object per point.
+# wrote when the config reader built one site object per point, except
+# ``l1.5``, re-pinned when its ``tau`` became one value per (k, d).
 BUILD_BYTES = {
     "l3-weights": "8ae2dbe0671639a0e63f25304116ec62d11807dd922f89cae5c2bf0f540e0e4e",
-    "l1.5": "fd94c3b1443af6db3158a934475309fb1f3f3ab25a7d51a821b6ae91ace32e60",
+    "l1.5": "6083fff7bf8bd73884dc60569bb56439de2564b419f4f7c0d175a71e8922c3d8",
     "mahalanobis": "da92fd4ce784d174159ba7e0fbe7922de2ee15c6c44422c39eff8823030b543d",
     "kl": "5dcf9af63f2d685db896fd845116cccf5bd797b004857a3068176d7f7774c0ef",
     "is": "71157b48b83b73d1cc8d61a1f4ed4348080821aeb2a33deea235edd537e51fe7",

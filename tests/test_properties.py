@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -233,6 +234,7 @@ def _assert_window_holds_the_near_set(tree, low, high, reach):
     np.testing.assert_array_equal(tree._near(low.tolist(), high.tolist(), site), exact[1:])
 
 
+@pytest.mark.slow
 @SETTINGS
 @given(st.data())
 def test_lazy_near_sets_match_the_eager_filter_chain(data):

@@ -3,10 +3,11 @@
 Each kernel's constructor validates and derives its kind's per-member
 arrays, so a loaded index builds its family from the file's arrays with no
 site object, bit for bit equal to the family of the index it was saved
-from. Minkowski sites with k < 2 defer ``tau`` to one batched pass per
-(k, d), as Bregman sites do per generator, and that pass matches the
-per-site definition bit for bit. A ``tau`` so large that a leaf around some
-site would need a cell below the float spacing fails at build and at load.
+from. Minkowski sites with k < 2 take one sampled ``tau`` per (k, d),
+measured once about the origin and bit for bit the per-site definition
+there, whatever a member's site and weight. A ``tau`` so large that a leaf
+around some site would need a cell below the float spacing fails at build
+and at load.
 """
 
 import hashlib
@@ -86,14 +87,15 @@ def test_load_builds_no_site_object(tmp_path, monkeypatch, tag, d):
 
 # (family tag, n, d) -> sha256 of the file ``save_index`` writes for the
 # index of ``gen_family`` at seed 2024 and eps 0.25: the same bytes as
-# before the families were built from parameter arrays.
+# before the families were built from parameter arrays, except ``l1.5``,
+# re-pinned when its ``tau`` became one value per (k, d).
 SAVED_BYTES = {
     ("l2", 300, 2): "ae15c0b57a5b7059f7c84afa96b2370987c3c8919ea2f3dc4eb781156344b0cf",
     ("wl2", 300, 2): "8133041e1d1184e51ebbb7573ac0391760186c8203c28b51f24a1224b84ba7d5",
     ("mahalanobis", 300, 3): "135b1989b96fee376e85a13cb4e9b92223692dc5c501453dc2a2da58ba043eb3",
     ("kl", 300, 2): "68dbd650f2c0cdb15f495c030fcb7887a8bb0c84ed0520900e2aa6a35dd84684",
     ("is", 200, 3): "92e8a80cc65baa62b94bd5f33db272e5f72af9c88aa9c8cddca75dda3d7487cf",
-    ("l1.5", 100, 2): "e9dcb44800aa509907a64b2e35cff46a72cff5f15fd9e9e6ea0430872cc5a217",
+    ("l1.5", 100, 2): "dfffbd5a91a6c18c08347856f382e4500981ebb55063d0f0fc9a52d298a13d10",
 }
 
 
@@ -139,13 +141,20 @@ def test_mahalanobis_bounds_come_from_the_symmetrized_matrix():
 
 def reference_tau(fn) -> float:
     """1.10 * max(1, max g, max h) over 1,024 seeded unit directions about
-    the site, site by site."""
+    the site of ``fn``."""
     dirs = unit_directions(fn.dim, 1024, distances._DIRECTION_SEED)
     g, h, _, _ = admissibility_ratios(fn, fn.site[None, :] + dirs)
     return max(1.0, 1.10 * max(1.0, float(np.max(g)), float(np.max(h))))
 
 
+def origin_tau(k, d) -> float:
+    """``reference_tau`` of a weight-1 l_k site at the origin."""
+    return reference_tau(make_minkowski(np.zeros(d), k, tau=1.0))
+
+
 def _counting_passes(monkeypatch):
+    """Clear the per-(k, d) cache and record every ``_tau_pass`` after."""
+    distances._minkowski_tau.cache_clear()
     calls = []
     batched = distances._tau_pass
 
@@ -160,14 +169,19 @@ def _counting_passes(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("k", [1.2, 1.5, 1.8])
 def test_minkowski_tau_below_2_matches_per_site_reference(monkeypatch, k, d):
+    """Every member takes the origin's value bit for bit; the per-site
+    definition differs from it only by the rounding of ``(p + u) - p``."""
     rng = np.random.default_rng(int(10 * k) + d)
     P = rng.uniform(-3.0, 3.0, size=(300, d))
     W = np.exp(rng.uniform(0.0, 1.0, size=300))
     calls = _counting_passes(monkeypatch)
     fam = SiteFamily([make_minkowski(p, k, w) for p, w in zip(P, W)])
-    assert calls == [(k, (300, d))]
-    expected = [reference_tau(make_minkowski(p, k, w)) for p, w in zip(P, W)]
-    assert fam.tau.tobytes() == np.array(expected).tobytes()
+    assert calls == [(k, (1, d))]
+    tau = origin_tau(k, d)
+    assert distances._minkowski_tau(k, d) == tau
+    assert fam.tau.tobytes() == np.full(300, tau).tobytes()
+    per_site = [reference_tau(make_minkowski(p, k, w)) for p, w in zip(P, W)]
+    np.testing.assert_allclose(per_site, tau, rtol=1e-12, atol=0.0)
 
 
 def test_one_pass_per_exponent_and_dimension(monkeypatch, rng):
@@ -178,27 +192,27 @@ def test_one_pass_per_exponent_and_dimension(monkeypatch, rng):
            + [make_minkowski(p, 1.5, tau=4.0) for p in rng.random((5, 2))]
            + [make_minkowski(p, 1.5) for p in rng.random((20, 2))]
            + [make_minkowski(p, 1.5) for p in rng.random((7, 3))])
-    assert calls == []
+    passes = [(1.5, (1, 2)), (1.8, (1, 2)), (1.5, (1, 3))]
+    assert calls == passes
     SiteFamily(fns[:-7])
     SiteFamily(fns[-7:])
-    assert calls == [(1.5, (60, 2)), (1.8, (30, 2)), (1.5, (7, 3))]
+    assert calls == passes
     for f in fns[:3] + fns[-3:]:
-        assert f.tau == reference_tau(f)
+        assert f.tau == origin_tau(f.kernel.k, f.dim)
     assert [f.tau for f in fns[80:85]] == [4.0] * 5
     index = build_index(fns[:-7], 0.25)
-    assert calls == [(1.5, (60, 2)), (1.8, (30, 2)), (1.5, (7, 3))]
+    assert calls == passes
     assert index.family.tau.tolist() == [f.tau for f in fns[:-7]]
 
 
-def test_lone_minkowski_site_resolves_tau_on_first_read(monkeypatch):
+def test_lone_minkowski_site_knows_tau_at_construction(monkeypatch):
     calls = _counting_passes(monkeypatch)
     f = make_minkowski([0.3, -0.4], 1.5)
-    assert calls == []
-    tau = f.tau
     assert calls == [(1.5, (1, 2))]
-    assert f.tau == tau == reference_tau(f)
+    assert f._tau == f.tau == origin_tau(1.5, 2)
+    g = make_minkowski([1.0, 1.0], 1.5, weight=3.0)
+    assert g.tau == f.tau and f.resite([1.0, 1.0]).tau == f.tau
     assert calls == [(1.5, (1, 2))]
-    assert f.resite([1.0, 1.0]).tau == tau
 
 
 def test_tau_too_large_for_the_float_spacing_fails_at_build_and_load(tmp_path):

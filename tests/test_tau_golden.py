@@ -2,9 +2,10 @@
 
 ``tau`` sets the index's alpha and beta, and so its whole tree. Hessians
 feed it through the curvature probe of ``minkowski_gauge_params`` (k >= 2)
-and through ``admissibility_ratios`` (k < 2); Bregman sites sample it in
-``SiteFamily``'s batched pass. A change in the last bit of any of these may
-move the tree and the answers.
+and through the ratios of ``admissibility_ratios``, sampled once per (k, d)
+about the origin (k < 2), so every l_k site of a dimension has the same
+``tau``; Bregman sites sample it in ``SiteFamily``'s batched pass. A change
+in the last bit of any of these may move the tree and the answers.
 """
 
 import numpy as np
@@ -22,9 +23,9 @@ from eann.distances import (
 
 # (k, d) -> tau of an l_k site at np.linspace(0.2, 0.8, d).
 MINKOWSKI_TAU = {
-    (1.5, 2): "0x1.da80b342d6877p+1",
-    (1.5, 3): "0x1.603d292a19e2cp+2",
-    (1.5, 4): "0x1.79b93a4fa9ecfp+3",
+    (1.5, 2): "0x1.da80b342d6875p+1",
+    (1.5, 3): "0x1.603d292a19ea0p+2",
+    (1.5, 4): "0x1.79b93a4fa9a61p+3",
     (2.0, 2): "0x1.6a09e667f3bcfp+0",
     (2.0, 3): "0x1.6a09e667f3bd2p+0",
     (2.0, 4): "0x1.6a09e667f3bd2p+0",
