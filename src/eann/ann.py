@@ -55,12 +55,12 @@ from .convexify import (
     screen,
 )
 from .distances import (
-    BUILTIN_BREGMAN,
     BregmanKernel,
     DomainError,
     SiteFunction,
     bregman_sites,
     builtin_bregman_spec,
+    is_builtin_generator,
     mahalanobis_sites,
     minkowski_sites,
 )
@@ -397,8 +397,10 @@ class AnnIndex:
 
     def _outer_near(self, center: np.ndarray, radius: float, used: np.ndarray) -> np.ndarray:
         """Sorted ids of the grid's sites near ``center`` (every one within
-        ``radius``) but for the sorted ids ``used``."""
-        ids = self._grid.near(center, radius)
+        ``radius``, from the box that is ``center`` alone) but for the
+        sorted ids ``used``."""
+        c = center.tolist()
+        ids = self._grid.within(c, c, radius)
         if used.size:
             ids = ids[used.take(np.searchsorted(used, ids), mode="clip") != ids]
         return ids
@@ -546,7 +548,7 @@ def save_index(index: AnnIndex, path: str) -> int:
         raise ValueError("custom gauge functions are not serializable")
     if len(kinds) != 1:
         raise ValueError("families mixing distance kinds are not serializable")
-    if any(spec.name not in BUILTIN_BREGMAN for spec in fam.specs):
+    if not all(is_builtin_generator(spec) for spec in fam.specs):
         raise ValueError("custom Bregman generators are not serializable")
     (kind,) = kinds
     n, d = index.n, index.dim

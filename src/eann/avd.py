@@ -32,9 +32,10 @@ A node's near set, the positions that may still be inner somewhere below
 it, is built only where the leaf test reads it: at a pending node. It is
 every position but the node's own site that lies nearer to the node's box
 than (2 alpha + 1) times its circumradius, in id order. A uniform grid of
-the positions (``geom.PointGrid``), built once, gives the candidates: the
-positions in the grid cells that meet the box widened by that reach, a
-window no position the exact test keeps lies outside. Filtering at every
+the positions (``geom.PointGrid``), built once, gives the candidates:
+``PointGrid.within`` returns the positions in the grid cells that meet the
+box widened by a little more than that reach, a superset of the positions
+the exact test keeps, and the exact test filters them. Filtering at every
 level would give the same set: a position the test keeps at a node passes
 at every ancestor too, whose box contains the node's and whose reach is no
 smaller, and every position is either assigned to a node or routed away
@@ -216,20 +217,6 @@ def _side(kids: tuple, x: float, mid: float) -> int:
     where the hole swallowed its side."""
     i = 1 if x >= mid else 0
     return i if kids[i] is not None else 1 - i
-
-
-def _window(low: list, high: list, reach: float) -> tuple[list, list]:
-    """Bounds of the window about the box [low, high], the box widened on
-    every side by a little more than ``reach``. A point outside it is at
-    least ``reach`` from the box, also as computed in floating point: the
-    relative and absolute margins absorb the rounding of both tests, and
-    the smallest one keeps squared gaps clear of underflow."""
-    lo, hi = [], []
-    for l, h in zip(low, high):
-        w = reach * (1.0 + 1e-12) + 1e-12 * max(abs(l), abs(h)) + 1e-150
-        lo.append(l - w)
-        hi.append(h + w)
-    return lo, hi
 
 
 def _points_in_box(P: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -500,28 +487,6 @@ class AvdTree:
                 np.concatenate([clo, chi], axis=2).reshape(2 * k, 2 * d).compress(made, axis=0),
                 below_hole)
 
-    def _add_nodes(self, rows: list) -> int:
-        """Append pending nodes, one per (depth, cell, site) row; returns
-        the id of the first."""
-        first, n = len(self._kind), len(rows)
-        box, holes, pairs = [], [], []
-        for _, (lo, hi, hole), site in rows:
-            box += lo
-            box += hi
-            if hole is None:
-                holes.append(-1)
-            else:
-                holes.append(len(self._holes) // (2 * self.dim))
-                self._holes.extend(hole[0] + hole[1])
-            pairs += (site, -1)
-        self._kind.extend([_PENDING] * n)
-        self._mid.extend([0.0] * n)
-        self._kids.extend(pairs)
-        self._depth.extend([row[0] for row in rows])
-        self._box.extend(box)
-        self._hole.extend(holes)
-        return first
-
     def _cell(self, node: int):
         d = self.dim
         b = self._box[2 * d * node:2 * d * (node + 1)].tolist()
@@ -547,11 +512,11 @@ class AvdTree:
     def _near(self, low: list, high: list, site: int) -> np.ndarray:
         """The near set of the box [low, high] of a node whose site is
         ``site``, -1 for none: every other position nearer to the box than
-        (2 alpha + 1) times its circumradius, in id order, from the grid's
-        positions in the box's window."""
+        (2 alpha + 1) times its circumradius, in id order, filtered from the
+        grid's positions within that reach of the box."""
         lo, hi = np.array(low), np.array(high)
         reach = (2.0 * self.cfg.alpha + 1.0) * _half_diagonal(lo, hi)
-        ids = self.grid.within(*_window(low, high, reach))
+        ids = self.grid.within(low, high, reach)
         if site >= 0:
             ids = ids.compress(ids != site)
         return ids.compress(box_distances(lo, hi, self.positions.take(ids, axis=0)) < reach)
@@ -737,31 +702,34 @@ class AvdTree:
 
     def _commit(self, node: int, splits: list, held: list) -> int:
         """Make ``node`` and the path nodes below it split nodes, one per
-        entry of ``splits``, with pending children; returns the path node
-        below the last. A child that holds the site of ``node`` gets the
-        pair (site, -1), and the others (-1, -1)."""
-        if not splits:
-            return node
+        entry of ``splits``, each followed in the table by its pending
+        children, lower side first; returns the path node below the last.
+        A child that holds the site of ``node`` gets the pair (site, -1),
+        and the others (-1, -1); a holed child's hole joins the hole table."""
+        d = self.dim
         depth, site = self._depth[node], self._kids[2 * node]
-        rows, path, kids_of = [], [node], []
-        next_id = len(self._kind)
-        for j, (_, _, kids, s, w) in enumerate(splits):
-            ids = [-1, -1]
-            for i in (0, 1):
-                if kids[i] is not None:
-                    got = held[j] and s == i
-                    rows.append((depth + j + 1, kids[i], site if got else -1))
-                    ids[i] = next_id
-                    next_id += 1
-            kids_of.append(ids)
-            path.append(ids[w])
-        self._add_nodes(rows)
-        for j, (axis, mid, _, _, _) in enumerate(splits):
-            parent = path[j]
-            self._kind[parent] = axis
-            self._mid[parent] = mid
-            self._kids[2 * parent:2 * parent + 2] = array("i", kids_of[j])
-        return path[-1]
+        for j, (axis, mid, kids, s, w) in enumerate(splits):
+            pair = [-1, -1]
+            for i, kid in enumerate(kids):
+                if kid is None:
+                    continue
+                lo, hi, hole = kid
+                pair[i] = len(self._kind)
+                self._kind.append(_PENDING)
+                self._mid.append(0.0)
+                self._kids.extend((site if held[j] and s == i else -1, -1))
+                self._depth.append(depth + j + 1)
+                self._box.extend(lo + hi)
+                if hole is None:
+                    self._hole.append(-1)
+                else:
+                    self._hole.append(len(self._holes) // (2 * d))
+                    self._holes.extend(hole[0] + hole[1])
+            self._kind[node] = axis
+            self._mid[node] = mid
+            self._kids[2 * node:2 * node + 2] = array("i", pair)
+            node = pair[w]
+        return node
 
     def _make_leaf(self, node: int, site: int, inner: np.ndarray,
                    ball: EuclideanBall | None) -> None:

@@ -473,12 +473,34 @@ def _expand_bound(label: str, val, dim, default):
     return arr
 
 
+def _half_grad(M, x):
+    # ``x @ M`` as a fold over the rows of M, which, unlike a matmul or an
+    # einsum, rounds each row the same however many rows come at once.
+    return sum(x[:, i, None] * M[i] for i in range(len(M)))
+
+
+# F, its gradient and a diagonal Hessian (None for a constant one) of each
+# built-in generator: the one set of functions its factory installs, so that
+# their identity tells a built-in spec (``is_builtin_generator``). A
+# Mahalanobis generator's take its matrix first, bound as partials.
+_FUNCTIONS = {
+    "squared-euclidean": (lambda x: np.sum(x * x, axis=1), lambda x: 2.0 * x, None),
+    "squared-mahalanobis": (lambda M, x: np.sum(_half_grad(M, x) * x, axis=1),
+                            lambda M, x: 2.0 * _half_grad(M, x), None),
+    "generalized-kl": (lambda x: np.sum(x * np.log(x), axis=1), lambda x: np.log(x) + 1.0,
+                       lambda x: 1.0 / x),
+    "itakura-saito": (lambda x: -np.sum(np.log(x), axis=1), lambda x: -1.0 / x,
+                      lambda x: 1.0 / (x * x)),
+}
+
+
 def squared_euclidean_spec(dim: int) -> BregmanSpec:
+    f, grad, _ = _FUNCTIONS["squared-euclidean"]
     return BregmanSpec(
         name="squared-euclidean",
         dim=dim,
-        f=lambda x: np.sum(x * x, axis=1),
-        grad=lambda x: 2.0 * x,
+        f=f,
+        grad=grad,
         hess_kind="const",
         hess=2.0 * np.eye(dim),
         domain_low=np.full(dim, -np.inf),
@@ -497,17 +519,12 @@ def squared_mahalanobis_spec(matrix, domain_low=None, domain_high=None) -> Bregm
     if w[0] <= 0:
         raise ValueError("matrix must be positive-definite")
     M = 0.5 * (M + M.T)
-
-    def half_grad(x):
-        # ``x @ M`` as a fold over the rows of M, which, unlike a matmul or an
-        # einsum, rounds each row the same however many rows come at once.
-        return sum(x[:, i, None] * M[i] for i in range(dim))
-
+    f, grad, _ = _FUNCTIONS["squared-mahalanobis"]
     return BregmanSpec(
         name="squared-mahalanobis",
         dim=dim,
-        f=lambda x: np.sum(half_grad(x) * x, axis=1),
-        grad=lambda x: 2.0 * half_grad(x),
+        f=functools.partial(f, M),
+        grad=functools.partial(grad, M),
         hess_kind="const",
         hess=2.0 * M,
         domain_low=_expand_bound("domain_low", domain_low, dim, -np.inf),
@@ -536,13 +553,14 @@ def _positive_box(label: str, dim: int, domain_low, domain_high, power: int):
 
 def generalized_kl_spec(dim: int, domain_low=0.1, domain_high=1.0) -> BregmanSpec:
     lo, hi, eig_low, eig_high = _positive_box("KL", dim, domain_low, domain_high, 1)
+    f, grad, hess = _FUNCTIONS["generalized-kl"]
     return BregmanSpec(
         name="generalized-kl",
         dim=dim,
-        f=lambda x: np.sum(x * np.log(x), axis=1),
-        grad=lambda x: np.log(x) + 1.0,
+        f=f,
+        grad=grad,
         hess_kind="diag",
-        hess=lambda x: 1.0 / x,
+        hess=hess,
         domain_low=lo,
         domain_high=hi,
         eig_low=eig_low,
@@ -552,13 +570,14 @@ def generalized_kl_spec(dim: int, domain_low=0.1, domain_high=1.0) -> BregmanSpe
 
 def itakura_saito_spec(dim: int, domain_low=0.1, domain_high=1.0) -> BregmanSpec:
     lo, hi, eig_low, eig_high = _positive_box("Itakura-Saito", dim, domain_low, domain_high, 2)
+    f, grad, hess = _FUNCTIONS["itakura-saito"]
     return BregmanSpec(
         name="itakura-saito",
         dim=dim,
-        f=lambda x: -np.sum(np.log(x), axis=1),
-        grad=lambda x: -1.0 / x,
+        f=f,
+        grad=grad,
         hess_kind="diag",
-        hess=lambda x: 1.0 / (x * x),
+        hess=hess,
         domain_low=lo,
         domain_high=hi,
         eig_low=eig_low,
@@ -593,12 +612,40 @@ def builtin_bregman_spec(name: str, dim: int, domain_low=None, domain_high=None,
     return BUILTIN_BREGMAN[name](dim, domain_low, domain_high)
 
 
+def _unbound(fn, M):
+    """``fn``'s function where ``fn`` is a partial over the matrix ``M``
+    alone, else ``fn``."""
+    if (isinstance(fn, functools.partial) and not fn.keywords and len(fn.args) == 1
+            and fn.args[0] is M):
+        return fn.func
+    return fn
+
+
+def is_builtin_generator(spec: BregmanSpec) -> bool:
+    """Whether ``spec`` holds the functions that the built-in factory of its
+    name installs (a Mahalanobis generator's over its own matrix, and no
+    other generator's with a matrix), so that its name, dimension, domain
+    box and matrix determine it. A spec that keeps a built-in name with
+    other functions is a custom generator."""
+    fns = _FUNCTIONS.get(spec.name)
+    M = spec.matrix
+    if fns is None or (M is not None) != (spec.name == "squared-mahalanobis"):
+        return False
+    f, grad, hess = fns
+    if (_unbound(spec.f, M), _unbound(spec.grad, M)) != (f, grad):
+        return False
+    if hess is not None:
+        return spec.hess_kind == "diag" and spec.hess is hess
+    return spec.hess_kind == "const" and np.array_equal(
+        spec.hess, 2.0 * (np.eye(spec.dim) if M is None else M))
+
+
 def generator_key(spec: BregmanSpec):
     """Key under which Bregman sites share one generator: built-in
-    generators with the same name and dimension and bit-identical domain box
-    and matrix share it, whichever objects hold them; any other generator is
-    its own object."""
-    if spec.name not in BUILTIN_BREGMAN:
+    generators (``is_builtin_generator``) with the same name and dimension
+    and bit-identical domain box and matrix share it, whichever objects
+    hold them; any other generator is its own object."""
+    if not is_builtin_generator(spec):
         return id(spec)
     matrix = None if spec.matrix is None else np.asarray(spec.matrix, dtype=float).tobytes()
     return (spec.name, spec.dim, spec.domain_low.tobytes(), spec.domain_high.tobytes(), matrix)

@@ -111,7 +111,7 @@ class PointGrid:
     over its bounding box, about two points per cell, as a CSR: the ids of
     cell c are ``order[start[c]:start[c + 1]]``, cells in C order."""
 
-    __slots__ = ("low", "side", "shape", "strides", "order", "start", "slack")
+    __slots__ = ("low", "side", "shape", "strides", "order", "start")
 
     def __init__(self, points: np.ndarray):
         n, d = points.shape
@@ -129,20 +129,22 @@ class PointGrid:
         # Lookups do their cell arithmetic in Python floats and ints, which
         # round as numpy's elementwise arithmetic does.
         self.low, self.shape, self.strides = low.tolist(), shape.tolist(), strides.tolist()
-        # Absolute widening of a query radius that covers the rounding of the
-        # coordinates, so that no point within the radius is missed.
-        self.slack = 8.0 * float(np.spacing(np.abs(points).max() + widest))
 
-    def within(self, low, high) -> np.ndarray:
+    def within(self, low, high, reach: float) -> np.ndarray:
         """Sorted ids of the points in the cells that meet the box [low,
-        high], given as float sequences: every point whose coordinates lie
-        between them, and some others. A coordinate's cell is
-        ``floor((x - grid low) / side)``, clipped into the grid, so cells
-        are monotone in the coordinate."""
+        high], given as float sequences, widened on every side by a little
+        more than ``reach``: every point within ``reach`` of the box, and
+        some others. The relative and absolute margins absorb the rounding
+        of the widening and of a distance test against ``reach`` at the
+        scale of the coordinates, and the smallest one keeps squared gaps
+        clear of underflow. A coordinate's cell is ``floor((x - grid low) /
+        side)``, clipped into the grid, so cells are monotone in the
+        coordinate."""
         first, last = [], []
         for x, y, g, top in zip(low, high, self.low, self.shape):
+            w = reach * (1.0 + 1e-12) + 1e-12 * max(abs(x), abs(y)) + 1e-150
             top -= 1
-            for bound, out in ((x, first), (y, last)):
+            for bound, out in ((x - w, first), (y + w, last)):
                 t = (bound - g) / self.side
                 out.append(0 if t < 1.0 else top if t >= top else int(t))
         # One slice of ``order`` per grid row along the last axis.
@@ -151,14 +153,6 @@ class PointGrid:
             rows = [r + stride * k for r in rows for k in range(i, j + 1)]
         start, order, i, j = self.start, self.order, first[-1], last[-1] + 1
         return np.sort(np.concatenate([order[start[r + i]:start[r + j]] for r in rows]))
-
-    def near(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Sorted ids of the points in the cells that meet the box about
-        ``center`` of half-side ``radius`` (widened by a rounding margin):
-        every point within ``radius`` of ``center``, and some farther ones."""
-        reach = radius * (1.0 + 1e-9) + self.slack
-        center = center.tolist()
-        return self.within([x - reach for x in center], [x + reach for x in center])
 
 
 def unchecked_ball(center: np.ndarray, radius: float) -> "EuclideanBall":

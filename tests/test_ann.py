@@ -471,6 +471,24 @@ def test_save_rejects_custom_bregman_generator(tmp_path, rng):
     assert not path.exists()
 
 
+def test_save_rejects_a_builtin_name_with_other_functions(tmp_path, rng):
+    """A generator that keeps the built-in KL name and box with twice its F,
+    gradient and Hessian is another divergence. The index answers with its
+    values, while a file, which names the generator, would load as KL and
+    answer with half of them, so saving refuses it and writes nothing."""
+    kl = generalized_kl_spec(2)
+    spec = dataclasses.replace(kl, f=lambda x: 2.0 * kl.f(x), grad=lambda x: 2.0 * kl.grad(x),
+                               hess=lambda x: 2.0 * kl.hess(x))
+    index = build_index([make_bregman(spec, p) for p in rng.uniform(0.2, 0.9, (30, 2))], 0.25)
+    q = np.array([0.5, 0.5])
+    fid, value = index.query(q)
+    assert value == pytest.approx(2.0 * kl.divergence(q, index.points[fid])[0], rel=1e-12)
+    path = tmp_path / "twice-kl.eann"
+    with pytest.raises(ValueError, match="custom Bregman generator"):
+        save_index(index, str(path))
+    assert not path.exists()
+
+
 def test_save_rejects_custom_gauge_at_any_position(tmp_path, rng):
     fns = [make_minkowski(p, 2.0) for p in rng.random((5, 2))]
     fns[1] = make_custom_gauge(fns[1].site, lambda v: np.linalg.norm(v, axis=1),

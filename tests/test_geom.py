@@ -121,26 +121,27 @@ def test_enclosing_ball_contains_corners(rng):
             assert np.linalg.norm(corner - ball.center) <= ball.radius + 1e-12
 
 
-def _grid_reference(grid, points, center, radius):
-    """Every id whose grid cell meets the box about ``center`` of half-side
-    ``radius`` widened by the grid's margin, from each point's cell."""
-    low, shape = np.array(grid.low), np.array(grid.shape)
+def _grid_reference(grid, points, low, high, reach):
+    """Every id whose grid cell meets the box [low, high] widened on every
+    side by the grid's margin about ``reach``, from each point's cell."""
+    grid_low, shape = np.array(grid.low), np.array(grid.shape)
 
     def cells(x):
-        return np.clip(np.floor((x - low) / grid.side), 0, shape - 1)
+        return np.clip(np.floor((x - grid_low) / grid.side), 0, shape - 1)
 
-    reach = radius * (1.0 + 1e-9) + grid.slack
+    w = reach * (1.0 + 1e-12) + 1e-12 * np.maximum(np.abs(low), np.abs(high)) + 1e-150
     own = cells(points)
-    inside = (own >= cells(center - reach)) & (own <= cells(center + reach))
+    inside = (own >= cells(low - w)) & (own <= cells(high + w))
     return np.flatnonzero(inside.all(axis=1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_point_grid_near_equals_the_cells_that_meet_the_box(d, rng):
-    """``PointGrid.near`` returns, in id order, exactly the ids whose cell
-    meets the query box: for random points, points on cell boundaries and
-    duplicates, about centers at points, at the grid's low and high edges
-    and beyond them, with zero and positive radii."""
+    """``PointGrid.within`` returns, in id order, exactly the ids whose cell
+    meets the widened query box: for random points, points on cell
+    boundaries and duplicates, about boxes that are a single point (at
+    points, at the grid's low and high edges and beyond them) and boxes
+    with a corner there, with zero and positive reaches."""
     n = 300
     points = rng.random((n, d))
     grid = PointGrid(points)
@@ -154,10 +155,13 @@ def test_point_grid_near_equals_the_cells_that_meet_the_box(d, rng):
     centers = [points[i] for i in rng.integers(0, len(points), 40)]
     centers += [low, high, low - 0.5, high + 0.5, boundary[0], rng.random(d)]
     for center in centers:
-        for radius in (0.0, 1e-12, grid.side, 0.5 * rng.random(), 2.0):
-            got = grid.near(center, radius)
-            assert got.dtype == np.int32
-            np.testing.assert_array_equal(got, _grid_reference(grid, points, center, radius))
+        for top in (center, center + 0.3 * rng.random(d)):
+            for reach in (0.0, 1e-12, grid.side, 0.5 * rng.random(), 2.0):
+                got = grid.within(center.tolist(), top.tolist(), reach)
+                assert got.dtype == np.int32
+                np.testing.assert_array_equal(
+                    got, _grid_reference(grid, points, center, top, reach))
     # Every point lies in the cells that meet a box of radius 0 about it.
     for i in rng.integers(0, len(points), 20):
-        assert i in grid.near(points[i], 0.0)
+        x = points[i].tolist()
+        assert i in grid.within(x, x, 0.0)

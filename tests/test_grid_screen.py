@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -85,28 +85,36 @@ def _outcome(fn):
 @SETTINGS
 @given(kind=st.sampled_from(KINDS), d=st.integers(1, 4), n=st.integers(2, 160),
        seed=st.integers(0, 2**16), blobs=st.booleans(), where=st.sampled_from(
-           ("leaf", "edge", "ball")))
-@example(kind="l3", d=2, n=160, seed=11, blobs=False, where="leaf")
-@example(kind="kl", d=2, n=160, seed=11, blobs=False, where="leaf")
-@example(kind="l2", d=3, n=150, seed=3, blobs=True, where="leaf")
-@example(kind="mahalanobis", d=4, n=120, seed=5, blobs=True, where="edge")
-@example(kind="two-exponents", d=2, n=140, seed=7, blobs=False, where="ball")
-@example(kind="ellipse", d=1, n=60, seed=2, blobs=False, where="edge")
-@example(kind="l1.5", d=3, n=100, seed=9, blobs=False, where="ball")
-@example(kind="wl2", d=2, n=2, seed=1, blobs=False, where="ball")
-def test_grid_screen_equals_the_screen_over_every_site(kind, d, n, seed, blobs, where):
+           ("leaf", "edge", "ball")), offset=st.sampled_from((0.0, 1e6)))
+@example(kind="l3", d=2, n=160, seed=11, blobs=False, where="leaf", offset=0.0)
+@example(kind="kl", d=2, n=160, seed=11, blobs=False, where="leaf", offset=0.0)
+@example(kind="l2", d=3, n=150, seed=3, blobs=True, where="leaf", offset=0.0)
+@example(kind="mahalanobis", d=4, n=120, seed=5, blobs=True, where="edge", offset=0.0)
+@example(kind="two-exponents", d=2, n=140, seed=7, blobs=False, where="ball", offset=0.0)
+@example(kind="ellipse", d=1, n=60, seed=2, blobs=False, where="edge", offset=0.0)
+@example(kind="l1.5", d=3, n=100, seed=9, blobs=False, where="ball", offset=0.0)
+@example(kind="wl2", d=2, n=2, seed=1, blobs=False, where="ball", offset=0.0)
+@example(kind="l3", d=2, n=160, seed=11, blobs=False, where="leaf", offset=1e6)
+@example(kind="mahalanobis", d=4, n=120, seed=5, blobs=False, where="edge", offset=1e6)
+@example(kind="wl2", d=1, n=80, seed=4, blobs=False, where="ball", offset=1e6)
+def test_grid_screen_equals_the_screen_over_every_site(kind, d, n, seed, blobs, where, offset):
     """Over a leaf's ball (a uniform query's leaf, or one at the root box's
     edge) or an arbitrary ball with arbitrary sites set aside, the grid
     screen keeps the survivors of the screen over every outer site, in the
     same order, or raises the same separation error, naming the same site.
     A lone site's distance to the ball, and its bounds, are its row of the
-    whole family's, so a search that finds one candidate screens it alike."""
+    whole family's, so a search that finds one candidate screens it alike.
+    Uniform scaling sites also move by ``offset``, where coordinates dwarf
+    the grid cells and the lookup's margins rest on the coordinates'
+    rounding."""
+    assume(offset == 0.0 or (kind != "kl" and not blobs))
     rng = np.random.default_rng(seed)
-    P = _sites(rng, n, d, blobs, kind)
+    P = _sites(rng, n, d, blobs, kind) + offset
     family = _family(kind, P, rng)
     index = build_index(family, 0.25)
     if where == "ball":
-        ball = EuclideanBall(rng.uniform(-0.1, 1.1, d), float(10.0 ** rng.uniform(-7, -0.5)))
+        ball = EuclideanBall(offset + rng.uniform(-0.1, 1.1, d),
+                             float(10.0 ** rng.uniform(-7, -0.5)))
         used = np.flatnonzero(rng.random(n) < 0.2)[: n - 1].astype(np.int32)
     else:
         box = index.tree.root_box

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from eann.ann import ray_to_hypercube_boundary
-from eann.avd import (_LEAF, _PENDING, AvdConfig, _points_in_box, _window, build_avd,
+from eann.avd import (_LEAF, _PENDING, AvdConfig, _points_in_box, build_avd,
                       check_leaf)
 from eann.envelope import ConcaveEnvelope
 from eann.geom import AlignedBox, EuclideanBall, box_distances
@@ -216,11 +216,14 @@ def _assert_lazy_near_is_eager(tree, built):
 
 def _window_edges(low, high, reach, axis):
     """Coordinates along ``axis`` one float either side of the grid
-    window's edges about the box [low, high], and exactly ``reach`` from
-    the box."""
-    lo, hi = _window(low.tolist(), high.tolist(), reach)
-    return [np.nextafter(lo[axis], -np.inf), np.nextafter(lo[axis], np.inf),
-            np.nextafter(hi[axis], -np.inf), np.nextafter(hi[axis], np.inf),
+    window's edges about the box [low, high] (the box as
+    ``PointGrid.within`` widens it by ``reach``, restated here), and
+    exactly ``reach`` from the box."""
+    l, h = float(low[axis]), float(high[axis])
+    w = reach * (1.0 + 1e-12) + 1e-12 * max(abs(l), abs(h)) + 1e-150
+    lo, hi = l - w, h + w
+    return [np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+            np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
             low[axis] - reach, high[axis] + reach]
 
 

@@ -6,6 +6,7 @@ values and row-paired values, gradients and Hessians must agree bit for
 bit; value bounds must bracket every value at the given distance.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,10 +18,13 @@ from eann.cli import gen_family, gen_sites
 from eann.distances import (
     DomainError,
     generalized_kl_spec,
+    generator_key,
+    itakura_saito_spec,
     make_bregman,
     make_mahalanobis,
     make_minkowski,
     minkowski_sites,
+    squared_euclidean_spec,
     squared_mahalanobis_spec,
 )
 
@@ -228,6 +232,28 @@ def test_equal_builtin_generators_held_apart_share_one_kernel(rng):
     with pytest.raises(ValueError, match="share one generator"):
         build_index([make_bregman(generalized_kl_spec(2), P[0]),
                      make_bregman(generalized_kl_spec(2, 0.05, 1.0), P[1])], 0.25)
+
+
+def test_builtin_name_with_other_functions_is_its_own_generator(rng):
+    """Every built-in generator from two factory calls has one key; a
+    generator that keeps the built-in KL name and box with twice its F,
+    gradient and Hessian has its own, so a family of a KL site and such a
+    site holds two kernels, each member valued as its own site function."""
+    M = np.array([[2.0, 0.3], [0.3, 1.0]])
+    for make in (squared_euclidean_spec, generalized_kl_spec, itakura_saito_spec,
+                 lambda d: squared_mahalanobis_spec(M)):
+        assert generator_key(make(2)) == generator_key(make(2))
+    kl = generalized_kl_spec(2)
+    twice = dataclasses.replace(kl, f=lambda x: 2.0 * kl.f(x), grad=lambda x: 2.0 * kl.grad(x),
+                                hess=lambda x: 2.0 * kl.hess(x))
+    fns = [make_bregman(kl, p) for p in gen_sites(rng, 2, 2, "kl")]
+    fns[1] = make_bregman(twice, fns[1].site)
+    family = SiteFamily(fns)
+    assert len(family.groups) == 2
+    q = np.array([0.5, 0.5])
+    got = batch_values(family, q[None, :])[0]
+    for i, fn in enumerate(fns):
+        assert got[i] == pytest.approx(fn.value(q), rel=1e-12)
 
 
 def test_sites_of_different_dimensions_rejected_by_name(rng):
